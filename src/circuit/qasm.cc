@@ -8,7 +8,9 @@
 
 #include "circuit/qasm.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -159,6 +161,36 @@ toQasm(const Circuit &circuit)
 }
 
 namespace {
+
+/**
+ * Reject a statement naming the same wire twice (e.g. `cx q[0],q[0];`):
+ * such a gate has no meaning and would trip internal invariants
+ * downstream, so it is an input error at the statement's position.
+ * Gates name at most three wires and are checked pairwise without
+ * allocating (this runs on every served request); a barrier can name a
+ * whole register, so it checks a sorted copy in O(n log n).
+ */
+void
+requireDistinctOperands(const std::string &word,
+                        const std::vector<int> &wires, int line, int column)
+{
+    auto repeated = [&](int wire) {
+        raiseAt(line, column, "%s repeats operand wire %d", word.c_str(),
+                wire);
+    };
+    if (wires.size() <= 3) {
+        for (size_t i = 0; i < wires.size(); ++i)
+            for (size_t j = i + 1; j < wires.size(); ++j)
+                if (wires[i] == wires[j])
+                    repeated(wires[i]);
+        return;
+    }
+    std::vector<int> sorted = wires;
+    std::sort(sorted.begin(), sorted.end());
+    auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+    if (dup != sorted.end())
+        repeated(*dup);
+}
 
 /** Gate-name table for the importer (inverse of Gate::name()). */
 struct GateSpec
@@ -492,6 +524,7 @@ fromQasm(const std::string &text)
                 }
             } while (p.consume(','));
             p.expect(';');
+            requireDistinctOperands(word, qubits, word_line, word_col);
             gates.push_back(makeBarrier(std::move(qubits)));
             continue;
         }
@@ -512,6 +545,12 @@ fromQasm(const std::string &text)
         if (int(params.size()) != spec.params)
             raiseAt(word_line, word_col, "%s expects %d params, got %d",
                     word.c_str(), spec.params, int(params.size()));
+        for (size_t i = 0; i < params.size(); ++i) {
+            if (!std::isfinite(params[i]))
+                raiseAt(word_line, word_col,
+                        "%s parameter %d is not a finite number",
+                        word.c_str(), int(i) + 1);
+        }
 
         std::vector<int> qubits;
         do {
@@ -525,6 +564,7 @@ fromQasm(const std::string &text)
         if (int(qubits.size()) != spec.operands)
             raiseAt(word_line, word_col, "%s expects %d operands, got %d",
                     word.c_str(), spec.operands, int(qubits.size()));
+        requireDistinctOperands(word, qubits, word_line, word_col);
 
         Gate g;
         g.kind = spec.kind;

@@ -31,6 +31,7 @@
 #include "decomp/catalog.hh"
 #include "decomp/equivalence.hh"
 #include "mirage/pipeline.hh"
+#include "monodromy/coverage.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "serve/traffic.hh"
@@ -1043,6 +1044,71 @@ cmdCatalog(const std::vector<std::string> &args, std::ostream &out,
     return kExitFailure;
 }
 
+// --- coverage ---------------------------------------------------------------
+
+/**
+ * `mirage coverage`: maintain the committed monodromy coverage tables
+ * (src/monodromy/coverage_tables.cc). `build` runs the numeric
+ * construction for every tabulated basis and writes the generated
+ * source; `check` rebuilds and byte-compares against the committed file
+ * (the CI gate), leaving the fresh source next to it on a mismatch.
+ */
+int
+cmdCoverage(const std::vector<std::string> &args, std::ostream &out,
+            std::ostream &err)
+{
+    ArgumentParser parser("coverage", "<build | check>");
+    parser.addOption("--path", "FILE", monodromy::kCoverageTablesPath,
+                     "generated table source to write (build) or compare "
+                     "against (check)");
+    parser.parse(args);
+    if (parser.helpRequested()) {
+        out << parser.helpText();
+        return kExitSuccess;
+    }
+    if (parser.positionals().size() != 1)
+        throw UsageError("coverage expects exactly one action: build or "
+                         "check; see 'mirage coverage --help'");
+    const std::string action = parser.positionals()[0];
+    if (action != "build" && action != "check")
+        throw UsageError("unknown coverage action '" + action +
+                         "' (expected build or check)");
+    const std::string path = parser.option("--path");
+
+    err << "mirage: building the coverage polytopes numerically...\n";
+    const std::string fresh = monodromy::generateCoverageTables();
+
+    if (action == "build") {
+        std::string werr;
+        if (!writeFileAtomic(path, fresh, &werr))
+            throw CliError("cannot write '" + path + "': " + werr);
+        out << "wrote " << path << "\n";
+        return kExitSuccess;
+    }
+
+    std::string failure;
+    try {
+        if (readInput(path) == fresh) {
+            out << "coverage check OK: " << path
+                << " matches the numeric build\n";
+            return kExitSuccess;
+        }
+        failure = "'" + path + "' drifted from the numeric build";
+    } catch (const CliError &e) {
+        failure = std::string("unreadable: ") + e.what();
+    }
+    const std::string freshPath = path + ".fresh";
+    {
+        std::ofstream f(freshPath);
+        if (f)
+            f << fresh;
+    }
+    err << "mirage: coverage check: " << failure
+        << " (fresh source left at '" << freshPath
+        << "'; regenerate with 'mirage coverage build')\n";
+    return kExitFailure;
+}
+
 // --- dispatch ---------------------------------------------------------------
 
 const char *const kVersion = "0.1.0";
@@ -1066,6 +1132,8 @@ usage()
            "              --chaos runs the fault-tolerance gate\n"
            "  catalog     build/check/inspect the committed fit catalog "
            "(FIT_CATALOG.bin)\n"
+           "  coverage    build/check the committed coverage polytope "
+           "tables\n"
            "  report      render sweep artifacts as markdown tables\n"
            "  version     print the version\n"
            "  help        show this message\n"
@@ -1123,6 +1191,8 @@ run(const std::vector<std::string> &args, std::ostream &out,
             return cmdServeBench(rest, out, err);
         if (command == "catalog")
             return cmdCatalog(rest, out, err);
+        if (command == "coverage")
+            return cmdCoverage(rest, out, err);
         if (command == "report")
             return cmdReport(rest, out, err);
         err << "mirage: unknown command '" << command << "'\n\n"

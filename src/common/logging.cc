@@ -44,6 +44,18 @@ panic(const char *fmt, ...)
 }
 
 void
+assertionFailed(const char *cond, const char *file, int line,
+                const char *fmt, ...)
+{
+    char msg[512];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(msg, sizeof(msg), fmt, args);
+    va_end(args);
+    panic("assertion '%s' failed at %s:%d: %s", cond, file, line, msg);
+}
+
+void
 warn(const char *fmt, ...)
 {
     va_list args;

@@ -17,26 +17,34 @@
 namespace mirage {
 
 /** Print an error caused by the user and exit(1). */
-[[noreturn]] void fatal(const char *fmt, ...);
+[[noreturn]] void fatal(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 /** Print an internal-bug error and abort(). */
-[[noreturn]] void panic(const char *fmt, ...);
+[[noreturn]] void panic(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 /** Print a warning; execution continues. */
-void warn(const char *fmt, ...);
+void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print a status message; execution continues. */
-void inform(const char *fmt, ...);
+void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/** Report a failed MIRAGE_ASSERT (condition text, site, message), abort. */
+[[noreturn]] void assertionFailed(const char *cond, const char *file,
+                                  int line, const char *fmt, ...)
+    __attribute__((format(printf, 4, 5)));
 
 /**
  * Internal invariant check. Unlike assert() this is active in all build
- * types; use for cheap checks guarding algorithm correctness.
+ * types; use for cheap checks guarding algorithm correctness. The
+ * message is a printf format followed by its arguments.
  */
 #define MIRAGE_ASSERT(cond, ...)                                           \
     do {                                                                   \
         if (!(cond))                                                       \
-            ::mirage::panic("assertion '%s' failed at %s:%d: " __VA_ARGS__,\
-                            #cond, __FILE__, __LINE__);                    \
+            ::mirage::assertionFailed(#cond, __FILE__, __LINE__,           \
+                                      __VA_ARGS__);                        \
     } while (0)
 
 } // namespace mirage

@@ -2,16 +2,20 @@
  * @file
  * Monodromy coverage sets: construction of the alcove polytopes
  * reachable by k basis applications and their mirror-extended
- * counterparts (paper Section III).
+ * counterparts (paper Section III), the registry serving them from the
+ * committed tables, and the generator that renders those tables.
  */
 
 #include "monodromy/coverage.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -190,12 +194,21 @@ mirrorImage(const Polytope &region)
     return {piece1, piece2};
 }
 
+CoverageSet::CoverageSet(BasisSpec basis, std::vector<Polytope> perK)
+    : basis_(std::move(basis)), perK_(std::move(perK))
+{
+    for (const auto &poly : perK_) {
+        auto pieces = mirrorImage(poly);
+        pieces.insert(pieces.begin(), poly);
+        mirror_.push_back(std::move(pieces));
+    }
+}
+
 CoverageSet
 CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
                    const CoverageSet *parent, int parent_stride)
 {
-    CoverageSet cs;
-    cs.basis_ = basis;
+    std::vector<Polytope> perK;
 
     Rng rng(opts.seed);
     const auto &dirs = candidateDirections();
@@ -204,13 +217,8 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
     const double q4 = kPi / 4.0;
 
     // k = 1: a single point (up to local gates).
-    cs.perK_.push_back(
+    perK.push_back(
         pointPolytope(basis.coords).intersect(geometry::signedChamber()));
-    {
-        auto pieces = mirrorImage(cs.perK_.back());
-        pieces.insert(pieces.begin(), cs.perK_.back());
-        cs.mirror_.push_back(std::move(pieces));
-    }
 
     std::vector<Vec3> prev_vertices = {signedVec(basis.coords)};
     std::vector<bool> certified(landmarkPoints().size(), false);
@@ -342,12 +350,8 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
             Polytope(std::move(hs)).intersect(geometry::signedChamber());
         poly.removeRedundancy();
 
-        cs.perK_.push_back(poly);
-        auto pieces = mirrorImage(poly);
-        pieces.insert(pieces.begin(), poly);
-        cs.mirror_.push_back(std::move(pieces));
-
         prev_vertices = poly.vertices();
+        perK.push_back(std::move(poly));
 
         // Full coverage is a geometric fact: the polytope is convex, so
         // it equals the chamber as soon as it contains all four chamber
@@ -356,7 +360,7 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
             {0, 0, 0}, {q4, 0, 0}, {q4, q4, q4}, {q4, q4, -q4}};
         bool full = true;
         for (const auto &v : chamber_vertices) {
-            if (!poly.contains(v, 1e-9)) {
+            if (!perK.back().contains(v, 1e-9)) {
                 full = false;
                 break;
             }
@@ -364,7 +368,7 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
         if (full)
             break;
     }
-    return cs;
+    return CoverageSet(basis, std::move(perK));
 }
 
 int
@@ -417,41 +421,173 @@ CoverageSet::mirrorHaarFractionAt(int k) const
     return slot;
 }
 
+namespace {
+
+/** Roots of iSWAP covered by the committed tables (besides CNOT). */
+constexpr int kTabulatedRoots = 4;
+
+/**
+ * Largest proper divisor of n (0 for n == 1): its coverage set is the
+ * tightest exact parent for CoverageSet::build.
+ */
+int
+parentRoot(int n)
+{
+    for (int m = n / 2; m >= 1; --m) {
+        if (n % m == 0)
+            return m;
+    }
+    return 0;
+}
+
+/** The committed coverage set for `basis`, if it has a table. */
+std::optional<CoverageSet>
+tabulatedCoverage(const BasisSpec &basis)
+{
+    for (const CoverageTable &table : committedCoverageTables()) {
+        if (basis.name != table.basis)
+            continue;
+        std::vector<Polytope> perK;
+        for (const auto &hs : table.perK)
+            perK.emplace_back(std::vector<Halfspace>(hs.begin(), hs.end()));
+        return CoverageSet(basis, std::move(perK));
+    }
+    return std::nullopt;
+}
+
+/**
+ * Coverage set for root n, memoized in `memo` together with its divisor
+ * parents: the committed table when `useTables` and one exists, else a
+ * numeric build on the largest proper divisor as exact parent.
+ */
+const CoverageSet &
+rootCoverage(int n, std::map<int, CoverageSet> &memo, bool useTables)
+{
+    auto it = memo.find(n);
+    if (it != memo.end())
+        return it->second;
+    const BasisSpec basis = BasisSpec::rootIswap(n);
+    std::optional<CoverageSet> cs;
+    if (useTables)
+        cs = tabulatedCoverage(basis);
+    if (!cs) {
+        const int m = parentRoot(n);
+        cs = CoverageSet::build(
+            basis, {}, m ? &rootCoverage(m, memo, useTables) : nullptr,
+            m ? n / m : 1);
+    }
+    return memo.emplace(n, std::move(*cs)).first->second;
+}
+
+/** C++ identifier fragment for a basis name ("riswap-2" -> "Riswap2"). */
+std::string
+tableIdentifier(const std::string &basis)
+{
+    std::string id;
+    for (char c : basis) {
+        if (std::isalnum(static_cast<unsigned char>(c)))
+            id += id.empty() ? char(std::toupper(c)) : c;
+    }
+    return id;
+}
+
+/** Exact, round-trippable C++ literal for a double. */
+std::string
+hexLiteral(double x)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%a", x);
+    return buf;
+}
+
+} // namespace
+
 const CoverageSet &
 coverageForRootIswap(int n)
 {
-    // Recursive: building root n inserts its divisor parents first. The
-    // lock guards callers invoking transpile() concurrently from their
-    // own threads (transpileMany constructs cost models sequentially);
-    // references stay valid because std::map never relocates nodes.
-    static std::recursive_mutex registry_mutex;
+    // The lock guards callers invoking transpile() concurrently from
+    // their own threads; references stay valid because std::map never
+    // relocates nodes.
+    static std::mutex registry_mutex;
     static std::map<int, CoverageSet> registry;
-    std::lock_guard<std::recursive_mutex> lock(registry_mutex);
-    auto it = registry.find(n);
-    if (it == registry.end()) {
-        // Largest proper divisor gives the tightest exact parent.
-        const CoverageSet *parent = nullptr;
-        int stride = 1;
-        for (int m = n / 2; m >= 1; --m) {
-            if (n % m == 0) {
-                parent = &coverageForRootIswap(m);
-                stride = n / m;
-                break;
-            }
-        }
-        it = registry
-                 .emplace(n, CoverageSet::build(BasisSpec::rootIswap(n), {},
-                                                parent, stride))
-                 .first;
-    }
-    return it->second;
+    std::lock_guard<std::mutex> lock(registry_mutex);
+    return rootCoverage(n, registry, /*useTables=*/true);
 }
 
 const CoverageSet &
 coverageForCnot()
 {
-    static const CoverageSet cs = CoverageSet::build(BasisSpec::cnot());
+    static const CoverageSet cs = tabulatedCoverage(BasisSpec::cnot()).value();
     return cs;
+}
+
+CoverageSet
+buildRootIswapCoverage(int n)
+{
+    std::map<int, CoverageSet> built;
+    return rootCoverage(n, built, /*useTables=*/false);
+}
+
+std::string
+generateCoverageTables()
+{
+    std::vector<CoverageSet> sets = {CoverageSet::build(BasisSpec::cnot())};
+    std::map<int, CoverageSet> built;
+    for (int n = 1; n <= kTabulatedRoots; ++n)
+        sets.push_back(rootCoverage(n, built, /*useTables=*/false));
+
+    std::string out =
+        "/**\n"
+        " * @file\n"
+        " * Committed monodromy coverage polytopes: P_1..P_kMax per basis\n"
+        " * gate as halfspaces n . x <= d in signed-chamber coordinates,\n"
+        " * stored as hexfloat so they reload bit-exactly.\n"
+        " *\n"
+        " * Generated by `mirage coverage build`, do not edit. `mirage\n"
+        " * coverage check` rebuilds them numerically and byte-compares.\n"
+        " */\n"
+        "\n"
+        "#include \"monodromy/coverage.hh\"\n"
+        "\n"
+        "namespace mirage::monodromy {\n"
+        "\n"
+        "namespace {\n"
+        "\n"
+        "using geometry::Halfspace;\n"
+        "using Run = std::span<const Halfspace>;\n";
+    std::string tables;
+    for (const CoverageSet &cs : sets) {
+        const std::string id = "k" + tableIdentifier(cs.basis().name);
+        std::string runs;
+        out += "\n// " + cs.basis().name + "\n";
+        for (int k = 1; k <= cs.kMax(); ++k) {
+            const std::string run = id + "K" + std::to_string(k);
+            out += "constexpr Halfspace " + run + "[] = {\n";
+            for (const Halfspace &h : cs.polytope(k).halfspaces())
+                out += "    {{" + hexLiteral(h.n.x) + ", " +
+                       hexLiteral(h.n.y) + ", " + hexLiteral(h.n.z) +
+                       "}, " + hexLiteral(h.d) + "},\n";
+            out += "};\n";
+            runs += "    " + run + ",\n";
+        }
+        out += "constexpr Run " + id + "[] = {\n" + runs + "};\n";
+        tables += "    {\"" + cs.basis().name + "\", " + id + "},\n";
+    }
+    out += "\n"
+           "constexpr CoverageTable kTables[] = {\n" +
+           tables +
+           "};\n"
+           "\n"
+           "} // namespace\n"
+           "\n"
+           "std::span<const CoverageTable>\n"
+           "committedCoverageTables()\n"
+           "{\n"
+           "    return kTables;\n"
+           "}\n"
+           "\n"
+           "} // namespace mirage::monodromy\n";
+    return out;
 }
 
 } // namespace mirage::monodromy

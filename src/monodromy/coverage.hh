@@ -13,11 +13,18 @@
  * pi/(16 n). Anchor values from the paper (e.g. sqrt(iSWAP) k=2 covers
  * 79.0% of Haar volume, 94.4% with mirrors) validate the construction in
  * the test suite.
+ *
+ * The numeric construction is a generator, not a start-up cost: its
+ * output for CNOT and the 1st..4th roots of iSWAP is committed as
+ * halfspace tables (coverage_tables.cc, written by `mirage coverage
+ * build`), and the process-wide registry reads those. Only roots without
+ * a table entry (n >= 5) are built numerically on first use.
  */
 
 #ifndef MIRAGE_MONODROMY_COVERAGE_HH
 #define MIRAGE_MONODROMY_COVERAGE_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,6 +71,12 @@ struct CoverageBuildOptions
 class CoverageSet
 {
   public:
+    /**
+     * Coverage sets from their polytopes P_1..P_kMax (e.g. a committed
+     * table); the mirror-extended regions are derived with mirrorImage.
+     */
+    CoverageSet(BasisSpec basis, std::vector<Polytope> perK);
+
     /**
      * Build the coverage sets. When `parent` is given with stride s,
      * every j-gate product of the parent basis equals a (j*s)-gate
@@ -112,10 +125,40 @@ class CoverageSet
  */
 std::vector<Polytope> mirrorImage(const Polytope &region);
 
-/** Process-wide cached coverage set for the n-th root of iSWAP. */
+/**
+ * Process-wide cached coverage set for the n-th root of iSWAP: the
+ * committed table when there is one, else a numeric build.
+ */
 const CoverageSet &coverageForRootIswap(int n);
-/** Process-wide cached coverage set for CNOT. */
+/** Process-wide coverage set for CNOT (committed table). */
 const CoverageSet &coverageForCnot();
+
+/** One basis's committed polytopes: halfspace runs for k = 1..kMax. */
+struct CoverageTable
+{
+    const char *basis; ///< BasisSpec::name
+    std::span<const std::span<const geometry::Halfspace>> perK;
+};
+
+/** The committed tables (generated coverage_tables.cc). */
+std::span<const CoverageTable> committedCoverageTables();
+
+/** Default location of the generated tables, relative to the repo root. */
+inline constexpr const char *kCoverageTablesPath =
+    "src/monodromy/coverage_tables.cc";
+
+/**
+ * Numeric build of the n-th root of iSWAP with its divisor parents
+ * (as the registry would without tables); never reads the tables.
+ */
+CoverageSet buildRootIswapCoverage(int n);
+
+/**
+ * Source text of coverage_tables.cc: every tabulated basis (CNOT, then
+ * the 1st..4th roots of iSWAP) built numerically, never reading the
+ * committed tables, and rendered as hexfloat halfspaces.
+ */
+std::string generateCoverageTables();
 
 } // namespace mirage::monodromy
 

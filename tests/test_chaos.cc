@@ -46,10 +46,15 @@ namespace {
 const char *const kCatalogPath =
     MIRAGE_TEST_DATA_DIR "/../FIT_CATALOG.bin";
 
+/**
+ * A path under the test temp dir that is private to this process: ctest
+ * runs every discovered test as its own process, concurrently, so a
+ * shared name would let one test truncate a file a sibling is reading.
+ */
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testing::TempDir() + std::to_string(::getpid()) + "-" + name;
 }
 
 /** Every test here leaves the process disarmed, whatever happens. */

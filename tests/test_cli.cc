@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -41,10 +43,15 @@ runCli(const std::vector<std::string> &args)
     return {code, out.str(), err.str()};
 }
 
+/**
+ * A path under the test temp dir that is private to this process: ctest
+ * runs every discovered test as its own process, concurrently, so a
+ * shared name would let one test truncate a file a sibling is reading.
+ */
 std::string
 tempPath(const std::string &name)
 {
-    return testing::TempDir() + name;
+    return testing::TempDir() + std::to_string(::getpid()) + "-" + name;
 }
 
 void
@@ -756,4 +763,24 @@ TEST(ExperimentRegistry, Table1MatchesPaperScores)
     const json::Value &row = artifact["rows"].at(0);
     EXPECT_NEAR(row["haar"].asNumber(), 1.105, 0.02);
     EXPECT_NEAR(row["mirrorHaar"].asNumber(), 1.029, 0.02);
+}
+
+// --- coverage ---------------------------------------------------------------
+
+TEST(CliCoverage, CheckFailsOnDriftAndLeavesFreshSource)
+{
+    EXPECT_EQ(runCli({"coverage"}).code, cli::kExitUsage);
+    EXPECT_EQ(runCli({"coverage", "refresh"}).code, cli::kExitUsage);
+
+    const std::string path = tempPath("coverage_tables.cc");
+    writeFile(path, "// stale\n");
+    std::filesystem::remove(path + ".fresh");
+    auto r = runCli({"coverage", "check", "--path", path});
+    EXPECT_EQ(r.code, cli::kExitFailure);
+    EXPECT_NE(r.err.find("drifted from the numeric build"), std::string::npos)
+        << r.err;
+    const std::string fresh = readFile(path + ".fresh");
+    EXPECT_NE(fresh.find("Generated by `mirage coverage build`"),
+              std::string::npos);
+    EXPECT_NE(fresh.find("{\"riswap-4\", kRiswap4}"), std::string::npos);
 }

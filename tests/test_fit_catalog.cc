@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -97,7 +99,8 @@ coldFit()
 std::string
 writeTempCatalog(const std::string &name, const std::string &bytes)
 {
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = ::testing::TempDir() +
+                             std::to_string(::getpid()) + "-" + name;
     std::ofstream f(path);
     EXPECT_TRUE(f.is_open()) << path;
     f << bytes;
@@ -212,8 +215,9 @@ TEST(FitCatalog, DetailedLoadSplitsUnreadableFromMalformed)
     EquivalenceLibrary lib(2, /*preseed=*/false);
 
     // Unreadable: the file does not exist.
-    const std::string missing =
-        ::testing::TempDir() + "no-such-catalog.bin";
+    const std::string missing = ::testing::TempDir() +
+                                std::to_string(::getpid()) +
+                                "-no-such-catalog.bin";
     auto unreadable = lib.loadCacheFileDetailed(missing);
     EXPECT_EQ(unreadable.status, Status::Unreadable);
     EXPECT_NE(unreadable.message.find("cannot open"), std::string::npos)

@@ -150,6 +150,103 @@ TEST(Coverage, MirrorRegionContainsMirrors)
     }
 }
 
+/**
+ * The registry serves committed tables; the numeric builder is only
+ * their generator. Per basis (0 = CNOT, n = n-th root of iSWAP), the two
+ * must agree semantically: same depth, same membership answers, same
+ * Haar volumes. (Bitwise equality is what `mirage coverage check` gates,
+ * per build configuration.)
+ */
+class CoverageTables : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CoverageTables, MatchTheNumericBuilder)
+{
+    const int root = GetParam();
+    const CoverageSet built = root == 0
+                                  ? CoverageSet::build(BasisSpec::cnot())
+                                  : buildRootIswapCoverage(root);
+    const CoverageSet &table =
+        root == 0 ? coverageForCnot() : coverageForRootIswap(root);
+    ASSERT_EQ(table.basis().name, built.basis().name);
+    bool listed = false;
+    for (const CoverageTable &t : committedCoverageTables())
+        listed |= built.basis().name == t.basis;
+    ASSERT_TRUE(listed) << "no committed table";
+    ASSERT_EQ(table.kMax(), built.kMax());
+
+    // Probe coordinates: Haar samples, uniform random triples, points of
+    // the finest snapping grid pi/64 (they sit exactly on facet planes),
+    // the named catalog gates, and interleaved products of this basis
+    // (which land on or near the facets that matter for it).
+    std::vector<weyl::Coord> probes;
+    Rng rng(0xC0FE);
+    for (int i = 0; i < 2000; ++i)
+        probes.push_back(sampleHaarCoord(rng));
+    for (int i = 0; i < 1000; ++i)
+        probes.push_back(weyl::canonicalize(rng.uniform(-kPi, kPi),
+                                            rng.uniform(-kPi, kPi),
+                                            rng.uniform(-kPi, kPi)));
+    const double step = kPi / 64.0;
+    for (int i = 0; i <= 16; i += 2)
+        for (int j = 0; j <= i; ++j)
+            for (int l = -j; l <= j; ++l)
+                probes.push_back(weyl::canonicalize(i * step, j * step,
+                                                    l * step));
+    for (const weyl::Coord &c :
+         {weyl::coordIdentity(), weyl::coordCNOT(), weyl::coordISWAP(),
+          weyl::coordSWAP(), weyl::coordB(), weyl::coordRootISWAP(2),
+          weyl::coordRootISWAP(3), weyl::coordRootISWAP(4)})
+        probes.push_back(c);
+    for (double phi : {0.1, 0.4, 1.0, kPi / 2, 2.2, kPi})
+        probes.push_back(weyl::coordCP(phi));
+    for (int k = 2; k <= built.kMax(); ++k) {
+        for (int t = 0; t < 100; ++t) {
+            linalg::Mat4 w = built.basis().matrix;
+            for (int j = 1; j < k; ++j)
+                w = built.basis().matrix * (linalg::randomLocal4(rng) * w);
+            probes.push_back(weyl::weylCoordinates(w));
+        }
+    }
+
+    int mismatches = 0;
+    for (const weyl::Coord &c : probes) {
+        if (table.minK(c) != built.minK(c) ||
+            table.minKMirrored(c) != built.minKMirrored(c))
+            ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0) << "of " << probes.size() << " probes";
+
+    for (int k = 1; k <= built.kMax(); ++k) {
+        EXPECT_NEAR(table.haarFractionAt(k), built.haarFractionAt(k), 1e-12)
+            << "k=" << k;
+        EXPECT_NEAR(table.mirrorHaarFractionAt(k),
+                    built.mirrorHaarFractionAt(k), 1e-12)
+            << "k=" << k;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bases, CoverageTables, ::testing::Values(0, 1, 2, 3, 4),
+    [](const ::testing::TestParamInfo<int> &info) {
+        return info.param == 0 ? std::string("cnot")
+                               : "root" + std::to_string(info.param);
+    });
+
+TEST(CoverageRegistry, UntabulatedRootBuildsNumerically)
+{
+    // The fifth root has no table entry: the registry builds it (with
+    // the tabulated iSWAP as its exact parent). It must nest between
+    // the coarser roots' structure: deeper than root 4, full coverage.
+    const CoverageSet &cs = coverageForRootIswap(5);
+    EXPECT_EQ(cs.basis().name, "riswap-5");
+    EXPECT_GT(cs.kMax(), coverageForRootIswap(4).kMax());
+    EXPECT_NEAR(cs.haarFractionAt(cs.kMax()), 1.0, 1e-6);
+    EXPECT_EQ(cs.minK(weyl::coordRootISWAP(5)), 1);
+    EXPECT_EQ(cs.minK(weyl::coordISWAP()), 5);
+}
+
 TEST(CostModel, PulseCosts)
 {
     CostModel cm = makeRootIswapCostModel(2);

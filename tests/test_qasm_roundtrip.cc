@@ -319,3 +319,50 @@ TEST(QasmParser, DiagnosticsCarryLineAndColumn)
     // what() is the scriptable "line:col: message" form.
     EXPECT_NE(std::string(e.what()).find("5:1: "), std::string::npos);
 }
+
+TEST(QasmParser, RejectsRepeatedOperandsAtTheGate)
+{
+    // Two-qubit gate on one wire: positioned at the gate word.
+    auto e = diagnose("OPENQASM 2.0;\nqreg q[2];\nh q[1];\n  cx q[0],q[0];");
+    EXPECT_EQ(e.line(), 4);
+    EXPECT_EQ(e.column(), 3);
+    EXPECT_NE(e.message().find("repeats operand wire 0"), std::string::npos)
+        << e.message();
+
+    // Three-qubit gate and barrier, including repeats across registers
+    // that resolve to the same wire.
+    e = diagnose("OPENQASM 2.0;\nqreg a[2];\nqreg b[1];\nccx a[0],b[0],b[0];");
+    EXPECT_EQ(e.line(), 4);
+    EXPECT_EQ(e.column(), 1);
+    e = diagnose("OPENQASM 2.0;\nqreg q[2];\nbarrier q,q[1];");
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_NE(e.message().find("repeats operand wire 1"), std::string::npos)
+        << e.message();
+
+    // Distinct operands still parse.
+    EXPECT_NO_THROW(
+        circuit::fromQasm("OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[0];"));
+}
+
+TEST(QasmParser, RejectsNonFiniteParameters)
+{
+    // 0/0 is NaN; 1/0 and its negation are infinite. Each is rejected at
+    // the gate word with the parameter named.
+    auto e = diagnose("OPENQASM 2.0;\nqreg q[1];\nrz(0/0) q[0];");
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_EQ(e.column(), 1);
+    EXPECT_NE(e.message().find("rz parameter 1 is not a finite number"),
+              std::string::npos)
+        << e.message();
+
+    e = diagnose("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n"
+                 "u3(0.1, -1/0, 0.3) q[1];");
+    EXPECT_EQ(e.line(), 4);
+    EXPECT_EQ(e.column(), 1);
+    EXPECT_NE(e.message().find("u3 parameter 2"), std::string::npos)
+        << e.message();
+
+    e = diagnose("OPENQASM 2.0;\nqreg q[2];\ncp(1e999) q[0],q[1];");
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_NE(e.message().find("not a finite number"), std::string::npos);
+}

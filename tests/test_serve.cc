@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -61,10 +63,21 @@ handleParsed(serve::Engine &engine, const std::string &line)
     return json::parse(engine.handle(line));
 }
 
+/**
+ * A path under the test temp dir that is private to this process: ctest
+ * runs every discovered test as its own process, concurrently, so a
+ * shared name would let one test truncate a file a sibling is reading.
+ */
+std::string
+tempPath(const std::string &name)
+{
+    return testing::TempDir() + std::to_string(::getpid()) + "-" + name;
+}
+
 std::string
 tempDir(const std::string &name)
 {
-    std::string dir = testing::TempDir() + name;
+    std::string dir = tempPath(name);
     std::filesystem::create_directories(dir);
     return dir;
 }
@@ -233,6 +246,30 @@ TEST(ServeEngine, MalformedRequestsGetStructuredErrorsNotCrashes)
     EXPECT_EQ(engine.counters().errors, 5u);
 }
 
+TEST(ServeEngine, InvalidGatesAreQasmErrorsAndTheServerKeepsAnswering)
+{
+    // Each of these once killed the server process (SIGSEGV from a
+    // repeated operand, SIGABRT from a NaN angle reaching lowering).
+    serve::Engine engine;
+    const char *const header = "OPENQASM 2.0;\nqreg q[2];\n";
+    for (const std::string body : {"cx q[0],q[0];\n", "rz(0/0) q[0];\n"}) {
+        SCOPED_TRACE(body);
+        json::Value resp = handleParsed(
+            engine, requestLine(1, header + body,
+                                "{\"trials\":1,\"swapTrials\":1,"
+                                "\"lower\":true}"));
+        EXPECT_FALSE(resp["ok"].asBool());
+        EXPECT_EQ(resp["error"]["code"].asString(), "qasm");
+        EXPECT_NE(resp["error"]["message"].asString().find("qasm:3:1: "),
+                  std::string::npos)
+            << resp.dump(0);
+    }
+
+    json::Value pong = handleParsed(engine, "{\"op\":\"ping\"}");
+    EXPECT_TRUE(pong["ok"].asBool()) << pong.dump(0);
+    EXPECT_TRUE(handleParsed(engine, requestLine(2))["ok"].asBool());
+}
+
 // --- engine: shutdown -------------------------------------------------------
 
 TEST(ServeEngine, ShutdownRejectsNewWorkButStatsKeepAnswering)
@@ -271,7 +308,7 @@ TEST(ServeEngine, ConcurrentClientsAreBitIdenticalToOneShotTranspile)
 {
     // One-shot ground truth through the real CLI path (same default
     // options as requestLine: trials=2, swapTrials=1).
-    const std::string qasmPath = testing::TempDir() + "serve_ident.qasm";
+    const std::string qasmPath = tempPath("serve_ident.qasm");
     {
         std::ofstream f(qasmPath);
         ASSERT_TRUE(f.is_open());
@@ -358,7 +395,7 @@ TEST(ServeEngine, MixedConcurrentRequestsEachComputeOnce)
 
 TEST(ServeSocket, EightConcurrentClientsOverTheSocket)
 {
-    const std::string path = testing::TempDir() + "mirage_serve_test.sock";
+    const std::string path = tempPath("mirage_serve_test.sock");
     std::filesystem::remove(path);
 
     serve::Engine engine;
@@ -401,8 +438,7 @@ TEST(ServeSocket, EightConcurrentClientsOverTheSocket)
 
 TEST(ServeSocket, SecondServerRefusesALivePath)
 {
-    const std::string path =
-        testing::TempDir() + "mirage_serve_live.sock";
+    const std::string path = tempPath("mirage_serve_live.sock");
     std::filesystem::remove(path);
 
     serve::Engine engine;
