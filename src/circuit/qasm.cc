@@ -8,7 +8,6 @@
 
 #include "circuit/qasm.hh"
 
-#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdarg>
@@ -166,30 +165,16 @@ namespace {
  * Reject a statement naming the same wire twice (e.g. `cx q[0],q[0];`):
  * such a gate has no meaning and would trip internal invariants
  * downstream, so it is an input error at the statement's position.
- * Gates name at most three wires and are checked pairwise without
- * allocating (this runs on every served request); a barrier can name a
- * whole register, so it checks a sorted copy in O(n log n).
  */
 void
 requireDistinctOperands(const std::string &word,
                         const std::vector<int> &wires, int line, int column)
 {
-    auto repeated = [&](int wire) {
-        raiseAt(line, column, "%s repeats operand wire %d", word.c_str(),
-                wire);
-    };
-    if (wires.size() <= 3) {
-        for (size_t i = 0; i < wires.size(); ++i)
-            for (size_t j = i + 1; j < wires.size(); ++j)
-                if (wires[i] == wires[j])
-                    repeated(wires[i]);
-        return;
-    }
-    std::vector<int> sorted = wires;
-    std::sort(sorted.begin(), sorted.end());
-    auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-    if (dup != sorted.end())
-        repeated(*dup);
+    for (size_t i = 0; i < wires.size(); ++i)
+        for (size_t j = i + 1; j < wires.size(); ++j)
+            if (wires[i] == wires[j])
+                raiseAt(line, column, "%s repeats operand wire %d",
+                        word.c_str(), wires[i]);
 }
 
 /** Gate-name table for the importer (inverse of Gate::name()). */

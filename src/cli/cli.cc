@@ -937,6 +937,59 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
     return kExitSuccess;
 }
 
+// --- generated artifacts ----------------------------------------------------
+
+/**
+ * The build/check tail shared by `mirage catalog` and `mirage coverage`.
+ * `build` atomically replaces `path` with `fresh`. `check` fails with
+ * `failure` if the caller already classified the committed file as bad,
+ * and otherwise byte-compares it against `fresh`; a failed check leaves
+ * the fresh bytes at `<path>.fresh`. `source` names what `fresh` was
+ * derived from and `summary` (may be empty) is appended to success lines.
+ */
+int
+writeOrCheckGenerated(const std::string &command, const std::string &action,
+                      const std::string &path, const std::string &fresh,
+                      const std::string &source, const std::string &summary,
+                      std::string failure, std::ostream &out,
+                      std::ostream &err)
+{
+    const std::string suffix = summary.empty() ? "" : " (" + summary + ")";
+    if (action == "build") {
+        // Atomic replace: a crash (or SIGKILL) mid-build must leave
+        // either the old committed file or the new one, never a torn
+        // file that poisons every later start.
+        std::string werr;
+        if (!writeFileAtomic(path, fresh, &werr))
+            throw CliError("cannot write '" + path + "': " + werr);
+        out << "wrote " << path << suffix << "\n";
+        return kExitSuccess;
+    }
+
+    if (failure.empty()) {
+        try {
+            if (readInput(path) == fresh) {
+                out << command << " check OK: " << path << " matches the "
+                    << source << suffix << "\n";
+                return kExitSuccess;
+            }
+            failure = "'" + path + "' drifted from the " + source;
+        } catch (const CliError &e) {
+            failure = std::string("unreadable: ") + e.what();
+        }
+    }
+    const std::string freshPath = path + ".fresh";
+    {
+        std::ofstream f(freshPath);
+        if (f)
+            f << fresh;
+    }
+    err << "mirage: " << command << " check: " << failure
+        << " (fresh bytes left at '" << freshPath << "'; regenerate with "
+        << "'mirage " << command << " build')\n";
+    return kExitFailure;
+}
+
 // --- catalog ----------------------------------------------------------------
 
 /**
@@ -1002,46 +1055,22 @@ cmdCatalog(const std::vector<std::string> &args, std::ostream &out,
     std::ostringstream fresh;
     lib->saveCache(fresh);
 
-    if (action == "build") {
-        // Atomic replace: a crash (or SIGKILL) mid-build must leave
-        // either the old committed catalog or the new one, never a
-        // torn file that poisons every warm start.
-        std::string werr;
-        if (!writeFileAtomic(path, fresh.str(), &werr))
-            throw CliError("cannot write '" + path + "': " + werr);
-        out << "wrote " << path << " (" << lib->cacheSize()
-            << " entries, " << lib->fitCount() << " fits)\n";
-        return kExitSuccess;
-    }
-
     // check: classify the committed file first so CI logs say WHICH
     // way it is bad (missing/unreadable vs corrupt vs drifted bytes).
-    decomp::EquivalenceLibrary probe(2, /*preseed=*/false);
-    const auto load = probe.loadCacheFileDetailed(path);
     std::string failure;
-    if (load.status == Status::Unreadable)
-        failure = "unreadable: " + load.message;
-    else if (load.status == Status::Malformed)
-        failure = "malformed: " + load.message;
-    else if (readInput(path) != fresh.str())
-        failure = "'" + path +
-                  "' drifted from the freshly fitted target set";
-    if (failure.empty()) {
-        out << "catalog check OK: " << path
-            << " matches the freshly fitted target set ("
-            << lib->cacheSize() << " entries)\n";
-        return kExitSuccess;
+    if (action == "check") {
+        decomp::EquivalenceLibrary probe(2, /*preseed=*/false);
+        const auto load = probe.loadCacheFileDetailed(path);
+        if (load.status == Status::Unreadable)
+            failure = "unreadable: " + load.message;
+        else if (load.status == Status::Malformed)
+            failure = "malformed: " + load.message;
     }
-    const std::string freshPath = path + ".fresh";
-    {
-        std::ofstream f(freshPath);
-        if (f)
-            f << fresh.str();
-    }
-    err << "mirage: catalog check: " << failure
-        << " (fresh bytes left at '" << freshPath
-        << "'; regenerate with 'mirage catalog build')\n";
-    return kExitFailure;
+    return writeOrCheckGenerated(
+        "catalog", action, path, fresh.str(), "freshly fitted target set",
+        std::to_string(lib->cacheSize()) + " entries, " +
+            std::to_string(lib->fitCount()) + " fits",
+        failure, out, err);
 }
 
 // --- coverage ---------------------------------------------------------------
@@ -1076,37 +1105,9 @@ cmdCoverage(const std::vector<std::string> &args, std::ostream &out,
     const std::string path = parser.option("--path");
 
     err << "mirage: building the coverage polytopes numerically...\n";
-    const std::string fresh = monodromy::generateCoverageTables();
-
-    if (action == "build") {
-        std::string werr;
-        if (!writeFileAtomic(path, fresh, &werr))
-            throw CliError("cannot write '" + path + "': " + werr);
-        out << "wrote " << path << "\n";
-        return kExitSuccess;
-    }
-
-    std::string failure;
-    try {
-        if (readInput(path) == fresh) {
-            out << "coverage check OK: " << path
-                << " matches the numeric build\n";
-            return kExitSuccess;
-        }
-        failure = "'" + path + "' drifted from the numeric build";
-    } catch (const CliError &e) {
-        failure = std::string("unreadable: ") + e.what();
-    }
-    const std::string freshPath = path + ".fresh";
-    {
-        std::ofstream f(freshPath);
-        if (f)
-            f << fresh;
-    }
-    err << "mirage: coverage check: " << failure
-        << " (fresh source left at '" << freshPath
-        << "'; regenerate with 'mirage coverage build')\n";
-    return kExitFailure;
+    return writeOrCheckGenerated("coverage", action, path,
+                                 monodromy::generateCoverageTables(),
+                                 "numeric build", "", "", out, err);
 }
 
 // --- dispatch ---------------------------------------------------------------

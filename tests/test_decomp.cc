@@ -161,9 +161,8 @@ TEST(Equivalence, TranslatePreservesFunction)
     EXPECT_LT(stats.worstInfidelity, 1e-6);
     // Only RootISWAP two-qubit gates remain.
     for (const auto &g : lowered.gates()) {
-        if (g.isTwoQubit()) {
+        if (g.isTwoQubit())
             EXPECT_EQ(g.kind, circuit::GateKind::RootISWAP);
-        }
     }
 
     Rng rng(11);
