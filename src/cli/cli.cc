@@ -616,9 +616,6 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
                      "request (0 = all cores)");
     parser.addOption("--cache-entries", "N", "256",
                      "result memo capacity, in full transpile reports");
-    parser.addOption("--max-batch", "N", "32",
-                     "max compatible concurrent requests folded into "
-                     "one transpileMany call");
     parser.addOption("--cache", "DIR", "",
                      "equivalence-library persistence directory "
                      "(loaded on first use, saved on shutdown)");
@@ -628,8 +625,8 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
                      "$MIRAGE_FIT_CATALOG, then ./FIT_CATALOG.bin "
                      "when present)");
     parser.addOption("--max-queue", "N", "256",
-                     "admission bound: shed requests with 'overloaded' "
-                     "+ retryAfterMs once this many are queued (0 = "
+                     "admission bound: shed misses with 'overloaded' "
+                     "+ retryAfterMs once this many are in flight (0 = "
                      "unbounded)");
     parser.addOption("--deadline-ms", "N", "0",
                      "server-wide per-request compute budget; caps any "
@@ -666,9 +663,6 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
     if (entries < 1)
         throw UsageError("--cache-entries must be >= 1");
     eopts.cacheEntries = size_t(entries);
-    eopts.maxBatch = parser.intOption("--max-batch");
-    if (eopts.maxBatch < 1)
-        throw UsageError("--max-batch must be >= 1");
     eopts.cacheDir = validateCacheDir(parser.option("--cache"));
     eopts.catalogPath = parser.option("--catalog");
     eopts.maxQueue = parser.intOption("--max-queue");

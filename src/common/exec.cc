@@ -137,8 +137,14 @@ ThreadPool::parallelFor(int64_t n, const std::function<void(int64_t)> &body)
 
     std::unique_lock<std::mutex> lock(ctx->mutex);
     ctx->done.wait(lock, [&] { return ctx->drivers_pending == 0; });
-    if (ctx->error)
-        std::rethrow_exception(ctx->error);
+    // Move the exception out of ctx: a worker may drop the last ctx
+    // reference after this returns, and the exception object must not
+    // be released on that thread while the caller's handler reads it
+    // (libstdc++'s exception refcount is invisible to ThreadSanitizer).
+    std::exception_ptr error = std::move(ctx->error);
+    lock.unlock();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void

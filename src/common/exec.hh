@@ -43,6 +43,10 @@ int resolveThreads(int threads);
  * already submitted, then joins all workers; it never abandons queued
  * work. The pool is not reentrant: calling parallelFor from inside a
  * pool task deadlocks by design (keep nesting out of the hot path).
+ * Distinct non-worker threads may call parallelFor on one pool
+ * concurrently: each call has its own claim counter and barrier, and
+ * the calls' tasks share the workers in FIFO order. The serve engine
+ * relies on this to run concurrent misses against one pool.
  */
 class ThreadPool
 {

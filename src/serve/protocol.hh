@@ -56,10 +56,10 @@ class RequestError : public std::runtime_error
 };
 
 /**
- * Load-shed rejection ("overloaded"): the admission queue is full. The
- * response carries `retryAfterMs`, the engine's estimate of when the
- * backlog will have drained, so well-behaved clients back off instead
- * of hammering a saturated server.
+ * Load-shed rejection ("overloaded"): too many misses are in flight.
+ * The response carries `retryAfterMs`, the engine's estimate of when
+ * the in-flight work will have drained, so well-behaved clients back
+ * off instead of hammering a saturated server.
  */
 class OverloadedError : public RequestError
 {
@@ -157,8 +157,8 @@ json::Value okEnvelope(const json::Value &id);
  * `code` is one of: "parse" (malformed JSON), "request" (schema or
  * option-range violation), "qasm" (circuit text failed to parse),
  * "input" (circuit/topology mismatch), "toolarge" (circuit exceeds the
- * server's --max-qubits/--max-gates caps), "overloaded" (admission
- * queue full; the error object carries `retryAfterMs`), "deadline"
+ * server's --max-qubits/--max-gates caps), "overloaded" (too many
+ * misses in flight; the error object carries `retryAfterMs`), "deadline"
  * (request budget exhausted mid-pipeline), "fault" (an injected chaos
  * fault fired), "shutdown" (server draining), "internal" (unexpected
  * exception). docs/ARCHITECTURE.md "Failure model" is the normative

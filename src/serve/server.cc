@@ -1,11 +1,11 @@
 /**
  * @file
- * Serve engine + transports. The dispatcher thread is the only caller
- * of transpileMany(); connection threads park on futures, so the
- * routing trial grid (which fans out on the shared pool) never runs
- * concurrently with itself and result ordering is irrelevant --
- * responses are keyed by request id, and every result is bit-identical
- * to a one-shot transpile by the trial engine's determinism guarantee.
+ * Serve engine + transports. Each miss is transpiled on the connection
+ * thread that received it; concurrent misses fan their trial grids out
+ * on the one shared pool (parallelFor is safe from many non-worker
+ * threads at once). Responses are keyed by request id, and every result
+ * is bit-identical to a one-shot transpile by the trial engine's
+ * determinism guarantee, whatever else shares the pool.
  */
 
 #include "serve/server.hh"
@@ -35,9 +35,6 @@ Engine::Engine(EngineOptions opts)
     : opts_(std::move(opts)), pool_(opts_.threads),
       cache_(opts_.cacheEntries == 0 ? 1 : opts_.cacheEntries)
 {
-    if (opts_.maxBatch < 1)
-        opts_.maxBatch = 1;
-
     // Warm the root-2 library from the committed fit catalog before
     // serving: the catalog includes the preseed gates, so a successful
     // load means the first --lower request fits nothing. A failed load
@@ -55,21 +52,10 @@ Engine::Engine(EngineOptions opts)
             libraries_.emplace(2, std::move(lib));
         }
     }
-
-    dispatcher_ = std::thread([this] { dispatcherLoop(); });
 }
 
 Engine::~Engine()
 {
-    beginShutdown();
-    {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        stopping_ = true;
-    }
-    queueReady_.notify_all();
-    if (dispatcher_.joinable())
-        dispatcher_.join();
-
     if (!opts_.cacheDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(opts_.cacheDir, ec);
@@ -198,146 +184,51 @@ Engine::RelayedError::raise() const
     throw std::runtime_error(message);
 }
 
-std::future<Engine::JobOutcome>
-Engine::enqueueJob(std::unique_ptr<Job> job)
+mirage_pass::TranspileResult
+Engine::compute(const circuit::Circuit &input,
+                const topology::CouplingMap &topology,
+                mirage_pass::TranspileOptions options)
 {
-    std::future<JobOutcome> future = job->promise.get_future();
-    size_t backlog = 0;
-    bool shed = false;
     {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        if (stopping_)
-            throw RequestError("shutdown", "server is shutting down");
-        backlog = queue_.size();
-        // Admission control: shed instead of queueing without bound. A
-        // chaos schedule can also force the shed path on a quiet queue.
-        shed = fault::shouldFail("queue.admit") ||
-               (opts_.maxQueue > 0 && backlog >= size_t(opts_.maxQueue));
-        if (!shed)
-            queue_.push_back(std::move(job));
-    }
-    if (shed) {
-        double retry_after_ms;
-        {
-            std::lock_guard<std::mutex> lock(countersMutex_);
+        std::lock_guard<std::mutex> lock(countersMutex_);
+        // Admission control: shed instead of piling work onto the pool
+        // without bound. A chaos schedule can also force the shed path
+        // on a quiet server.
+        if (fault::shouldFail("queue.admit") ||
+            (opts_.maxQueue > 0 && inflightMisses_ >= opts_.maxQueue)) {
             ++counters_.shed;
-            retry_after_ms = avgJobMs_ * double(backlog + 1);
+            throw OverloadedError(
+                "admission full (" + std::to_string(inflightMisses_) +
+                    " misses in flight); retry later",
+                avgJobMs_ * double(inflightMisses_ + 1));
         }
-        throw OverloadedError("admission queue full (" +
-                                  std::to_string(backlog) +
-                                  " requests queued); retry later",
-                              retry_after_ms);
+        ++inflightMisses_;
     }
-    queueReady_.notify_one();
-    return future;
-}
 
-void
-Engine::dispatcherLoop()
-{
-    for (;;) {
-        std::vector<std::unique_ptr<Job>> group;
-        {
-            std::unique_lock<std::mutex> lock(queueMutex_);
-            queueReady_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty()) {
-                if (stopping_)
-                    return;
-                continue;
-            }
-            // Take the oldest job, then fold in every queued job with
-            // the same (topology, options) group key -- those are
-            // exactly the requests transpileMany can share a batch
-            // with. Requests that piled up while the previous batch
-            // ran coalesce here without any artificial batching delay.
-            group.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-            const std::string &gk = group.front()->groupKey;
-            for (auto it = queue_.begin();
-                 it != queue_.end() && int(group.size()) < opts_.maxBatch;) {
-                if ((*it)->groupKey == gk) {
-                    group.push_back(std::move(*it));
-                    it = queue_.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-        }
-
-        mirage_pass::TranspileOptions opts = group.front()->options;
-        opts.pool = &pool_;
-        const auto batch_start = std::chrono::steady_clock::now();
-        try {
-            if (opts.lowerToBasis)
-                opts.equivalenceLibrary = libraryFor(opts.rootDegree);
-            std::vector<circuit::Circuit> circuits;
-            circuits.reserve(group.size());
-            for (const auto &job : group)
-                circuits.push_back(job->circuit);
-            auto results = mirage_pass::transpileMany(
-                circuits, *group.front()->topology, opts);
-            const double batch_ms =
-                std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - batch_start)
-                    .count();
-            // Count BEFORE fulfilling the promises: once a waiter's
-            // response is visible, a stats snapshot must already
-            // include its transpile (the bench gate relies on this).
-            {
-                std::lock_guard<std::mutex> lock(countersMutex_);
-                counters_.transpiles += group.size();
-                counters_.batches += 1;
-                counters_.batchedRequests += group.size();
-                counters_.maxBatchSize = std::max(counters_.maxBatchSize,
-                                                  uint64_t(group.size()));
-                // Rough per-job cost estimate feeding retryAfterMs.
-                avgJobMs_ = 0.8 * avgJobMs_ +
-                            0.2 * (batch_ms / double(group.size()));
-            }
-            for (size_t i = 0; i < group.size(); ++i) {
-                JobOutcome out;
-                out.result = std::move(results[i]);
-                group[i]->promise.set_value(std::move(out));
-            }
-        } catch (...) {
-            if (group.size() == 1) {
-                JobOutcome out;
-                out.error = RelayedError::capture();
-                group.front()->promise.set_value(std::move(out));
-                continue;
-            }
-            // Fault isolation: a batch dies as a unit (transpileMany
-            // rethrows the first failure), but only one member may be
-            // poisoned -- an injected fit fault, say. Rerun each job
-            // solo so its batch mates still get their results.
-            for (auto &job : group) {
-                try {
-                    mirage_pass::TranspileOptions jopts = job->options;
-                    jopts.pool = &pool_;
-                    if (jopts.lowerToBasis)
-                        jopts.equivalenceLibrary =
-                            libraryFor(jopts.rootDegree);
-                    std::vector<circuit::Circuit> one;
-                    one.push_back(job->circuit);
-                    auto res = mirage_pass::transpileMany(
-                        one, *job->topology, jopts);
-                    {
-                        std::lock_guard<std::mutex> lock(countersMutex_);
-                        counters_.transpiles += 1;
-                    }
-                    JobOutcome out;
-                    out.result = std::move(res.front());
-                    job->promise.set_value(std::move(out));
-                } catch (...) {
-                    JobOutcome out;
-                    out.error = RelayedError::capture();
-                    job->promise.set_value(std::move(out));
-                }
-            }
-        }
+    options.pool = &pool_;
+    const auto start = std::chrono::steady_clock::now();
+    mirage_pass::TranspileResult result;
+    try {
+        if (options.lowerToBasis)
+            options.equivalenceLibrary = libraryFor(options.rootDegree);
+        result = mirage_pass::transpile(input, topology, options);
+    } catch (...) {
+        std::lock_guard<std::mutex> lock(countersMutex_);
+        --inflightMisses_;
+        throw;
     }
+    const double job_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    // Count BEFORE any waiter is released: once a response is visible,
+    // a stats snapshot must already include its transpile (the bench
+    // gate relies on this).
+    std::lock_guard<std::mutex> lock(countersMutex_);
+    --inflightMisses_;
+    ++counters_.transpiles;
+    // Rough per-job cost estimate feeding retryAfterMs.
+    avgJobMs_ = 0.8 * avgJobMs_ + 0.2 * job_ms;
+    return result;
 }
 
 json::Value
@@ -379,8 +270,8 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
     }
 
     // Effective deadline: the request's budget capped by the server's.
-    // The clock starts HERE, at admission, so time spent queued behind
-    // other work counts against the budget.
+    // The clock starts HERE, at admission, so time spent waiting for
+    // pool workers behind other work counts against the budget.
     double deadline_ms = req.deadlineMs;
     if (opts_.deadlineMs > 0 &&
         (deadline_ms <= 0 || deadline_ms > opts_.deadlineMs))
@@ -421,13 +312,11 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
         return v;
     };
 
-    // A deadlined miss computes SOLO: it neither registers in pending_
+    // A deadlined miss computes SOLO: it does not register in pending_
     // (a coalesced waiter without a deadline must not inherit this
-    // request's "deadline" failure) nor joins a dispatcher batch (the
-    // batch runs under one options struct, and one expiring member must
-    // not abort its mates). Completed results still land in the memo --
-    // a deadline never changes result content, only whether there is
-    // one.
+    // request's "deadline" failure). Completed results still land in
+    // the memo -- a deadline never changes result content, only whether
+    // there is one.
     const bool solo = deadline.active();
     std::shared_ptr<Inflight> inflight;
     bool owner = false;
@@ -467,22 +356,11 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
         return respond(out.entry, true, true);
     }
 
-    auto job = std::make_unique<Job>();
-    job->circuit = input;
-    job->topology = topo;
-    job->options = req.options;
-    job->options.deadline = deadline;
-    job->groupKey = resultCacheKey(0, topo->name(), req.options, "");
-    if (solo)
-        job->groupKey +=
-            "|solo=" + std::to_string(soloSeq_.fetch_add(1));
-
+    mirage_pass::TranspileOptions options = req.options;
+    options.deadline = deadline;
     mirage_pass::TranspileResult result;
     try {
-        auto future = enqueueJob(std::move(job));
-        JobOutcome out = future.get();
-        out.error.raise(); // fresh exception on THIS thread
-        result = std::move(out.result);
+        result = compute(input, *topo, std::move(options));
     } catch (...) {
         // Unblock coalesced waiters with the same failure, then drop
         // the rendezvous so a retry computes fresh. (Solo requests have
@@ -535,9 +413,11 @@ Engine::statsResponse(const json::Value &id) const
     cj.set("cacheHits", c.cacheHits);
     cj.set("cacheMisses", c.cacheMisses);
     cj.set("coalesced", c.coalesced);
-    cj.set("batches", c.batches);
-    cj.set("batchedRequests", c.batchedRequests);
-    cj.set("maxBatchSize", c.maxBatchSize);
+    // Kept for protocol compatibility (clients read maxBatchSize):
+    // every transpile is its own batch of one.
+    cj.set("batches", c.transpiles);
+    cj.set("batchedRequests", c.transpiles);
+    cj.set("maxBatchSize", uint64_t(c.transpiles > 0 ? 1 : 0));
     cj.set("errors", c.errors);
     cj.set("shed", c.shed);
     cj.set("deadlines", c.deadlines);

@@ -7,10 +7,10 @@
  * topology cache, and a thread-safe LRU memo of full transpile results
  * keyed by (circuit fingerprint, topology, options, format). handle()
  * is safe to call from any number of connection threads concurrently;
- * misses are funneled through a single dispatcher that batches
- * compatible concurrent requests into one transpileMany() call, and
- * identical in-flight requests are coalesced (single-flight) so a
- * thundering herd computes each result once.
+ * each miss is transpiled on the thread that called handle(), with its
+ * trial grid fanned out on the shared pool (concurrent misses share the
+ * pool's workers), and identical in-flight requests are coalesced
+ * (single-flight) so a thundering herd computes each result once.
  *
  * Transports: SocketServer accepts newline-delimited JSON over a Unix
  * domain socket (one thread per connection); serveStdio() runs the same
@@ -21,9 +21,7 @@
 #define MIRAGE_SERVE_SERVER_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <iosfwd>
 #include <map>
@@ -58,8 +56,6 @@ struct EngineOptions
     int threads = 0;
     /** Result memo capacity, in full transpile reports. */
     size_t cacheEntries = 256;
-    /** Max compatible requests folded into one transpileMany call. */
-    int maxBatch = 32;
     /**
      * Equivalence-library persistence directory: each root's library is
      * loaded on first use and saved on engine shutdown, so a restarted
@@ -76,16 +72,17 @@ struct EngineOptions
      */
     std::string catalogPath;
     /**
-     * Admission-control bound on the dispatcher queue (0 = unbounded).
-     * A request arriving with this many jobs already queued is shed
-     * with an "overloaded" error carrying a retryAfterMs estimate,
-     * instead of growing the backlog without bound.
+     * Admission-control bound on misses in flight (0 = unbounded). A
+     * miss arriving with this many already computing is shed with an
+     * "overloaded" error carrying a retryAfterMs estimate, instead of
+     * piling ever more work onto the shared pool.
      */
     int maxQueue = 256;
     /**
      * Server-wide compute budget per request in milliseconds (0 =
      * none). A request's own deadlineMs is honored up to this cap; the
-     * clock starts at admission, so queue wait counts against it.
+     * clock starts at admission, so time waiting for pool workers
+     * counts against it.
      */
     double deadlineMs = 0;
     /** Reject circuits wider than this with "toolarge" (0 = no cap). */
@@ -95,10 +92,9 @@ struct EngineOptions
 };
 
 /**
- * Monotonic service counters. Everything except `coalesced`,
- * `batches`, and `maxBatchSize` is deterministic for a deterministic
- * request sequence (coalescing/batch composition depend on arrival
- * timing; the rest do not).
+ * Monotonic service counters. Everything except `coalesced` is
+ * deterministic for a deterministic request sequence (coalescing
+ * depends on arrival timing; the rest does not).
  */
 struct EngineCounters
 {
@@ -107,9 +103,6 @@ struct EngineCounters
     uint64_t cacheHits = 0;       ///< memo hits
     uint64_t cacheMisses = 0;     ///< memo misses (owner of the compute)
     uint64_t coalesced = 0;       ///< waited on an identical in-flight miss
-    uint64_t batches = 0;         ///< transpileMany groups dispatched
-    uint64_t batchedRequests = 0; ///< total circuits across all groups
-    uint64_t maxBatchSize = 0;    ///< largest group so far
     uint64_t errors = 0;          ///< error responses produced
     uint64_t shed = 0;            ///< requests rejected "overloaded"
     uint64_t deadlines = 0;       ///< requests that died of "deadline"
@@ -122,7 +115,11 @@ class Engine
 {
   public:
     explicit Engine(EngineOptions opts = {});
-    /** Drains in-flight work, then persists libraries (cacheDir set). */
+    /**
+     * Persists libraries (cacheDir set). Does not wait for requests:
+     * every caller must have returned from handle() first, which
+     * SocketServer::run() guarantees by joining its connections.
+     */
     ~Engine();
 
     Engine(const Engine &) = delete;
@@ -141,8 +138,8 @@ class Engine
     /**
      * Stop accepting transpile work: subsequent transpile requests get
      * a "shutdown" error response while stats/ping keep answering.
-     * Requests already accepted still complete (the destructor blocks
-     * until the queue is drained). Idempotent.
+     * Requests already accepted still complete on their own threads.
+     * Idempotent.
      */
     void beginShutdown();
     bool shuttingDown() const { return shuttingDown_.load(); }
@@ -201,13 +198,6 @@ class Engine
         void raise() const;
     };
 
-    /** Dispatcher -> waiter envelope (error.kind == None on success). */
-    struct JobOutcome
-    {
-        mirage_pass::TranspileResult result;
-        RelayedError error;
-    };
-
     /** Owner -> coalesced-waiter envelope for one in-flight key. */
     struct InflightOutcome
     {
@@ -222,17 +212,6 @@ class Engine
         std::shared_future<InflightOutcome> future;
     };
 
-    /** One queued transpile awaiting the dispatcher. */
-    struct Job
-    {
-        circuit::Circuit circuit;
-        std::shared_ptr<const topology::CouplingMap> topology;
-        mirage_pass::TranspileOptions options;
-        /** Requests sharing this key are transpileMany-compatible. */
-        std::string groupKey;
-        std::promise<JobOutcome> promise;
-    };
-
     json::Value handleTranspile(const json::Value &doc,
                                 const json::Value &id);
     json::Value statsResponse(const json::Value &id) const;
@@ -244,11 +223,15 @@ class Engine
     /** Per-root persistent library (created on first use). */
     decomp::EquivalenceLibrary *libraryFor(int root_degree);
 
-    /** Enqueue a job for the dispatcher; throws RequestError("shutdown")
-     * when the engine is draining. */
-    std::future<JobOutcome> enqueueJob(std::unique_ptr<Job> job);
-
-    void dispatcherLoop();
+    /**
+     * Admit one miss and transpile it on the calling thread against the
+     * shared pool. Throws OverloadedError when `maxQueue` misses are
+     * already in flight; counts the transpile before returning.
+     */
+    mirage_pass::TranspileResult
+    compute(const circuit::Circuit &input,
+            const topology::CouplingMap &topology,
+            mirage_pass::TranspileOptions options);
 
     EngineOptions opts_;
     exec::ThreadPool pool_;
@@ -267,10 +250,6 @@ class Engine
     LruCache<std::string, EntryPtr> cache_;
     std::unordered_map<std::string, std::shared_ptr<Inflight>> pending_;
 
-    std::mutex queueMutex_;
-    std::condition_variable queueReady_;
-    std::deque<std::unique_ptr<Job>> queue_;
-    bool stopping_ = false; ///< dispatcher exit flag (destructor only)
     std::atomic<bool> shuttingDown_{false};
 
     mutable std::mutex countersMutex_;
@@ -278,10 +257,9 @@ class Engine
     /** EWMA of per-job compute time, feeding retryAfterMs estimates.
      * Guarded by countersMutex_. */
     double avgJobMs_ = 50.0;
-    /** Uniquifier keeping deadlined jobs out of shared batches. */
-    std::atomic<uint64_t> soloSeq_{0};
-
-    std::thread dispatcher_;
+    /** Misses admitted by compute() and not yet finished. Guarded by
+     * countersMutex_. */
+    int inflightMisses_ = 0;
 };
 
 /**

@@ -266,8 +266,8 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
     }
     {
         // Engine-side view: transpiles is exact for a fresh server
-        // (= distinct circuits); coalesced/batches depend on arrival
-        // timing, so they live here, uncompared.
+        // (= distinct circuits); coalesced depends on arrival timing,
+        // so these live here, uncompared.
         json::Value s = json::Value::object();
         if (const json::Value *counters = stats.find("counters")) {
             for (const auto &[key, value] : counters->members())

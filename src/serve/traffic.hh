@@ -118,7 +118,7 @@ struct ChaosOptions
     /** Fault schedule; empty = kDefaultChaosFaults. Ignored over an
      * external socket (the server process owns its schedule). */
     std::string faultSpec;
-    /** Engine admission-queue bound for the in-process server. */
+    /** Engine in-flight miss bound for the in-process server. */
     int maxQueue = 64;
     /** In-process engine pool size (0 = all cores). */
     int engineThreads = 0;

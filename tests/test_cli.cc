@@ -325,9 +325,9 @@ TEST(CliServe, TransportAndNumericFlagValidation)
     EXPECT_EQ(badEntries.code, cli::kExitUsage);
     EXPECT_NE(badEntries.err.find("--cache-entries"), std::string::npos);
 
-    auto badBatch = runCli({"serve", "--stdio", "--max-batch", "0"});
-    EXPECT_EQ(badBatch.code, cli::kExitUsage);
-    EXPECT_NE(badBatch.err.find("--max-batch"), std::string::npos);
+    auto badQueue = runCli({"serve", "--stdio", "--max-queue", "-1"});
+    EXPECT_EQ(badQueue.code, cli::kExitUsage);
+    EXPECT_NE(badQueue.err.find("--max-queue"), std::string::npos);
 }
 
 TEST(CliServeBench, NumericFlagValidation)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the exec concurrency subsystem and the counter-based RNG
  * streams: pool lifecycle (shutdown drains the queue), exception
- * propagation through parallelFor and submit, stream independence
+ * propagation through parallelFor and submit, concurrent parallelFor
+ * callers sharing one pool, stream independence
  * (no shared prefixes, negligible cross-correlation), and the central
  * guarantee that routeWithTrials / transpileMany produce bit-identical
  * results for every thread count.
@@ -14,6 +15,8 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_circuits/generators.hh"
@@ -141,6 +144,28 @@ TEST(Exec, ParallelForCoversEveryIndexExactlyOnce)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
+TEST(Exec, ConcurrentParallelForFromExternalThreadsCoversEachCall)
+{
+    // The serve engine transpiles each miss on its own connection
+    // thread, so several non-worker threads drive one pool at once.
+    exec::ThreadPool pool(2);
+    constexpr int kCallers = 4;
+    constexpr int64_t kN = 257;
+    std::vector<std::atomic<int>> hits(size_t(kCallers * kN));
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c)
+        callers.emplace_back([&pool, &hits, c] {
+            pool.parallelFor(kN, [&hits, c](int64_t i) {
+                ++hits[size_t(c * kN + i)];
+            });
+        });
+    for (auto &t : callers)
+        t.join();
+    for (size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1)
+            << "caller " << i / kN << " index " << i % kN;
+}
+
 TEST(Exec, NullPoolFallbackRunsInline)
 {
     std::vector<int> order;
@@ -167,6 +192,28 @@ TEST(Exec, ParallelForPropagatesFirstException)
     std::atomic<int> again{0};
     pool.parallelFor(50, [&](int64_t) { ++again; });
     EXPECT_EQ(again.load(), 50);
+}
+
+TEST(Exec, ParallelForExceptionIsReleasedOnTheCallingThread)
+{
+    // The caller reads the rethrown exception while workers may still be
+    // destroying their tasks. Under ThreadSanitizer this fails if a
+    // worker can drop the last reference to the exception object the
+    // caller is reading (the serve engine reads what() of a deadline
+    // failure thrown inside a trial grid).
+    exec::ThreadPool pool(4);
+    for (int round = 0; round < 500; ++round) {
+        try {
+            pool.parallelFor(8, [](int64_t i) {
+                if (i == 0)
+                    throw std::runtime_error(
+                        "parallelFor body failed with a heap-sized message");
+            });
+            ADD_FAILURE() << "round " << round << " did not throw";
+        } catch (const std::runtime_error &e) {
+            EXPECT_EQ(std::string(e.what()).rfind("parallelFor body", 0), 0u);
+        }
+    }
 }
 
 TEST(Exec, SubmitFutureCarriesException)

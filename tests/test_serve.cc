@@ -4,7 +4,8 @@
  * protocol layer (request validation, fingerprints, cache keys), the
  * engine (memoization, single-flight coalescing, structured errors,
  * shutdown draining), concurrent-client bit-identity against one-shot
- * `mirage transpile` output, the Unix-socket transport, and the
+ * `mirage transpile` output, concurrent distinct misses on one pool,
+ * the documented request example, the Unix-socket transport, and the
  * serve-bench artifact's deterministic --check gate. The concurrent
  * cases carry the `concurrency` ctest label so the TSan job exercises
  * the engine's locking.
@@ -207,6 +208,36 @@ TEST(ServeEngine, QasmFormatReturnsCircuitText)
     EXPECT_GE(routed.numQubits(), 3);
 }
 
+TEST(ServeEngine, DocumentedRequestExampleAnswersOk)
+{
+    // Verbatim from docs/CLI.md "mirage serve" > Protocol; a drift in
+    // either place breaks this test.
+    const char *const documented = R"({"op": "transpile", "id": 7,
+ "qasm": "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\nh q[0];\ncx q[0],q[1];\ncx q[1],q[2];\ncx q[0],q[2];\n",
+ "options": {"topology": "grid3x3", "format": "json", "deadlineMs": 60000,
+             "flow": "mirage", "trials": 8, "swapTrials": 4,
+             "fwdBwd": 2, "seed": 20240229, "aggression": -1,
+             "root": 2, "vf2": true, "lower": false}})";
+    serve::Engine engine;
+    json::Value before = handleParsed(engine, "{\"op\":\"stats\"}");
+    EXPECT_EQ(before["counters"]["maxBatchSize"].asInt(), 0);
+
+    json::Value resp = handleParsed(engine, documented);
+    ASSERT_TRUE(resp["ok"].asBool()) << resp.dump(0);
+    EXPECT_EQ(resp["id"].asInt(), 7);
+    EXPECT_EQ(resp["kind"].asString(), "transpile");
+    EXPECT_TRUE(resp.contains("report"));
+
+    // The batch fields stay for protocol compatibility: every
+    // transpile is a batch of one.
+    json::Value after = handleParsed(engine, "{\"op\":\"stats\"}");
+    const json::Value &c = after["counters"];
+    EXPECT_EQ(c["transpiles"].asInt(), 1);
+    EXPECT_EQ(c["batches"].asInt(), 1);
+    EXPECT_EQ(c["batchedRequests"].asInt(), 1);
+    EXPECT_EQ(c["maxBatchSize"].asInt(), 1);
+}
+
 // --- engine: structured errors ----------------------------------------------
 
 TEST(ServeEngine, MalformedRequestsGetStructuredErrorsNotCrashes)
@@ -389,6 +420,55 @@ TEST(ServeEngine, MixedConcurrentRequestsEachComputeOnce)
     EXPECT_EQ(c.transpiles, uint64_t(kDistinct));
     EXPECT_EQ(c.cacheHits + c.coalesced,
               uint64_t(kDistinct * (kRepeats - 1)));
+}
+
+TEST(ServeEngine, ConcurrentDistinctMissesMatchSequentialAnswers)
+{
+    // Each miss computes on its caller's thread, so distinct misses run
+    // side by side on the one pool (and, for the lowered half, through
+    // the one root-2 library). Each answer must equal the one a fresh
+    // engine gives the same line on its own.
+    constexpr int kDistinct = 6;
+    std::vector<std::string> lines;
+    for (int d = 0; d < kDistinct; ++d)
+        lines.push_back(requestLine(
+            d, serve::syntheticQasm(d, 5, 16, 7),
+            d % 2 ? "{\"trials\":2,\"swapTrials\":1,\"lower\":true,"
+                    "\"format\":\"qasm\"}"
+                  : "{\"trials\":2,\"swapTrials\":1}"));
+    auto withoutCache = [](const std::string &response) {
+        json::Value v = json::parse(response);
+        EXPECT_TRUE(v["ok"].asBool()) << response;
+        json::Value out = json::Value::object();
+        for (const auto &[key, value] : v.members())
+            if (key != "cache")
+                out.set(key, value);
+        return out.dump(0);
+    };
+
+    serve::EngineOptions eopts;
+    eopts.threads = 4;
+    std::vector<std::string> sequential;
+    {
+        serve::Engine fresh(eopts);
+        for (const std::string &line : lines)
+            sequential.push_back(withoutCache(fresh.handle(line)));
+    }
+
+    serve::Engine engine(eopts);
+    std::vector<std::string> responses(kDistinct);
+    std::vector<std::thread> clients;
+    for (int d = 0; d < kDistinct; ++d)
+        clients.emplace_back([&engine, &lines, &responses, d] {
+            responses[size_t(d)] = engine.handle(lines[size_t(d)]);
+        });
+    for (auto &t : clients)
+        t.join();
+
+    for (int d = 0; d < kDistinct; ++d)
+        EXPECT_EQ(withoutCache(responses[size_t(d)]), sequential[size_t(d)])
+            << "circuit " << d;
+    EXPECT_EQ(engine.counters().transpiles, uint64_t(kDistinct));
 }
 
 // --- socket transport -------------------------------------------------------
