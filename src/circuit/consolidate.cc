@@ -107,9 +107,8 @@ consolidateBlocks(const Circuit &input, const ConsolidateOptions &opts,
             return;
         if (opts.useCoordinateCache) {
             // The cache is process-wide shared state: callers running
-            // transpile() concurrently from their own threads would
-            // otherwise race here (transpileMany itself consolidates
-            // sequentially).
+            // transpile() concurrently from their own threads (serve
+            // misses on connection threads) would otherwise race here.
             MatKey key = quantize(*g.mat4);
             {
                 std::lock_guard<std::mutex> lock(coordCacheMutex());

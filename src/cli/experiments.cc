@@ -3,9 +3,8 @@
  * Experiment registry implementation: one entry per reproducible paper
  * artifact, each returning a versioned JSON payload, plus the shared
  * renderers (markdown, CSV) and the schema validator. The aggregation
- * logic that used to live in bench/bench_util.hh (geomean depth over
- * seeds, baseline-vs-MIRAGE sweeps) lives here now, so the CLI and the
- * bench binaries drive identical code.
+ * logic (geomean depth over seeds, baseline-vs-MIRAGE sweeps) lives
+ * here once, behind `mirage sweep`, `mirage report` and `mirage bench`.
  */
 
 #include "cli/experiments.hh"
@@ -13,8 +12,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
+#include <optional>
 
 #include "bench_circuits/generators.hh"
 #include "bench_circuits/mirror.hh"
@@ -26,13 +25,6 @@
 #include "topology/coupling.hh"
 
 namespace mirage::cli {
-
-int
-envInt(const char *name, int fallback)
-{
-    const char *v = std::getenv(name);
-    return v ? std::atoi(v) : fallback;
-}
 
 namespace {
 
@@ -506,13 +498,19 @@ runFig13(const SweepKnobs &userKnobs)
     mirage_pass::transpile(circuits.front(), grid, opts);
 
     opts.threads = 1;
+    std::vector<mirage_pass::TranspileResult> serial;
     auto t0 = std::chrono::steady_clock::now();
-    auto serial = mirage_pass::transpileMany(circuits, grid, opts);
+    for (const auto &c : circuits)
+        serial.push_back(mirage_pass::transpile(c, grid, opts));
     double serial_ms = millisSince(t0);
 
-    opts.threads = 0; // all hardware threads
+    // One pool of all hardware threads serves every circuit's trial grid.
+    std::vector<mirage_pass::TranspileResult> parallel;
     t0 = std::chrono::steady_clock::now();
-    auto parallel = mirage_pass::transpileMany(circuits, grid, opts);
+    exec::ThreadPool pool(0);
+    opts.pool = &pool;
+    for (const auto &c : circuits)
+        parallel.push_back(mirage_pass::transpile(c, grid, opts));
     double parallel_ms = millisSince(t0);
 
     bool identical = serial.size() == parallel.size();
@@ -524,23 +522,27 @@ runFig13(const SweepKnobs &userKnobs)
 
     // Lowering stage: cold library (numerical fits) vs warm rerun
     // (pure cache hits) over one shared equivalence library.
+    std::optional<exec::ThreadPool> lowering_pool;
     opts.threads = knobs.threads;
+    opts.pool = knobs.threads != 1 ? &lowering_pool.emplace(knobs.threads)
+                                   : nullptr;
     opts.lowerToBasis = true;
     decomp::EquivalenceLibrary lib(opts.rootDegree);
     loadLibraryCache(lib, knobs.cacheDir);
     opts.equivalenceLibrary = &lib;
 
     t0 = std::chrono::steady_clock::now();
-    mirage_pass::transpileMany(circuits, grid, opts);
+    for (const auto &c : circuits)
+        mirage_pass::transpile(c, grid, opts);
     double cold_ms = millisSince(t0);
     uint64_t cold_fits = lib.fitCount();
 
     t0 = std::chrono::steady_clock::now();
-    auto warm = mirage_pass::transpileMany(circuits, grid, opts);
-    double warm_ms = millisSince(t0);
     int warm_fits = 0;
-    for (const auto &r : warm)
-        warm_fits += r.translateStats.newFits;
+    for (const auto &c : circuits)
+        warm_fits +=
+            mirage_pass::transpile(c, grid, opts).translateStats.newFits;
+    double warm_ms = millisSince(t0);
     saveLibraryCache(lib, knobs.cacheDir);
 
     json::Value rows = json::Value::array();
@@ -660,9 +662,14 @@ runTable3(const SweepKnobs &userKnobs)
     auto lib = makeLibrary(opts.rootDegree, knobs, &catalog);
     loadLibraryCache(*lib, knobs.cacheDir);
     opts.equivalenceLibrary = lib.get();
+    std::optional<exec::ThreadPool> pool;
+    if (knobs.threads != 1)
+        opts.pool = &pool.emplace(knobs.threads);
 
+    std::vector<mirage_pass::TranspileResult> results;
     auto t0 = std::chrono::steady_clock::now();
-    auto results = mirage_pass::transpileMany(circuits, grid, opts);
+    for (const auto &c : circuits)
+        results.push_back(mirage_pass::transpile(c, grid, opts));
     double elapsed_ms = millisSince(t0);
     saveLibraryCache(*lib, knobs.cacheDir);
 
@@ -762,7 +769,9 @@ runBenchLowering(const SweepKnobs &userKnobs)
     // from routing cost and measured per circuit, sequentially, so the
     // counters cannot be split across threads.
     auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
-    auto routed = mirage_pass::transpileMany(circuits, grid, opts);
+    std::vector<mirage_pass::TranspileResult> routed;
+    for (const auto &c : circuits)
+        routed.push_back(mirage_pass::transpile(c, grid, opts));
 
     decomp::EquivalenceLibrary cold(2);
     std::vector<decomp::TranslateStats> cold_stats(routed.size());
@@ -958,9 +967,8 @@ runBenchRouting(const SweepKnobs &userKnobs)
  * distance rows; no O(n^2) tables). The artifact records the same
  * deterministic hot-path counters as the `bench` experiment -- so
  * `mirage bench --experiment fig12-large --check` gates regressions the
- * same way -- plus per-topology memory accounting (CSR + landmarks +
- * per-thread row cache vs the dense-equivalent flat tables) and an
- * admissibility audit of the ALT landmark lower bounds. The
+ * same way -- plus per-topology memory accounting (CSR + components +
+ * per-thread row cache vs the dense-equivalent flat tables). The
  * `memorySubQuadratic` summary flag is the CI memory gate.
  */
 json::Value
@@ -971,9 +979,11 @@ runFig12Large(const SweepKnobs &userKnobs)
     // seconds territory.
     ResolvedKnobs knobs = resolve(userKnobs, 1, 2, 1, 1);
     // Pin the per-thread row-cache budget so the memory audit is a
-    // fixed, reproducible bound (128 rows ~= 0.5 MB at n=1121); restored
-    // to the library default afterwards.
+    // fixed, reproducible bound (128 rows ~= 0.5 MB at n=1121); the
+    // budget found on entry is restored afterwards.
     constexpr size_t kAuditRowCacheCapacity = 128;
+    const size_t entry_capacity =
+        topology::CouplingMap::rowCacheStats().capacity;
     topology::CouplingMap::setRowCacheCapacity(kAuditRowCacheCapacity);
     const std::vector<topology::CouplingMap> devices = {
         topology::CouplingMap::heavyHex433(),
@@ -992,7 +1002,6 @@ runFig12Large(const SweepKnobs &userKnobs)
     json::Value rows = json::Value::array();
     json::Value topo_summaries = json::Value::array();
     bool all_sub_quadratic = true;
-    bool all_admissible = true;
     bool all_near_linear = true;
     std::vector<std::pair<size_t, double>> ratio_by_n;
     for (const auto &device : devices) {
@@ -1042,34 +1051,13 @@ runFig12Large(const SweepKnobs &userKnobs)
 
         // Memory audit: everything the sparse device held resident while
         // routing the whole slice, vs the flat tables dense mode would
-        // have materialized. Captured before the landmark audit below so
-        // its row fetches don't inflate the routing numbers.
+        // have materialized.
         const auto cache = topology::CouplingMap::rowCacheStats();
         const size_t resident = device.derivedTableBytes() + cache.bytes;
         const size_t dense_equiv =
             n * n * (sizeof(int) + sizeof(uint8_t));
         const bool sub_quadratic = 2 * resident < dense_equiv;
         all_sub_quadratic = all_sub_quadratic && sub_quadratic;
-
-        // Landmark audit: the ALT bound must be admissible (never above
-        // the exact BFS distance) on a deterministic pair sample.
-        bool admissible = true;
-        double ratio_sum = 0;
-        int sampled = 0;
-        for (int s = 0; s < 500; ++s) {
-            const int a = int((uint64_t(s) * 97) % n);
-            const int b = int((uint64_t(s) * 193 + 41) % n);
-            if (a == b)
-                continue;
-            const int exact = device.distance(a, b);
-            const int bound = device.distanceLowerBound(a, b);
-            admissible = admissible && bound >= 0 && bound <= exact;
-            if (exact > 0) {
-                ratio_sum += double(bound) / double(exact);
-                ++sampled;
-            }
-        }
-        all_admissible = all_admissible && admissible;
 
         // Near-linear route time in gate count: going from the smallest
         // to the largest circuit, wall time must not grow more than 1.5x
@@ -1101,9 +1089,6 @@ runFig12Large(const SweepKnobs &userKnobs)
         ts.set("memoryRatio",
                dense_equiv ? double(resident) / double(dense_equiv) : 0.0);
         ts.set("memorySubQuadratic", sub_quadratic);
-        ts.set("landmarkBoundMeanRatio",
-               sampled ? ratio_sum / sampled : 0.0);
-        ts.set("landmarksAdmissible", admissible);
         ts.set("routeTimeGrowth", time_growth);
         ts.set("gateCountGrowth", gate_growth);
         ts.set("routeTimeNearLinearInGates", near_linear);
@@ -1116,10 +1101,9 @@ runFig12Large(const SweepKnobs &userKnobs)
     const bool ratio_shrinks =
         ratio_by_n.size() < 2 ||
         ratio_by_n.back().second < ratio_by_n.front().second;
-    // Restore the library-default cache budget for any later experiment
-    // in this process.
+    // Restore the entry budget for any later experiment in this process.
     topology::CouplingMap::clearRowCache();
-    topology::CouplingMap::setRowCacheCapacity(256);
+    topology::CouplingMap::setRowCacheCapacity(entry_capacity);
 
     json::Value out = json::Value::object();
     json::Value params = parametersJson(knobs);
@@ -1142,7 +1126,6 @@ runFig12Large(const SweepKnobs &userKnobs)
     summary.set("topologies", std::move(topo_summaries));
     summary.set("memorySubQuadratic", all_sub_quadratic);
     summary.set("memoryRatioShrinksWithN", ratio_shrinks);
-    summary.set("landmarksAdmissible", all_admissible);
     summary.set("routeTimeNearLinearInGates", all_near_linear);
     out.set("summary", std::move(summary));
     out.set("notes",
@@ -1406,18 +1389,6 @@ runMatrix(const SweepKnobs &userKnobs)
 
 } // namespace
 
-SweepKnobs
-knobsFromEnv()
-{
-    SweepKnobs k;
-    k.seeds = envInt("MIRAGE_BENCH_SEEDS", -1);
-    k.layoutTrials = envInt("MIRAGE_BENCH_TRIALS", -1);
-    k.swapTrials = envInt("MIRAGE_BENCH_SWAP_TRIALS", -1);
-    k.fwdBwd = envInt("MIRAGE_BENCH_FWD_BWD", -1);
-    k.mcIterations = envInt("MIRAGE_BENCH_MC_ITERS", -1);
-    return k;
-}
-
 const std::vector<Experiment> &
 experimentRegistry()
 {
@@ -1492,8 +1463,7 @@ experimentRegistry()
          runBenchRouting},
         {"fig12-large", "Figure 12 (large devices)",
          "Table III circuits routed on 433/1121-qubit heavy-hex and a "
-         "33x33 grid in sparse topology mode, with memory and "
-         "landmark-bound audits",
+         "33x33 grid in sparse topology mode, with a memory audit",
          "beyond paper: the paper evaluates up to heavy-hex 57; this "
          "sweep scales routing to IBM Osprey/Condor-class devices with "
          "sub-quadratic topology memory (tracked as the committed "
@@ -1524,14 +1494,12 @@ buildCatalogLibrary(int threads)
     {
         ResolvedKnobs knobs = resolve(user, 1, 8, 2, 2);
         const auto grid = topology::CouplingMap::grid(8, 8);
-        std::vector<circuit::Circuit> circuits;
-        for (const auto &b : bench::paperBenchmarks())
-            circuits.push_back(b.make());
         auto opts =
             sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
         opts.lowerToBasis = true;
         opts.equivalenceLibrary = lib.get();
-        mirage_pass::transpileMany(circuits, grid, opts);
+        for (const auto &b : bench::paperBenchmarks())
+            mirage_pass::transpile(b.make(), grid, opts);
     }
 
     // Mirror-workload target set, at the exact mirror-rb/mirror-qv
@@ -1680,11 +1648,6 @@ checkBenchCounters(const json::Value &current, const json::Value &baseline,
             return fail("memoryRatioShrinksWithN is not true: resident "
                         "topology memory is not scaling sub-quadratically "
                         "across device sizes");
-        const json::Value *adm =
-            current["summary"].find("landmarksAdmissible");
-        if (!adm || !adm->isBool() || !adm->asBool())
-            return fail("landmarksAdmissible is not true: ALT lower "
-                        "bound exceeded an exact distance");
     }
 
     // Counters are only comparable when the routing workload matches;

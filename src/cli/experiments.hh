@@ -1,16 +1,16 @@
 /**
  * @file
- * The paper-reproduction experiment registry shared by the `mirage
- * sweep` subcommand and the bench_* binaries.
+ * The paper-reproduction experiment registry behind the `mirage sweep`,
+ * `mirage report` and `mirage bench` subcommands.
  *
  * Every reproducible figure/table of the paper (Figs. 8/10/11/12/13,
  * Tables I-III) is one named Experiment whose run() returns a
  * machine-readable JSON artifact: a versioned envelope (schemaVersion,
  * kind, experiment, title, paperRef) around resolved parameters, a
  * typed column list, data rows, and a summary. The CLI writes the
- * artifact to disk for CI archival/diffing; `mirage report` and the
- * bench binaries render the same artifact as a markdown table, so the
- * sweep logic lives in exactly one place.
+ * artifact to disk for CI archival/diffing; `mirage report` renders the
+ * same artifact as a markdown table, so the sweep logic lives in
+ * exactly one place.
  */
 
 #ifndef MIRAGE_CLI_EXPERIMENTS_HH
@@ -57,17 +57,6 @@ struct SweepKnobs
      */
     std::string catalogPath;
 };
-
-/**
- * Knobs taken from the MIRAGE_BENCH_* environment (SEEDS, TRIALS,
- * SWAP_TRIALS, FWD_BWD, MC_ITERS); unset variables stay "experiment
- * default". The bench binaries use this so their historical env
- * interface keeps working on top of the registry.
- */
-SweepKnobs knobsFromEnv();
-
-/** Integer env knob with a fallback for unset variables. */
-int envInt(const char *name, int fallback);
 
 /** One registered experiment. */
 struct Experiment

@@ -3,8 +3,8 @@
  * Minimal concurrency subsystem: a fixed-size thread pool with a
  * blocking parallelFor.
  *
- * Routing trials (router::routeWithTrials) and batch transpilation
- * (mirage_pass::transpileMany) are embarrassingly parallel: every work
+ * Routing trials (router::routeWithTrials) and concurrent transpile()
+ * calls sharing one pool are embarrassingly parallel: every work
  * item derives all of its randomness from a counter-based stream keyed
  * by (seed, itemIndex) (see common/rng.hh), so results are bit-identical
  * regardless of thread count or scheduling order. The pool therefore

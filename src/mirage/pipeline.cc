@@ -85,14 +85,11 @@ lowerResult(TranspileResult &result, const TranspileOptions &opts,
     result.loweredToBasis = true;
 }
 
-/**
- * transpile() with an optional externally owned trial-grid pool and
- * equivalence library.
- */
+} // namespace
+
 TranspileResult
-transpileImpl(const Circuit &input, const topology::CouplingMap &coupling,
-              const TranspileOptions &opts, exec::ThreadPool *pool,
-              decomp::EquivalenceLibrary *library)
+transpile(const Circuit &input, const topology::CouplingMap &coupling,
+          const TranspileOptions &opts)
 {
     MIRAGE_ASSERT(opts.rootDegree >= 1, "bad basis root degree");
     opts.deadline.check("pipeline.start");
@@ -103,6 +100,11 @@ transpileImpl(const Circuit &input, const topology::CouplingMap &coupling,
     Circuit cleaned = unrollThreeQubit(input);
     circuit::ConsolidateOptions copts;
     Circuit consolidated = circuit::consolidateBlocks(cleaned, copts);
+
+    std::optional<decomp::EquivalenceLibrary> local_lib;
+    decomp::EquivalenceLibrary *library = opts.equivalenceLibrary;
+    if (opts.lowerToBasis && !library)
+        library = &local_lib.emplace(opts.rootDegree);
 
     TranspileResult result;
 
@@ -135,7 +137,7 @@ transpileImpl(const Circuit &input, const topology::CouplingMap &coupling,
     topts.swapTrials = opts.swapTrials;
     topts.seed = opts.seed;
     topts.threads = opts.threads;
-    topts.pool = pool;
+    topts.pool = opts.pool;
     topts.pass.costModel = &cost_model;
     // Every trial's pass copies opts.pass (passForTrial), so the token
     // reaches the whole grid; parallelFor rethrows the first
@@ -181,49 +183,6 @@ transpileImpl(const Circuit &input, const topology::CouplingMap &coupling,
     result.metrics = computeMetrics(result.routed, cost_model);
     lowerResult(result, opts, cost_model, library);
     return result;
-}
-
-} // namespace
-
-TranspileResult
-transpile(const Circuit &input, const topology::CouplingMap &coupling,
-          const TranspileOptions &opts)
-{
-    std::optional<decomp::EquivalenceLibrary> local_lib;
-    decomp::EquivalenceLibrary *lib = opts.equivalenceLibrary;
-    if (opts.lowerToBasis && !lib)
-        lib = &local_lib.emplace(opts.rootDegree);
-    return transpileImpl(input, coupling, opts, opts.pool, lib);
-}
-
-std::vector<TranspileResult>
-transpileMany(std::span<const Circuit> circuits,
-              const topology::CouplingMap &coupling,
-              const TranspileOptions &opts)
-{
-    // One pool outlives the whole batch; every circuit's trial grid
-    // fans out on it. Circuits are processed in order -- each result is
-    // identical to a standalone transpile() because all randomness is
-    // keyed by (opts.seed, trial), never by batch position.
-    std::optional<exec::ThreadPool> pool;
-    if (!opts.pool && opts.threads != 1)
-        pool.emplace(opts.threads);
-
-    // Likewise one equivalence library serves every circuit: cached
-    // fits are pure functions of the target unitary, so sharing them
-    // across the batch changes throughput, never output.
-    std::optional<decomp::EquivalenceLibrary> local_lib;
-    decomp::EquivalenceLibrary *lib = opts.equivalenceLibrary;
-    if (opts.lowerToBasis && !lib)
-        lib = &local_lib.emplace(opts.rootDegree);
-
-    std::vector<TranspileResult> results;
-    results.reserve(circuits.size());
-    exec::ThreadPool *shared = opts.pool ? opts.pool
-                                         : (pool ? &*pool : nullptr);
-    for (const Circuit &c : circuits)
-        results.push_back(transpileImpl(c, coupling, opts, shared, lib));
-    return results;
 }
 
 } // namespace mirage::mirage_pass

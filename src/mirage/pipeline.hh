@@ -13,7 +13,6 @@
 #ifndef MIRAGE_MIRAGE_PIPELINE_HH
 #define MIRAGE_MIRAGE_PIPELINE_HH
 
-#include <span>
 #include <vector>
 
 #include "circuit/circuit.hh"
@@ -65,16 +64,15 @@ struct TranspileOptions
      * decompositions -- fitting dominates lowering cost, and a shared
      * or warm-loaded cache never changes output (fits are pure
      * functions of the target unitary). When null and lowerToBasis is
-     * set, transpile() builds a private library; transpileMany() builds
-     * one shared by the whole batch.
+     * set, transpile() builds a private library for the call.
      */
     decomp::EquivalenceLibrary *equivalenceLibrary = nullptr;
     /**
      * Optional externally owned trial-grid thread pool (overrides
      * `threads`). Long-lived callers -- the serve engine above all --
-     * keep one warm pool across many transpile()/transpileMany() calls
-     * instead of paying spin-up per request. Like `threads`, the pool
-     * never changes output, only throughput.
+     * keep one warm pool across many transpile() calls instead of
+     * paying spin-up per request. Like `threads`, the pool never
+     * changes output, only throughput.
      */
     exec::ThreadPool *pool = nullptr;
     /**
@@ -135,22 +133,6 @@ circuit::Circuit unrollThreeQubit(const circuit::Circuit &input);
 TranspileResult transpile(const circuit::Circuit &input,
                           const topology::CouplingMap &coupling,
                           const TranspileOptions &opts = {});
-
-/**
- * Batch transpilation: route many circuits against one device, sharing
- * a single thread pool across all of their trial grids (the serving
- * shape -- one warm pool, many requests). With lowerToBasis set, one
- * equivalence library also serves the whole batch, so fitted
- * decompositions are reused across circuits. Each circuit is processed
- * with the same options, and its result is bit-identical to a
- * standalone transpile(circuits[i], coupling, opts) call: the batch API
- * changes throughput, never output (shared caches included -- fits are
- * pure functions of the target unitary).
- */
-std::vector<TranspileResult>
-transpileMany(std::span<const circuit::Circuit> circuits,
-              const topology::CouplingMap &coupling,
-              const TranspileOptions &opts = {});
 
 } // namespace mirage::mirage_pass
 

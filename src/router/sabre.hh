@@ -199,9 +199,9 @@ struct TrialOptions
      */
     int threads = 1;
     /**
-     * Optional externally owned pool (overrides `threads`); lets batch
-     * callers (mirage_pass::transpileMany) share workers across circuits
-     * instead of spawning a pool per call.
+     * Optional externally owned pool (overrides `threads`); lets
+     * long-lived callers (the serve engine, suite sweeps) share workers
+     * across circuits instead of spawning a pool per call.
      */
     exec::ThreadPool *pool = nullptr;
 };

@@ -2,16 +2,17 @@
  * @file
  * Coupling map construction (line, ring, grid, heavy-hex, all-to-all),
  * CSR adjacency, and BFS distances: precomputed all-pairs tables in
- * dense mode, on-demand rows behind a per-thread LRU cache plus ALT
- * landmark lower bounds in sparse mode.
+ * dense mode, on-demand rows behind a per-thread LRU cache in sparse
+ * mode.
  */
 
 #include "topology/coupling.hh"
 
 #include <algorithm>
 #include <atomic>
-#include <limits>
+#include <charconv>
 #include <list>
+#include <string_view>
 #include <unordered_map>
 
 namespace mirage::topology {
@@ -27,10 +28,6 @@ edgeStr(int a, int b)
 /** Next topologyId_ for a sparse map. Never reused, so a row cached for
  * a destroyed map can never be served to a different topology. */
 std::atomic<uint64_t> g_nextTopologyId{1};
-
-/** How many landmark rows a sparse map precomputes for
- * distanceLowerBound. 8 rows at n=1121 is ~36 KB -- O(n), not O(n^2). */
-constexpr int kNumLandmarks = 8;
 
 // --- per-thread LRU cache of BFS distance rows (sparse mode) ----------
 //
@@ -182,48 +179,16 @@ CouplingMap::buildDerived(bool force_sparse)
         for (int src = 0; src < numQubits_; ++src)
             bfsFrom(src, dist_.data() + size_t(src) * n);
         topologyId_ = 0;
-        landmarks_.clear();
-        landmarkDist_.clear();
         return;
     }
 
     // Sparse mode: no O(n^2) tables. Distance rows are BFS-on-demand via
-    // the per-thread cache; here we only pick landmarks for the ALT
-    // lower bound, by farthest-point sampling (classic ALT placement:
-    // spread landmarks toward the periphery so |d(L,a) - d(L,b)| is
-    // tight along lattice axes). Deterministic: seeded at qubit 0,
-    // ties broken by lowest index.
+    // the per-thread cache.
     adj_.clear();
     adj_.shrink_to_fit();
     dist_.clear();
     dist_.shrink_to_fit();
     topologyId_ = g_nextTopologyId.fetch_add(1, std::memory_order_relaxed);
-
-    landmarks_.clear();
-    landmarkDist_.clear();
-    const int k = std::min(kNumLandmarks, numQubits_);
-    if (k <= 0)
-        return;
-    landmarkDist_.assign(size_t(k) * n, -1);
-    // minDist[q] = min over chosen landmarks of d(L, q); unreachable
-    // counts as "infinitely far" so later landmarks seed every component.
-    std::vector<int> minDist(n, std::numeric_limits<int>::max());
-    int next = 0;
-    for (int li = 0; li < k; ++li) {
-        landmarks_.push_back(next);
-        int *row = landmarkDist_.data() + size_t(li) * n;
-        bfsFrom(next, row);
-        int best = -1;
-        next = 0;
-        for (size_t q = 0; q < n; ++q) {
-            int d = row[q] < 0 ? std::numeric_limits<int>::max() : row[q];
-            minDist[q] = std::min(minDist[q], d);
-            if (minDist[q] > best) {
-                best = minDist[q];
-                next = int(q);
-            }
-        }
-    }
 }
 
 void
@@ -276,30 +241,6 @@ CouplingMap::sparseRow(int a) const
 }
 
 int
-CouplingMap::distanceLowerBound(int a, int b) const
-{
-    if (!sparse_)
-        return distance(a, b);
-    if (!sameComponent(a, b))
-        return -1;
-    if (a == b)
-        return 0;
-    // ALT: d(a,b) >= |d(L,a) - d(L,b)| by the triangle inequality.
-    // Adjacent qubits give >= 1 trivially.
-    int best = 1;
-    const size_t n = size_t(numQubits_);
-    for (size_t li = 0; li < landmarks_.size(); ++li) {
-        const int *row = landmarkDist_.data() + li * n;
-        const int da = row[a];
-        const int db = row[b];
-        if (da < 0 || db < 0)
-            continue; // landmark in another component
-        best = std::max(best, da < db ? db - da : da - db);
-    }
-    return best;
-}
-
-int
 CouplingMap::maxDegree() const
 {
     int best = 0;
@@ -326,9 +267,7 @@ CouplingMap::derivedTableBytes() const
            csrNeighbors_.capacity() * sizeof(int) +
            component_.capacity() * sizeof(int) +
            adj_.capacity() * sizeof(uint8_t) +
-           dist_.capacity() * sizeof(int) +
-           landmarks_.capacity() * sizeof(int) +
-           landmarkDist_.capacity() * sizeof(int);
+           dist_.capacity() * sizeof(int);
 }
 
 std::vector<int>
@@ -548,20 +487,34 @@ CouplingMap::specForms()
 CouplingMap
 CouplingMap::parseSpec(const std::string &spec, int min_qubits)
 {
-    auto intSuffix = [&spec](size_t prefix_len, int *value) {
-        const std::string tail = spec.substr(prefix_len);
-        if (tail.empty() ||
-            tail.find_first_not_of("0123456789") != std::string::npos)
+    // Sizes saturate just above the qubit bound, so the 64-bit qubit and
+    // edge counts below cannot overflow and nothing is allocated before
+    // the bound check.
+    auto parseSize = [](std::string_view digits, int64_t *value) {
+        if (digits.empty() ||
+            digits.find_first_not_of("0123456789") != std::string_view::npos)
             return false;
-        *value = std::atoi(tail.c_str());
+        if (std::from_chars(digits.data(), digits.data() + digits.size(),
+                            *value)
+                    .ec != std::errc() ||
+            *value > kMaxSpecQubits)
+            *value = kMaxSpecQubits + 1;
         return *value > 0;
+    };
+    auto checkSize = [&spec](int64_t qubits, int64_t edges) {
+        if (qubits > kMaxSpecQubits || edges > kMaxSpecEdges)
+            throw std::invalid_argument(
+                "topology '" + spec + "' is too large (at most " +
+                std::to_string(kMaxSpecQubits) + " qubits and " +
+                std::to_string(kMaxSpecEdges) + " edges)");
     };
 
     if (spec == "auto") {
-        int side = 1;
+        int64_t side = 1;
         while (side * side < min_qubits)
             ++side;
-        return grid(side, side);
+        checkSize(side * side, 2 * side * (side - 1));
+        return grid(int(side), int(side));
     }
     if (spec == "heavyhex57")
         return heavyHex57();
@@ -569,28 +522,30 @@ CouplingMap::parseSpec(const std::string &spec, int min_qubits)
         return heavyHex433();
     if (spec == "heavyhex1121")
         return heavyHex1121();
-    if (spec.rfind("grid", 0) == 0) {
-        size_t x = spec.find('x', 4);
-        if (x != std::string::npos) {
-            const std::string rows = spec.substr(4, x - 4);
-            const std::string cols = spec.substr(x + 1);
-            if (!rows.empty() && !cols.empty() &&
-                rows.find_first_not_of("0123456789") == std::string::npos &&
-                cols.find_first_not_of("0123456789") == std::string::npos) {
-                int r = std::atoi(rows.c_str());
-                int c = std::atoi(cols.c_str());
-                if (r > 0 && c > 0)
-                    return grid(r, c);
-            }
+    const std::string_view view(spec);
+    int64_t n = 0;
+    if (view.rfind("grid", 0) == 0) {
+        const size_t x = view.find('x', 4);
+        int64_t c = 0;
+        if (x != std::string_view::npos &&
+            parseSize(view.substr(4, x - 4), &n) &&
+            parseSize(view.substr(x + 1), &c)) {
+            checkSize(n * c, n * (c - 1) + c * (n - 1));
+            return grid(int(n), int(c));
         }
     }
-    int n = 0;
-    if (spec.rfind("line", 0) == 0 && intSuffix(4, &n))
-        return line(n);
-    if (spec.rfind("ring", 0) == 0 && intSuffix(4, &n))
-        return ring(n);
-    if (spec.rfind("alltoall", 0) == 0 && intSuffix(8, &n))
-        return allToAll(n);
+    if (view.rfind("line", 0) == 0 && parseSize(view.substr(4), &n)) {
+        checkSize(n, n - 1);
+        return line(int(n));
+    }
+    if (view.rfind("ring", 0) == 0 && parseSize(view.substr(4), &n)) {
+        checkSize(n, n > 2 ? n : n - 1);
+        return ring(int(n));
+    }
+    if (view.rfind("alltoall", 0) == 0 && parseSize(view.substr(8), &n)) {
+        checkSize(n, n * (n - 1) / 2);
+        return allToAll(int(n));
+    }
     throw std::invalid_argument("unknown topology '" + spec +
                                 "' (expected " + specForms() + ")");
 }

@@ -17,8 +17,6 @@
  *    computed by BFS on demand and kept in a small per-thread LRU row
  *    cache. `distanceRow` still returns a contiguous `const int *` row,
  *    so the routing hot path in src/router/sabre.cc is mode-agnostic.
- *    ALT-style landmark tables give O(1) admissible lower bounds via
- *    `distanceLowerBound` without materializing exact rows.
  *
  * Both modes produce identical `distance` / `distanceRow` /
  * `shortestPath` results (property-tested), so routing output is
@@ -78,6 +76,11 @@ class CouplingMap
 
     /** Devices up to this many qubits keep the flat O(n^2) tables. */
     static constexpr int kDenseQubitThreshold = 128;
+    /** parseSpec() refuses specs above these sizes, so a request
+     * cannot ask for a multi-GB device; every shipped device is well
+     * under both. */
+    static constexpr int kMaxSpecQubits = 4096;
+    static constexpr int kMaxSpecEdges = 65536;
 
     CouplingMap() = default;
     /** Throws TopologyError on negative qubit count, out-of-range,
@@ -134,15 +137,6 @@ class CouplingMap
             return dist_.data() + size_t(a) * size_t(numQubits_);
         return sparseRow(a);
     }
-    /**
-     * Admissible lower bound on distance(a, b): exact in dense mode; in
-     * sparse mode the ALT bound max_L |d(L,a) - d(L,b)| over the
-     * precomputed landmark rows -- O(#landmarks) with no BFS and no row
-     * cache traffic, for outlook-style scoring that only needs a bound.
-     * -1 if a and b are in different components (matching distance()).
-     */
-    int distanceLowerBound(int a, int b) const;
-
     bool isConnected() const
     {
         return numQubits_ > 0 && numComponents_ == 1;
@@ -164,7 +158,7 @@ class CouplingMap
     CouplingMap asSparse() const;
 
     /** Resident bytes of derived tables (CSR, components, dense
-     * adjacency/distance tables, landmark rows). Excludes the
+     * adjacency/distance tables). Excludes the
      * per-thread row cache -- see rowCacheStats().bytes. */
     size_t derivedTableBytes() const;
 
@@ -217,7 +211,8 @@ class CouplingMap
      * heavyhex433, heavyhex1121, alltoall<N>, or "auto" (the smallest
      * square grid with at least `min_qubits` sites). Throws
      * std::invalid_argument (listing the accepted forms) on anything
-     * else; callers map that to their own usage-error type.
+     * else, and on a spec above kMaxSpecQubits or kMaxSpecEdges;
+     * callers map that to their own usage-error type.
      */
     static CouplingMap parseSpec(const std::string &spec, int min_qubits);
     /** The accepted parseSpec() forms, for help text and errors. */
@@ -253,11 +248,6 @@ class CouplingMap
     std::vector<uint8_t> adj_;
     /** Row-major numQubits_ x numQubits_ all-pairs BFS distances. */
     std::vector<int> dist_;
-
-    // Sparse mode only: landmark qubits (farthest-point sampled) and
-    // their full BFS rows, row-major #landmarks x numQubits_.
-    std::vector<int> landmarks_;
-    std::vector<int> landmarkDist_;
 };
 
 } // namespace mirage::topology

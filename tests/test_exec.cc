@@ -5,8 +5,8 @@
  * propagation through parallelFor and submit, concurrent parallelFor
  * callers sharing one pool, stream independence
  * (no shared prefixes, negligible cross-correlation), and the central
- * guarantee that routeWithTrials / transpileMany produce bit-identical
- * results for every thread count.
+ * guarantee that routeWithTrials / transpile produce bit-identical
+ * results for every thread count and with a shared external pool.
  */
 
 #include <gtest/gtest.h>
@@ -37,8 +37,8 @@ namespace {
 /**
  * Bit-exact circuit comparison (doubles compared with ==, not near).
  * Circuit::bitIdentical is the authoritative check (shared with the
- * bench binaries); the field-by-field EXPECTs below exist to localize
- * a mismatch when it fails.
+ * fig13 sweep and serve-bench); the field-by-field EXPECTs below exist
+ * to localize a mismatch when it fails.
  */
 void
 expectIdenticalCircuits(const Circuit &a, const Circuit &b)
@@ -332,7 +332,7 @@ TEST(Trials, ThreadCountInvariance)
         router::routeWithTrials(circ, grid, opts);
     expectIdenticalRouteResults(parallel, parallel2);
 
-    // An externally owned pool (the transpileMany path) changes nothing.
+    // An externally owned pool (the serve path) changes nothing.
     exec::ThreadPool pool(3);
     opts.threads = 1;
     opts.pool = &pool;
@@ -359,30 +359,31 @@ TEST(Trials, ThreadCountInvarianceSwapPostSelect)
     expectIdenticalRouteResults(serial, parallel);
 }
 
-TEST(TranspileMany, MatchesIndividualTranspile)
+TEST(SharedPool, TranspileLoopMatchesSoloSerial)
 {
+    // One external pool serving every circuit's trial grid in turn (the
+    // serve shape) must reproduce solo serial transpile() calls.
     auto grid = CouplingMap::grid(3, 3);
-    std::vector<Circuit> batch;
-    batch.push_back(bench::qft(6, true));
-    batch.push_back(bench::ghz(7));
-    batch.push_back(bench::wstate(5));
+    std::vector<Circuit> circuits;
+    circuits.push_back(bench::qft(6, true));
+    circuits.push_back(bench::ghz(7));
+    circuits.push_back(bench::wstate(5));
 
     mirage_pass::TranspileOptions opts;
     opts.tryVf2 = false;
     opts.layoutTrials = 3;
     opts.swapTrials = 2;
 
-    opts.threads = 4;
-    auto batched = mirage_pass::transpileMany(batch, grid, opts);
-    ASSERT_EQ(batched.size(), batch.size());
-
-    opts.threads = 1;
-    for (size_t i = 0; i < batch.size(); ++i) {
-        auto solo = mirage_pass::transpile(batch[i], grid, opts);
-        expectIdenticalCircuits(batched[i].routed, solo.routed);
-        EXPECT_TRUE(batched[i].initial == solo.initial);
-        EXPECT_TRUE(batched[i].final == solo.final);
-        EXPECT_EQ(batched[i].swapsAdded, solo.swapsAdded);
-        EXPECT_EQ(batched[i].metrics.depth, solo.metrics.depth);
+    exec::ThreadPool pool(4);
+    auto pooled_opts = opts;
+    pooled_opts.pool = &pool;
+    for (const auto &c : circuits) {
+        auto pooled = mirage_pass::transpile(c, grid, pooled_opts);
+        auto solo = mirage_pass::transpile(c, grid, opts);
+        expectIdenticalCircuits(pooled.routed, solo.routed);
+        EXPECT_TRUE(pooled.initial == solo.initial);
+        EXPECT_TRUE(pooled.final == solo.final);
+        EXPECT_EQ(pooled.swapsAdded, solo.swapsAdded);
+        EXPECT_EQ(pooled.metrics.depth, solo.metrics.depth);
     }
 }

@@ -301,6 +301,26 @@ TEST(ServeEngine, InvalidGatesAreQasmErrorsAndTheServerKeepsAnswering)
     EXPECT_TRUE(handleParsed(engine, requestLine(2))["ok"].asBool());
 }
 
+TEST(ServeEngine, OversizedTopologySpecsAreRequestErrors)
+{
+    // Each of these once tried to allocate tens of GB (and overflowed
+    // int or std::atoi on the way) before answering "internal".
+    serve::Engine engine;
+    for (const char *spec :
+         {"alltoall100000", "grid70000x70000", "line99999999999"}) {
+        SCOPED_TRACE(spec);
+        json::Value resp = handleParsed(
+            engine, requestLine(1, kQasm,
+                                std::string("{\"trials\":1,\"swapTrials\":1,"
+                                            "\"topology\":\"") +
+                                    spec + "\"}"));
+        EXPECT_FALSE(resp["ok"].asBool());
+        EXPECT_EQ(resp["error"]["code"].asString(), "request")
+            << resp.dump(0);
+    }
+    EXPECT_TRUE(handleParsed(engine, requestLine(2))["ok"].asBool());
+}
+
 // --- engine: shutdown -------------------------------------------------------
 
 TEST(ServeEngine, ShutdownRejectsNewWorkButStatsKeepAnswering)

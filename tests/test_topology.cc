@@ -113,6 +113,26 @@ TEST(Coupling, GeneratorsRejectDegenerateSizes)
     EXPECT_EQ(CouplingMap::grid(1, 1).numQubits(), 1);
 }
 
+TEST(Coupling, ParseSpecBoundsDeviceSize)
+{
+    // Oversized specs are refused before anything is allocated, and
+    // digit strings beyond int64 neither overflow nor reach std::atoi.
+    for (const char *spec :
+         {"alltoall100000", "grid70000x70000", "line99999999999",
+          "ring4097", "grid65x64", "alltoall363",
+          "line99999999999999999999999999"})
+        EXPECT_THROW(CouplingMap::parseSpec(spec, 1), std::invalid_argument)
+            << spec;
+    EXPECT_THROW(CouplingMap::parseSpec("auto", 4097), std::invalid_argument);
+    // Both bounds are inclusive; every shipped device is well under.
+    EXPECT_EQ(CouplingMap::parseSpec("line4096", 1).numQubits(), 4096);
+    EXPECT_EQ(CouplingMap::parseSpec("grid64x64", 1).numQubits(), 4096);
+    EXPECT_EQ(CouplingMap::parseSpec("auto", 4096).numQubits(), 4096);
+    EXPECT_EQ(CouplingMap::parseSpec("alltoall362", 1).edges().size(),
+              65341u);
+    EXPECT_EQ(CouplingMap::parseSpec("heavyhex1121", 1).numQubits(), 1121);
+}
+
 TEST(Coupling, CustomConstructorRejectsBadEdges)
 {
     using E = std::vector<std::pair<int, int>>;
@@ -187,7 +207,7 @@ TEST(Coupling, SparseMemoryFootprintIsSubQuadratic)
     CouplingMap condor = CouplingMap::heavyHex1121();
     const size_t n = size_t(condor.numQubits());
     const size_t dense_equiv = n * n * (sizeof(int) + sizeof(uint8_t));
-    // CSR + components + landmarks: orders of magnitude below the flat
+    // CSR + components: orders of magnitude below the flat
     // tables (the per-thread row cache is bounded separately).
     EXPECT_LT(condor.derivedTableBytes(), dense_equiv / 50);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Dense-vs-sparse coupling-map equivalence: the sparse mode (CSR
- * adjacency + BFS-on-demand rows behind a per-thread LRU cache +
- * ALT landmark bounds) must be query-for-query identical to the dense
+ * adjacency + BFS-on-demand rows behind a per-thread LRU cache) must
+ * be query-for-query identical to the dense
  * flat tables, including on randomized and disconnected graphs; the
  * row cache must survive eviction churn and multi-row hot-path usage;
  * and routing on a sparse device must be bit-identical to routing on
@@ -202,30 +202,6 @@ TEST(SparseRowCache, DistinctMapsDoNotAlias)
     // A copy shares the topology id (identical edges => identical rows).
     CouplingMap a2 = a;
     EXPECT_EQ(a2.distance(0, 24), 8);
-}
-
-TEST(SparseLandmarks, LowerBoundIsAdmissibleAndSymmetric)
-{
-    for (const auto &sparse :
-         {CouplingMap::heavyHex433(), CouplingMap::grid(6, 6).asSparse(),
-          CouplingMap::heavyHex57().asSparse()}) {
-        const int n = sparse.numQubits();
-        for (int s = 0; s < 400; ++s) {
-            const int a = (s * 89) % n;
-            const int b = (s * 157 + 13) % n;
-            const int exact = sparse.distance(a, b);
-            const int bound = sparse.distanceLowerBound(a, b);
-            ASSERT_GE(bound, a == b ? 0 : 1) << sparse.name();
-            ASSERT_LE(bound, exact) << sparse.name() << " " << a << "," << b;
-            EXPECT_EQ(bound, sparse.distanceLowerBound(b, a));
-        }
-    }
-    // Dense mode returns the exact distance (tightest possible bound);
-    // disconnected pairs mirror distance()'s -1.
-    CouplingMap dense = CouplingMap::grid(4, 4);
-    EXPECT_EQ(dense.distanceLowerBound(0, 15), dense.distance(0, 15));
-    CouplingMap split(4, {{0, 1}, {2, 3}}, "split");
-    EXPECT_EQ(split.asSparse().distanceLowerBound(0, 3), -1);
 }
 
 TEST(SparseRouting, BitIdenticalToDenseAtAnyThreadCount)
