@@ -2,10 +2,11 @@
  * @file
  * Figure 13 reproduction: transpiler runtime scaling and the caching
  * ablation. Routes QFT instances of growing size on an 8x8 grid and
- * times (a) the SABRE baseline, (b) MIRAGE with its caches (coordinate
- * cache in consolidation + LRU polytope lookup), and (c) MIRAGE with the
- * caches disabled -- reproducing the Section VI-C observation that the
- * caches keep MIRAGE's runtime competitive with plain SABRE.
+ * times (a) the SABRE baseline, (b) MIRAGE with consolidation's
+ * coordinate cache, and (c) MIRAGE with that cache disabled
+ * (ConsolidateOptions::useCoordinateCache) -- reproducing the Section
+ * VI-C observation that caching keeps MIRAGE's runtime competitive with
+ * plain SABRE.
  *
  * BM_TrialEngineSerial / BM_TrialEngineParallel time the dominant
  * transpile cost -- the full routeWithTrials grid -- with threads=1
@@ -47,19 +48,18 @@ grid64()
 
 void
 routeQft(benchmark::State &state, router::Aggression aggression,
-         bool caches,
+         bool cached,
          router::ScoreMode score_mode = router::ScoreMode::Delta)
 {
     const int n = int(state.range(0));
     auto circ = bench::qft(n, true);
 
     // Coverage construction is one-time; exclude it from the timing.
-    monodromy::CostModel cost = monodromy::makeRootIswapCostModel(2);
-    cost.setCacheEnabled(caches);
+    const monodromy::CostModel cost = monodromy::makeRootIswapCostModel(2);
 
     for (auto _ : state) {
         circuit::ConsolidateOptions copts;
-        copts.useCoordinateCache = caches;
+        copts.useCoordinateCache = cached;
         auto consolidated = circuit::consolidateBlocks(circ, copts);
         router::PassOptions opts;
         opts.aggression = aggression;
@@ -71,7 +71,7 @@ routeQft(benchmark::State &state, router::Aggression aggression,
         auto res = router::routePass(consolidated, grid64(), init, opts);
         benchmark::DoNotOptimize(res.swapsAdded);
     }
-    state.SetLabel(caches ? "cached" : "uncached");
+    state.SetLabel(cached ? "cached" : "uncached");
 }
 
 void

@@ -18,7 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <optional>
+#include <memory>
 #include <sstream>
 
 #include "cli/args.hh"
@@ -236,37 +236,21 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
 
     // Constructing the library preseeds standard-gate fits, so build
     // it only when the lowering stage will actually run.
-    std::optional<decomp::EquivalenceLibrary> library;
+    std::unique_ptr<decomp::EquivalenceLibrary> library;
     const std::string cacheDir = validateCacheDir(parser.option("--cache"));
-    std::string cacheFile;
     if (opts.lowerToBasis) {
-        const std::string catalogPath =
-            decomp::resolveCatalogPath(parser.option("--catalog"));
-        if (!catalogPath.empty()) {
-            // The catalog includes the preseed gates, so a successful
-            // load replaces preseeding entirely (zero cold fits).
-            library.emplace(opts.rootDegree, /*preseed=*/false);
-            const auto loaded =
-                library->loadCacheFileDetailed(catalogPath);
-            if (loaded.status !=
-                decomp::EquivalenceLibrary::CacheLoadStatus::Ok) {
-                err << "mirage: warning: fit catalog "
-                    << (loaded.status == decomp::EquivalenceLibrary::
-                                             CacheLoadStatus::Unreadable
-                            ? "unreadable"
-                            : "malformed")
-                    << ": " << loaded.message << "; fitting cold\n";
-                library.emplace(opts.rootDegree);
-            }
-        } else {
-            library.emplace(opts.rootDegree);
-        }
-        if (!cacheDir.empty()) {
-            cacheFile = cacheDir + "/eqlib-root" +
-                        std::to_string(opts.rootDegree) + ".cache";
-            library->loadCacheFile(cacheFile);
-        }
-        opts.equivalenceLibrary = &*library;
+        decomp::LibraryReport report;
+        library = decomp::openLibrary(opts.rootDegree,
+                                      parser.option("--catalog"), cacheDir,
+                                      &report);
+        const decomp::CatalogLoad &catalog = report.catalog;
+        if (!catalog.path.empty() && !catalog.loaded())
+            err << "mirage: warning: fit catalog "
+                << decomp::loadStatusName(catalog.result.status) << ": "
+                << catalog.result.message << "; fitting cold\n";
+        if (!report.cacheWarning.empty())
+            err << "mirage: warning: " << report.cacheWarning << "\n";
+        opts.equivalenceLibrary = library.get();
     }
 
     mirage_pass::TranspileResult res;
@@ -278,12 +262,10 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
         return kExitFailure;
     }
 
-    if (!cacheFile.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(cacheDir, ec);
-        if (!library->saveCacheFile(cacheFile))
-            err << "mirage: warning: cannot write cache '" << cacheFile
-                << "'\n";
+    if (library) {
+        const std::string failure = decomp::saveLibrary(*library, cacheDir);
+        if (!failure.empty())
+            err << "mirage: warning: " << failure << "\n";
     }
 
     if (format == "qasm") {
@@ -698,18 +680,15 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
         serve::Engine engine(eopts);
         if (!engine.catalogPath().empty()) {
             const auto &load = engine.catalogLoad();
-            using Status =
-                decomp::EquivalenceLibrary::CacheLoadStatus;
-            if (load.status == Status::Ok)
+            if (load.status ==
+                decomp::EquivalenceLibrary::CacheLoadStatus::Ok)
                 err << "mirage: serve: fit catalog '"
                     << engine.catalogPath() << "' loaded ("
                     << load.entriesLoaded << " entries)\n";
             else
                 err << "mirage: serve: warning: fit catalog "
-                    << (load.status == Status::Unreadable
-                            ? "unreadable"
-                            : "malformed")
-                    << ": " << load.message << "; lowering cold\n";
+                    << decomp::loadStatusName(load.status) << ": "
+                    << load.message << "; lowering cold\n";
         }
         if (stdio) {
             const uint64_t n = serve::serveStdio(engine, std::cin, out);
@@ -1023,13 +1002,13 @@ cmdCatalog(const std::vector<std::string> &args, std::ostream &out,
     using Status = decomp::EquivalenceLibrary::CacheLoadStatus;
 
     if (action == "stats") {
-        decomp::EquivalenceLibrary lib(2, /*preseed=*/false);
+        decomp::EquivalenceLibrary lib(decomp::kCatalogRootDegree,
+                                       /*preseed=*/false);
         const auto load = lib.loadCacheFileDetailed(path);
         if (load.status != Status::Ok) {
             err << "mirage: catalog stats: "
-                << (load.status == Status::Unreadable ? "unreadable"
-                                                      : "malformed")
-                << ": " << load.message << "\n";
+                << decomp::loadStatusName(load.status) << ": "
+                << load.message << "\n";
             return kExitFailure;
         }
         out << "catalog: " << path << "\n"
@@ -1053,12 +1032,12 @@ cmdCatalog(const std::vector<std::string> &args, std::ostream &out,
     // way it is bad (missing/unreadable vs corrupt vs drifted bytes).
     std::string failure;
     if (action == "check") {
-        decomp::EquivalenceLibrary probe(2, /*preseed=*/false);
+        decomp::EquivalenceLibrary probe(decomp::kCatalogRootDegree,
+                                         /*preseed=*/false);
         const auto load = probe.loadCacheFileDetailed(path);
-        if (load.status == Status::Unreadable)
-            failure = "unreadable: " + load.message;
-        else if (load.status == Status::Malformed)
-            failure = "malformed: " + load.message;
+        if (load.status != Status::Ok)
+            failure = std::string(decomp::loadStatusName(load.status)) +
+                      ": " + load.message;
     }
     return writeOrCheckGenerated(
         "catalog", action, path, fresh.str(), "freshly fitted target set",

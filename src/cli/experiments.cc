@@ -12,12 +12,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <optional>
 
 #include "bench_circuits/generators.hh"
 #include "bench_circuits/mirror.hh"
 #include "common/exec.hh"
+#include "common/logging.hh"
 #include "decomp/catalog.hh"
 #include "decomp/equivalence.hh"
 #include "mirage/pipeline.hh"
@@ -38,7 +38,6 @@ struct ResolvedKnobs
     int threads;
     int mcIterations;
     std::string cacheDir;
-    std::string catalogPath; ///< RESOLVED path ("" = no catalog)
 };
 
 ResolvedKnobs
@@ -53,7 +52,6 @@ resolve(const SweepKnobs &k, int seeds, int trials, int swapTrials,
     r.threads = k.threads;
     r.mcIterations = k.mcIterations >= 0 ? k.mcIterations : mcIterations;
     r.cacheDir = k.cacheDir;
-    r.catalogPath = decomp::resolveCatalogPath(k.catalogPath);
     return r;
 }
 
@@ -155,80 +153,15 @@ millisSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-std::string
-cacheFilePath(const std::string &dir, int root_degree)
-{
-    return dir + "/eqlib-root" + std::to_string(root_degree) + ".cache";
-}
-
-/** Load a shared equivalence-library cache when a cache dir is set. */
-void
-loadLibraryCache(decomp::EquivalenceLibrary &lib, const std::string &dir)
-{
-    if (!dir.empty())
-        lib.loadCacheFile(cacheFilePath(dir, lib.rootDegree()));
-}
-
-/** Persist the library cache (creating the directory) when enabled. */
-void
-saveLibraryCache(const decomp::EquivalenceLibrary &lib,
-                 const std::string &dir)
-{
-    if (dir.empty())
-        return;
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    lib.saveCacheFile(cacheFilePath(dir, lib.rootDegree()));
-}
-
-/** How a lowering experiment obtained its equivalence library. */
-struct CatalogUse
-{
-    std::string path; ///< resolved catalog path ("" = none in play)
-    bool loaded = false;
-    size_t entries = 0;
-    std::string message; ///< diagnostic when a resolved path failed
-};
-
-/**
- * Library for a lowering experiment: warm-started from the resolved
- * catalog when one is available (preseeding skipped -- the catalog
- * already contains the standard gates), preseeded cold otherwise. A
- * catalog that resolves but fails to load falls back to a cold library
- * and carries the load diagnostic in `use`.
- */
-std::unique_ptr<decomp::EquivalenceLibrary>
-makeLibrary(int root_degree, const ResolvedKnobs &knobs, CatalogUse *use)
-{
-    CatalogUse u;
-    u.path = knobs.catalogPath;
-    if (!u.path.empty()) {
-        auto lib = std::make_unique<decomp::EquivalenceLibrary>(
-            root_degree, /*preseed=*/false);
-        auto res = lib->loadCacheFileDetailed(u.path);
-        if (res.status == decomp::EquivalenceLibrary::CacheLoadStatus::Ok) {
-            u.loaded = true;
-            u.entries = res.entriesLoaded;
-            if (use)
-                *use = u;
-            return lib;
-        }
-        u.message = res.message;
-    }
-    if (use)
-        *use = u;
-    return std::make_unique<decomp::EquivalenceLibrary>(root_degree);
-}
-
 /** Record catalog usage in an artifact's summary object. */
 void
-setCatalogSummary(json::Value &summary, const CatalogUse &use)
+setCatalogSummary(json::Value &summary, const decomp::CatalogLoad &catalog)
 {
-    summary.set("catalogPath", use.path);
-    summary.set("catalogLoaded", use.loaded);
-    summary.set("catalogEntries", uint64_t(use.entries));
-    if (!use.message.empty())
-        summary.set("catalogError", use.message);
+    summary.set("catalogPath", catalog.path);
+    summary.set("catalogLoaded", catalog.loaded());
+    summary.set("catalogEntries", uint64_t(catalog.result.entriesLoaded));
+    if (!catalog.result.message.empty())
+        summary.set("catalogError", catalog.result.message);
 }
 
 // --- experiments ------------------------------------------------------------
@@ -527,15 +460,17 @@ runFig13(const SweepKnobs &userKnobs)
     opts.pool = knobs.threads != 1 ? &lowering_pool.emplace(knobs.threads)
                                    : nullptr;
     opts.lowerToBasis = true;
-    decomp::EquivalenceLibrary lib(opts.rootDegree);
-    loadLibraryCache(lib, knobs.cacheDir);
-    opts.equivalenceLibrary = &lib;
+    decomp::LibraryReport report;
+    auto lib = decomp::openLibrary(opts.rootDegree, decomp::kCatalogDisabled,
+                                   knobs.cacheDir, &report);
+    warnIf(report.cacheWarning);
+    opts.equivalenceLibrary = lib.get();
 
     t0 = std::chrono::steady_clock::now();
     for (const auto &c : circuits)
         mirage_pass::transpile(c, grid, opts);
     double cold_ms = millisSince(t0);
-    uint64_t cold_fits = lib.fitCount();
+    uint64_t cold_fits = lib->fitCount();
 
     t0 = std::chrono::steady_clock::now();
     int warm_fits = 0;
@@ -543,7 +478,7 @@ runFig13(const SweepKnobs &userKnobs)
         warm_fits +=
             mirage_pass::transpile(c, grid, opts).translateStats.newFits;
     double warm_ms = millisSince(t0);
-    saveLibraryCache(lib, knobs.cacheDir);
+    warnIf(decomp::saveLibrary(*lib, knobs.cacheDir));
 
     json::Value rows = json::Value::array();
     auto addRow = [&rows](const char *stage, double ms,
@@ -658,9 +593,10 @@ runTable3(const SweepKnobs &userKnobs)
 
     auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
     opts.lowerToBasis = true;
-    CatalogUse catalog;
-    auto lib = makeLibrary(opts.rootDegree, knobs, &catalog);
-    loadLibraryCache(*lib, knobs.cacheDir);
+    decomp::LibraryReport report;
+    auto lib = decomp::openLibrary(opts.rootDegree, userKnobs.catalogPath,
+                                   knobs.cacheDir, &report);
+    warnIf(report.cacheWarning);
     opts.equivalenceLibrary = lib.get();
     std::optional<exec::ThreadPool> pool;
     if (knobs.threads != 1)
@@ -671,7 +607,7 @@ runTable3(const SweepKnobs &userKnobs)
     for (const auto &c : circuits)
         results.push_back(mirage_pass::transpile(c, grid, opts));
     double elapsed_ms = millisSince(t0);
-    saveLibraryCache(*lib, knobs.cacheDir);
+    warnIf(decomp::saveLibrary(*lib, knobs.cacheDir));
 
     json::Value rows = json::Value::array();
     bool all_equal = true;
@@ -726,7 +662,7 @@ runTable3(const SweepKnobs &userKnobs)
     summary.set("newFits", new_fits);
     summary.set("fitEvaluations", fit_evals);
     summary.set("cachedDecompositions", uint64_t(lib->cacheSize()));
-    setCatalogSummary(summary, catalog);
+    setCatalogSummary(summary, report.catalog);
     out.set("summary", std::move(summary));
     out.set("notes",
             "Routed on an 8x8 grid with MirageDepth flow, then lowered "
@@ -782,21 +718,8 @@ runBenchLowering(const SweepKnobs &userKnobs)
         cold_ms[i] = millisSince(t0);
     }
 
-    CatalogUse catalog;
-    catalog.path = knobs.catalogPath;
-    std::unique_ptr<decomp::EquivalenceLibrary> warm_lib;
-    if (!catalog.path.empty()) {
-        warm_lib = std::make_unique<decomp::EquivalenceLibrary>(
-            2, /*preseed=*/false);
-        auto res = warm_lib->loadCacheFileDetailed(catalog.path);
-        if (res.status == decomp::EquivalenceLibrary::CacheLoadStatus::Ok) {
-            catalog.loaded = true;
-            catalog.entries = res.entriesLoaded;
-        } else {
-            catalog.message = res.message;
-            warm_lib.reset();
-        }
-    }
+    decomp::CatalogLoad catalog;
+    auto warm_lib = decomp::loadCatalog(2, userKnobs.catalogPath, &catalog);
     decomp::EquivalenceLibrary &warm = warm_lib ? *warm_lib : cold;
 
     std::vector<decomp::TranslateStats> warm_stats(routed.size());
@@ -1178,9 +1101,10 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
         size_t(userKnobs.suiteLimit) < widths.size())
         widths.resize(size_t(userKnobs.suiteLimit));
 
-    CatalogUse catalog;
-    auto lib = makeLibrary(2, knobs, &catalog);
-    loadLibraryCache(*lib, knobs.cacheDir);
+    decomp::LibraryReport report;
+    auto lib = decomp::openLibrary(2, userKnobs.catalogPath, knobs.cacheDir,
+                                   &report);
+    warnIf(report.cacheWarning);
 
     json::Value rows = json::Value::array();
     bool all_verified = true;
@@ -1232,7 +1156,7 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
             rows.push(std::move(row));
         }
     }
-    saveLibraryCache(*lib, knobs.cacheDir);
+    warnIf(decomp::saveLibrary(*lib, knobs.cacheDir));
 
     json::Value out = json::Value::object();
     json::Value params = parametersJson(knobs);
@@ -1259,7 +1183,7 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
     json::Value summary = json::Value::object();
     summary.set("allVerified", all_verified);
     summary.set("minLoweredSuccess", min_lowered);
-    setCatalogSummary(summary, catalog);
+    setCatalogSummary(summary, report.catalog);
     out.set("summary", std::move(summary));
     out.set("notes",
             "Every row is one self-verifying mirror circuit routed on "
@@ -1486,7 +1410,6 @@ buildCatalogLibrary(int threads)
     auto lib = std::make_unique<decomp::EquivalenceLibrary>(2);
     SweepKnobs user;
     user.threads = threads;
-    user.catalogPath = decomp::kCatalogDisabled; // always build cold
 
     // Table III target set, at the exact config table3/fig13/
     // bench-lowering run: 8x8 grid, MirageDepth, seed 0xB3,

@@ -65,6 +65,13 @@ warn(const char *fmt, ...)
 }
 
 void
+warnIf(const std::string &message)
+{
+    if (!message.empty())
+        warn("%s", message.c_str());
+}
+
+void
 inform(const char *fmt, ...)
 {
     va_list args;

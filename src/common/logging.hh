@@ -27,6 +27,9 @@ namespace mirage {
 /** Print a warning; execution continues. */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/** warn() a preformatted message; an empty one prints nothing. */
+void warnIf(const std::string &message);
+
 /** Print a status message; execution continues. */
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 

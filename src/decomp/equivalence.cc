@@ -435,12 +435,6 @@ EquivalenceLibrary::saveCacheFile(const std::string &path) const
     return writeFileAtomic(path, out.str());
 }
 
-bool
-EquivalenceLibrary::loadCacheFile(const std::string &path)
-{
-    return loadCacheFileDetailed(path).status == CacheLoadStatus::Ok;
-}
-
 EquivalenceLibrary::CacheLoadResult
 EquivalenceLibrary::loadCacheFileDetailed(const std::string &path)
 {

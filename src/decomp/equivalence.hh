@@ -121,8 +121,6 @@ class EquivalenceLibrary
     bool loadCache(std::istream &in, std::string *error = nullptr);
     /** saveCache to a file; returns false if the file cannot be written. */
     bool saveCacheFile(const std::string &path) const;
-    /** loadCache from a file; returns false if unreadable or malformed. */
-    bool loadCacheFile(const std::string &path);
 
     /**
      * Why a cache file failed to load. `Unreadable` (missing file,
@@ -146,8 +144,8 @@ class EquivalenceLibrary
     };
 
     /**
-     * loadCacheFile with the unreadable/malformed outcomes split and a
-     * diagnostic message. The bool overload keeps its old contract.
+     * loadCache from a file, with the unreadable/malformed outcomes
+     * split and a diagnostic message.
      */
     CacheLoadResult loadCacheFileDetailed(const std::string &path);
 

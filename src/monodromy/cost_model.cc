@@ -1,8 +1,7 @@
 /**
  * @file
- * Cost model implementation: coverage-polytope lookup of minimal
- * basis applications k with a quantized-coordinate LRU table, plus the
- * decoherence fidelity model of Eq. 2.
+ * Cost model implementation: the basis SWAP cost and the decoherence
+ * fidelity model of Eq. 2.
  */
 
 #include "monodromy/cost_model.hh"
@@ -22,32 +21,9 @@ decayFidelity(double duration)
     return std::exp(-duration * inv_lifetime);
 }
 
-CostModel::CostModel(const CoverageSet &coverage)
-    : coverage_(&coverage), cache_(1 << 16)
+CostModel::CostModel(const CoverageSet &coverage) : coverage_(&coverage)
 {
     swapCost_ = coverage_->minK(weyl::coordSWAP()) * basisDuration();
-}
-
-int
-CostModel::kFor(const Coord &c) const
-{
-    if (!cacheEnabled_)
-        return coverage_->minK(c);
-    Key key{int64_t(std::llround(c.a * 1e7)),
-            int64_t(std::llround(c.b * 1e7)),
-            int64_t(std::llround(c.c * 1e7))};
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        if (auto hit = cache_.get(key))
-            return *hit;
-    }
-    // Polytope iteration runs unlocked; concurrent misses on the same
-    // key just compute the same value and the second put is a no-op
-    // overwrite.
-    int k = coverage_->minK(c);
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    cache_.put(key, k);
-    return k;
 }
 
 CostModel

@@ -3,19 +3,17 @@
  * Decomposition cost model used by MIRAGE while routing.
  *
  * Maps Weyl coordinates to the minimum number of basis applications k via
- * the coverage polytopes, with an LRU lookup table over quantized
- * coordinates (paper Fig. 13a / Section VI-C). Also provides the
- * decoherence fidelity model of Eq. 2: F = e^{-duration/lifetime} with the
- * lifetime normalized so a unit-duration iSWAP has fidelity 0.99.
+ * the coverage polytopes. Nothing is cached here: the router costs each
+ * block and its mirror once per direction when it builds its plan, and
+ * the Section VI-C cache that pays is consolidation's coordinate cache.
+ * Also provides the decoherence fidelity model of Eq. 2:
+ * F = e^{-duration/lifetime} with the lifetime normalized so a
+ * unit-duration iSWAP has fidelity 0.99.
  */
 
 #ifndef MIRAGE_MONODROMY_COST_MODEL_HH
 #define MIRAGE_MONODROMY_COST_MODEL_HH
 
-#include <cstdint>
-#include <mutex>
-
-#include "common/lru_cache.hh"
 #include "monodromy/coverage.hh"
 
 namespace mirage::monodromy {
@@ -26,27 +24,20 @@ double decayFidelity(double duration);
 /**
  * Cost/fidelity oracle for one basis gate.
  *
- * Safe to share across threads: parallel routing trials
- * (router::routeWithTrials with threads > 1) query one instance
- * concurrently, so the LRU lookup is serialized by an internal mutex.
- * The underlying CoverageSet queries (minK) are const and lock-free.
+ * Immutable after construction, so parallel routing trials
+ * (router::routeWithTrials with threads > 1) share one instance without
+ * locking: the CoverageSet queries (minK) are const and lock-free.
  */
 class CostModel
 {
   public:
     explicit CostModel(const CoverageSet &coverage);
 
-    /** Copies share the coverage set but get a fresh, empty cache. */
-    CostModel(const CostModel &o)
-        : coverage_(o.coverage_), swapCost_(o.swapCost_),
-          cacheEnabled_(o.cacheEnabled_)
-    {}
-
     const BasisSpec &basis() const { return coverage_->basis(); }
     double basisDuration() const { return coverage_->basis().duration; }
 
     /** Minimum applications of the basis realizing these coordinates. */
-    int kFor(const Coord &c) const;
+    int kFor(const Coord &c) const { return coverage_->minK(c); }
     /** Pulse cost: kFor * duration. */
     double costOf(const Coord &c) const { return kFor(c) * basisDuration(); }
     /** Pulse cost of the mirror gate U' = U * SWAP. */
@@ -62,47 +53,9 @@ class CostModel
         return decayFidelity(costOf(c));
     }
 
-    uint64_t cacheHits() const
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        return cache_.hits();
-    }
-    uint64_t cacheMisses() const
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        return cache_.misses();
-    }
-    /** Disable/enable the LRU (for the Fig. 13 ablation). */
-    void setCacheEnabled(bool enabled) { cacheEnabled_ = enabled; }
-
   private:
-    struct Key
-    {
-        int64_t a, b, c;
-        bool operator==(const Key &o) const
-        {
-            return a == o.a && b == o.b && c == o.c;
-        }
-    };
-    struct KeyHash
-    {
-        size_t
-        operator()(const Key &k) const
-        {
-            uint64_t h = 0xcbf29ce484222325ULL;
-            for (int64_t v : {k.a, k.b, k.c}) {
-                h ^= uint64_t(v);
-                h *= 0x100000001b3ULL;
-            }
-            return size_t(h);
-        }
-    };
-
     const CoverageSet *coverage_;
     double swapCost_ = 0;
-    bool cacheEnabled_ = true;
-    mutable std::mutex cacheMutex_;
-    mutable LruCache<Key, int, KeyHash> cache_;
 };
 
 /** Cost model for the n-th root of iSWAP (process-cached coverage). */

@@ -18,14 +18,13 @@
 
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <istream>
 #include <ostream>
 
 #include "circuit/qasm.hh"
 #include "common/deadline.hh"
 #include "common/fault.hh"
-#include "decomp/catalog.hh"
+#include "common/logging.hh"
 
 namespace mirage::serve {
 
@@ -36,36 +35,22 @@ Engine::Engine(EngineOptions opts)
       cache_(opts_.cacheEntries == 0 ? 1 : opts_.cacheEntries)
 {
     // Warm the root-2 library from the committed fit catalog before
-    // serving: the catalog includes the preseed gates, so a successful
-    // load means the first --lower request fits nothing. A failed load
-    // is recorded (unreadable vs malformed) and libraryFor() falls back
-    // to its normal preseeded path for that root.
-    catalogPath_ = decomp::resolveCatalogPath(opts_.catalogPath);
-    if (!catalogPath_.empty()) {
-        auto lib = std::make_unique<decomp::EquivalenceLibrary>(
-            2, /*preseed=*/false);
-        catalogLoad_ = lib->loadCacheFileDetailed(catalogPath_);
-        if (catalogLoad_.status ==
-            decomp::EquivalenceLibrary::CacheLoadStatus::Ok) {
-            if (!opts_.cacheDir.empty())
-                lib->loadCacheFile(opts_.cacheDir + "/eqlib-root2.cache");
-            libraries_.emplace(2, std::move(lib));
-        }
+    // serving, so the first --lower request fits nothing. A failed load
+    // is recorded (unreadable vs malformed) and libraryFor() builds that
+    // root lazily, preseeded, like every other root.
+    auto lib = decomp::loadCatalog(decomp::kCatalogRootDegree,
+                                   opts_.catalogPath, &catalog_);
+    if (lib) {
+        warnIf(decomp::mergeCacheDir(*lib, opts_.cacheDir));
+        libraries_.emplace(decomp::kCatalogRootDegree, std::move(lib));
     }
 }
 
 Engine::~Engine()
 {
-    if (!opts_.cacheDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts_.cacheDir, ec);
-        std::lock_guard<std::mutex> lock(libMutex_);
-        for (const auto &[root, lib] : libraries_) {
-            const std::string file = opts_.cacheDir + "/eqlib-root" +
-                                     std::to_string(root) + ".cache";
-            lib->saveCacheFile(file);
-        }
-    }
+    std::lock_guard<std::mutex> lock(libMutex_);
+    for (const auto &entry : libraries_)
+        warnIf(decomp::saveLibrary(*entry.second, opts_.cacheDir));
 }
 
 void
@@ -95,12 +80,11 @@ Engine::libraryFor(int root_degree)
     auto it = libraries_.find(root_degree);
     if (it != libraries_.end())
         return it->second.get();
-    auto lib = std::make_unique<decomp::EquivalenceLibrary>(root_degree);
-    if (!opts_.cacheDir.empty()) {
-        const std::string file = opts_.cacheDir + "/eqlib-root" +
-                                 std::to_string(root_degree) + ".cache";
-        lib->loadCacheFile(file);
-    }
+    // The constructor already consulted the catalog for its root.
+    decomp::LibraryReport report;
+    auto lib = decomp::openLibrary(root_degree, decomp::kCatalogDisabled,
+                                   opts_.cacheDir, &report);
+    warnIf(report.cacheWarning);
     return libraries_.emplace(root_degree, std::move(lib))
         .first->second.get();
 }
@@ -322,7 +306,7 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
     bool owner = false;
     EntryPtr hitEntry;
     {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
+        std::lock_guard<std::mutex> lock(memoMutex_);
         if (auto entry = cache_.get(key)) {
             hitEntry = *entry; // snapshot; the LRU may evict it later
             std::lock_guard<std::mutex> clock(countersMutex_);
@@ -369,7 +353,7 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
             InflightOutcome io;
             io.error = RelayedError::capture();
             inflight->promise.set_value(std::move(io));
-            std::lock_guard<std::mutex> lock(cacheMutex_);
+            std::lock_guard<std::mutex> lock(memoMutex_);
             pending_.erase(key);
         }
         throw;
@@ -387,7 +371,7 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
     }
     EntryPtr shared = entry;
     {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
+        std::lock_guard<std::mutex> lock(memoMutex_);
         cache_.put(key, shared);
         if (inflight)
             pending_.erase(key);
@@ -446,31 +430,19 @@ Engine::statsResponse(const json::Value &id) const
     {
         json::Value cache = json::Value::object();
         {
-            std::lock_guard<std::mutex> lock(cacheMutex_);
+            std::lock_guard<std::mutex> lock(memoMutex_);
             cache.set("entries", uint64_t(cache_.size()));
         }
         cache.set("capacity", uint64_t(opts_.cacheEntries));
         v.set("cache", std::move(cache));
     }
     {
-        using Status = decomp::EquivalenceLibrary::CacheLoadStatus;
         json::Value cat = json::Value::object();
-        cat.set("path", catalogPath_);
-        const char *status = "none";
-        if (!catalogPath_.empty()) {
-            switch (catalogLoad_.status) {
-            case Status::Ok:
-                status = "ok";
-                break;
-            case Status::Unreadable:
-                status = "unreadable";
-                break;
-            case Status::Malformed:
-                status = "malformed";
-                break;
-            }
-        }
-        cat.set("status", status);
+        cat.set("path", catalog_.path);
+        cat.set("status",
+                catalog_.path.empty()
+                    ? "none"
+                    : decomp::loadStatusName(catalog_.result.status));
         v.set("catalog", std::move(cat));
     }
     v.set("poolThreads", pool_.numThreads());

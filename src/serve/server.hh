@@ -34,7 +34,7 @@
 
 #include "common/exec.hh"
 #include "common/lru_cache.hh"
-#include "decomp/equivalence.hh"
+#include "decomp/catalog.hh"
 #include "serve/protocol.hh"
 
 namespace mirage::serve {
@@ -116,7 +116,8 @@ class Engine
   public:
     explicit Engine(EngineOptions opts = {});
     /**
-     * Persists libraries (cacheDir set). Does not wait for requests:
+     * Persists libraries (cacheDir set; a failed save is warned
+     * about). Does not wait for requests:
      * every caller must have returned from handle() first, which
      * SocketServer::run() guarantees by joining its connections.
      */
@@ -158,12 +159,12 @@ class Engine
     int poolThreads() const { return pool_.numThreads(); }
 
     /** Resolved catalog path ("" when disabled or not found). */
-    const std::string &catalogPath() const { return catalogPath_; }
+    const std::string &catalogPath() const { return catalog_.path; }
     /** Outcome of the startup catalog load (Ok when no catalog). */
     const decomp::EquivalenceLibrary::CacheLoadResult &
     catalogLoad() const
     {
-        return catalogLoad_;
+        return catalog_.result;
     }
 
   private:
@@ -238,15 +239,14 @@ class Engine
 
     mutable std::mutex libMutex_;
     std::map<int, std::unique_ptr<decomp::EquivalenceLibrary>> libraries_;
-    std::string catalogPath_; ///< resolved at construction
-    decomp::EquivalenceLibrary::CacheLoadResult catalogLoad_;
+    decomp::CatalogLoad catalog_; ///< the startup catalog load
 
     mutable std::mutex topoMutex_;
     std::unordered_map<std::string,
                        std::shared_ptr<const topology::CouplingMap>>
         topologies_;
 
-    mutable std::mutex cacheMutex_;
+    mutable std::mutex memoMutex_;
     LruCache<std::string, EntryPtr> cache_;
     std::unordered_map<std::string, std::shared_ptr<Inflight>> pending_;
 

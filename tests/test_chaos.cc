@@ -405,6 +405,21 @@ TEST_F(ChaosTest, SweepDegradesOnCorruptCatalog)
         degraded["summary"]["catalogError"].asString().empty());
 }
 
+TEST_F(ChaosTest, SweepWarnsWhenCacheSaveFails)
+{
+    fault::arm("cache.save=1/1");
+    std::ostringstream out, err;
+    testing::internal::CaptureStderr();
+    const int code = cli::run(
+        {"sweep", "--experiment", "table3", "--limit", "1", "--cache",
+         tempPath("sweep-unsaved"), "--catalog", kCatalogPath, "--stdout"},
+        out, err);
+    const std::string log = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(code, cli::kExitSuccess) << err.str();
+    EXPECT_NE(log.find("cannot write cache"), std::string::npos)
+        << "a failed save must be reported, not dropped: " << log;
+}
+
 // --- serve over a socket under MIRAGE_FAULTS-style arming -------------------
 
 TEST_F(ChaosTest, StatsOpPublishesInjectionCensusWhenArmed)

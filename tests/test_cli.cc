@@ -307,6 +307,59 @@ TEST(CliTranspile, UncreatableCacheDirIsUsageError)
     EXPECT_NE(s.err.find("--cache"), std::string::npos) << s.err;
 }
 
+// --- catalog and cache directory --------------------------------------------
+
+namespace {
+
+/** The committed fit catalog at the repo root (tests/ is one below). */
+const char *const kCatalogPath = MIRAGE_TEST_DATA_DIR "/../FIT_CATALOG.bin";
+
+size_t
+countOf(const std::string &text, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+} // namespace
+
+TEST(CliCatalog, OtherRootLowersWithoutConsultingTheCatalog)
+{
+    // The catalog is fitted for root 2; a root-3 run must not even try
+    // it, so there is no basis-mismatch warning to print.
+    const std::string path = tempPath("cx2.qasm");
+    writeFile(path, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+                    "cx q[0],q[1];\n");
+    auto r = runCli({"transpile", path, "--topology", "line2", "--lower",
+                     "--root", "3", "--trials", "1", "--swap-trials", "1",
+                     "--catalog", kCatalogPath});
+    EXPECT_EQ(r.code, cli::kExitSuccess);
+    EXPECT_EQ(r.err, "");
+}
+
+TEST(CliCatalog, MalformedCacheFileWarnsOnceAndChangesNothing)
+{
+    const std::vector<std::string> base = {
+        "transpile",     qft4Path(), "--lower",   "--trials", "1",
+        "--swap-trials", "1",        "--catalog", kCatalogPath};
+    auto clean = runCli(base);
+    ASSERT_EQ(clean.code, cli::kExitSuccess) << clean.err;
+
+    const std::string dir = tempPath("malformed_cache");
+    std::filesystem::create_directories(dir);
+    writeFile(dir + "/eqlib-root2.cache", "not a mirage-eqlib cache\n");
+    std::vector<std::string> args = base;
+    args.insert(args.end(), {"--cache", dir});
+    auto r = runCli(args);
+    EXPECT_EQ(r.code, cli::kExitSuccess) << r.err;
+    EXPECT_EQ(countOf(r.err, "warning"), 1u) << r.err;
+    EXPECT_NE(r.err.find("malformed"), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, clean.out);
+}
+
 // --- serve flags ------------------------------------------------------------
 
 TEST(CliServe, TransportAndNumericFlagValidation)

@@ -260,18 +260,6 @@ TEST(CostModel, PulseCosts)
     EXPECT_NEAR(cm.mirrorCostOf(weyl::coordSWAP()), 0.0, 1e-9);
 }
 
-TEST(CostModel, CacheWorks)
-{
-    CostModel cm = makeRootIswapCostModel(2);
-    weyl::Coord c = weyl::coordB();
-    (void)cm.kFor(c);
-    uint64_t misses = cm.cacheMisses();
-    for (int i = 0; i < 100; ++i)
-        (void)cm.kFor(c);
-    EXPECT_EQ(cm.cacheMisses(), misses);
-    EXPECT_GE(cm.cacheHits(), 100u);
-}
-
 TEST(CostModel, DecayFidelityAnchors)
 {
     // Unit-duration pulse = 0.99 by construction (paper Section III-C).

@@ -581,6 +581,27 @@ TEST(ServeEngine, EquivalenceLibraryPersistsAcrossEngines)
     EXPECT_EQ(resp["report"]["lowered"]["newFits"].asInt(), 0);
 }
 
+TEST(ServeEngine, OtherRootPersistsBesideTheCatalog)
+{
+    const std::string dir = tempDir("serve_root3_cache/");
+    {
+        serve::EngineOptions opts;
+        opts.cacheDir = dir;
+        opts.catalogPath = MIRAGE_TEST_DATA_DIR "/../FIT_CATALOG.bin";
+        serve::Engine engine(opts);
+        json::Value resp = handleParsed(
+            engine,
+            requestLine(1, kQasm,
+                        "{\"trials\":1,\"swapTrials\":1,\"lower\":true,"
+                        "\"root\":3}"));
+        ASSERT_TRUE(resp["ok"].asBool()) << resp.dump(0);
+        json::Value stats = handleParsed(engine, "{\"op\":\"stats\"}");
+        EXPECT_EQ(stats["catalog"]["status"].asString(), "ok");
+    } // destructor saves every library
+    EXPECT_TRUE(std::filesystem::exists(dir + "/eqlib-root3.cache"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/eqlib-root2.cache"));
+}
+
 // --- serve-bench ------------------------------------------------------------
 
 TEST(ServeBench, ArtifactCountersAreExactAndCheckGates)
