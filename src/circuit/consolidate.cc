@@ -103,8 +103,6 @@ consolidateBlocks(const Circuit &input, const ConsolidateOptions &opts,
     ConsolidateStats local;
 
     auto annotate = [&](Gate &g) {
-        if (!opts.annotateCoords)
-            return;
         if (opts.useCoordinateCache) {
             // The cache is process-wide shared state: callers running
             // transpile() concurrently from their own threads (serve
@@ -171,7 +169,7 @@ consolidateBlocks(const Circuit &input, const ConsolidateOptions &opts,
         if (g.isOneQubit()) {
             int q = g.qubits[0];
             int blk_id = open_of_wire[size_t(q)];
-            if (blk_id >= 0 && opts.absorbSingleQubitGates) {
+            if (blk_id >= 0) {
                 mulLeft1q(blocks[size_t(blk_id)], q, g.matrix2());
             } else {
                 pending[size_t(q)] = g.matrix2() * pending[size_t(q)];

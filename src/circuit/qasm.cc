@@ -13,6 +13,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -469,6 +470,13 @@ fromQasm(const std::string &text)
             std::string name = p.identifier();
             p.expect('[');
             int n = p.integer();
+            // Registers share one int wire space; refuse a total that
+            // would overflow it.
+            if (word == "qreg" &&
+                n > std::numeric_limits<int>::max() - num_qubits)
+                p.failAtToken("qreg %s[%d] takes the qubit total above %d",
+                              name.c_str(), n,
+                              std::numeric_limits<int>::max());
             p.expect(']');
             p.expect(';');
             if (word == "qreg") {

@@ -2,17 +2,17 @@
  * @file
  * Cooperative per-request deadlines.
  *
- * A Deadline is a cheap copyable token threaded through long-running
- * work (the routing trial grid, the lowering fit loops). The work
- * calls check() at its natural iteration boundaries -- a stall step, a
- * block translation, a fit round -- and the call throws DeadlineError
- * once the budget is exhausted or the token was cancelled. The
- * default-constructed token is inactive: check() is a single pointer
- * test, so unconditional call sites cost nothing for requests without
- * a deadline.
+ * A Deadline is a cheap copyable token -- an optional steady-clock
+ * expiry -- threaded through long-running work (the routing trial
+ * grid, the lowering fit loops). The work calls check() at its natural
+ * iteration boundaries -- a stall step, a block translation, a fit
+ * round -- and the call throws DeadlineError once the budget is
+ * exhausted. The default-constructed token is inactive: check() is a
+ * single flag test, so unconditional call sites cost nothing for
+ * requests without a deadline.
  *
- * Cancellation is cooperative on purpose: work is only ever abandoned
- * at boundaries where no shared state is half-mutated, so a timed-out
+ * Expiry is cooperative on purpose: work is only ever abandoned at
+ * boundaries where no shared state is half-mutated, so a timed-out
  * request unwinds cleanly (exec::parallelFor rethrows the first
  * DeadlineError and skips unclaimed indices) and the server thread
  * that ran it stays healthy.
@@ -26,10 +26,8 @@
 #ifndef MIRAGE_COMMON_DEADLINE_HH
 #define MIRAGE_COMMON_DEADLINE_HH
 
-#include <atomic>
 #include <chrono>
-#include <limits>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -41,11 +39,6 @@ class DeadlineError : public std::runtime_error
   public:
     explicit DeadlineError(const char *where)
         : std::runtime_error(std::string("deadline exceeded at ") + where)
-    {}
-    /** Relay constructor: an already-formatted message (e.g. rebuilt
-     * on another thread from a RelayedError) -- no prefix is added. */
-    explicit DeadlineError(const std::string &message)
-        : std::runtime_error(message)
     {}
 };
 
@@ -60,67 +53,31 @@ class Deadline
     afterMs(double ms)
     {
         Deadline d;
-        d.state_ = std::make_shared<State>();
-        d.state_->expiry =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(ms));
+        d.expiry_ = Clock::now() +
+                    std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double, std::milli>(ms));
         return d;
     }
 
-    bool active() const { return state_ != nullptr; }
+    bool active() const { return expiry_.has_value(); }
 
-    bool
-    expired() const
-    {
-        if (!state_)
-            return false;
-        return state_->cancelled.load(std::memory_order_relaxed) ||
-               Clock::now() >= state_->expiry;
-    }
+    bool expired() const { return expiry_ && Clock::now() >= *expiry_; }
 
     /**
-     * Throw DeadlineError when expired or cancelled; `where` names the
-     * checkpoint for the diagnostic. No-op on an inactive token.
+     * Throw DeadlineError when expired; `where` names the checkpoint
+     * for the diagnostic. No-op on an inactive token.
      */
     void
     check(const char *where) const
     {
-        if (state_ && expired())
+        if (expired())
             throw DeadlineError(where);
-    }
-
-    /** Cooperatively cancel every copy of this token. */
-    void
-    cancel() const
-    {
-        if (state_)
-            state_->cancelled.store(true, std::memory_order_relaxed);
-    }
-
-    /** Milliseconds left (+inf when inactive, <= 0 when expired). */
-    double
-    remainingMs() const
-    {
-        if (!state_)
-            return std::numeric_limits<double>::infinity();
-        if (state_->cancelled.load(std::memory_order_relaxed))
-            return 0.0;
-        return std::chrono::duration<double, std::milli>(
-                   state_->expiry - Clock::now())
-            .count();
     }
 
   private:
     using Clock = std::chrono::steady_clock;
 
-    struct State
-    {
-        Clock::time_point expiry;
-        std::atomic<bool> cancelled{false};
-    };
-
-    std::shared_ptr<State> state_;
+    std::optional<Clock::time_point> expiry_;
 };
 
 } // namespace mirage

@@ -1,11 +1,10 @@
 /**
  * @file
- * Small LRU cache template.
+ * Small LRU cache template (not thread-safe; callers lock).
  *
- * MIRAGE's cost model queries monodromy coverage polytopes for the same
- * quantized Weyl coordinates over and over while routing (Section VI-C of
- * the paper); an LRU lookup table makes each coordinate pay the polytope
- * iteration price only once.
+ * Consolidation memoizes the Weyl coordinates of repeated block
+ * unitaries in one (Section VI-C of the paper), and the serve engine
+ * keeps its memo of full transpile results in another.
  */
 
 #ifndef MIRAGE_COMMON_LRU_CACHE_HH
@@ -36,11 +35,8 @@ class LruCache
     get(const Key &key)
     {
         auto it = map_.find(key);
-        if (it == map_.end()) {
-            ++misses_;
+        if (it == map_.end())
             return std::nullopt;
-        }
-        ++hits_;
         order_.splice(order_.begin(), order_, it->second);
         return it->second->second;
     }
@@ -64,15 +60,12 @@ class LruCache
     }
 
     size_t size() const { return map_.size(); }
-    uint64_t hits() const { return hits_; }
-    uint64_t misses() const { return misses_; }
 
     void
     clear()
     {
         map_.clear();
         order_.clear();
-        hits_ = misses_ = 0;
     }
 
   private:
@@ -80,8 +73,6 @@ class LruCache
     std::list<std::pair<Key, Value>> order_;
     std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
                        Hash> map_;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
 };
 
 } // namespace mirage

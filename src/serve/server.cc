@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstring>
 #include <istream>
+#include <optional>
 #include <ostream>
 
 #include "circuit/qasm.hh"
@@ -95,12 +96,11 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     // Resolve "auto" to the concrete grid it would pick BEFORE keying
     // the cache: two different-width circuits under "auto" may need
     // different grids, and must not alias each other's entry.
-    std::string key = spec;
-    if (spec == "auto") {
-        int side = 1;
-        while (side * side < min_qubits)
-            ++side;
-        key = "grid" + std::to_string(side) + "x" + std::to_string(side);
+    std::string key;
+    try {
+        key = topology::CouplingMap::resolveAutoSpec(spec, min_qubits);
+    } catch (const std::invalid_argument &e) {
+        throw RequestError("request", e.what());
     }
     {
         std::lock_guard<std::mutex> lock(topoMutex_);
@@ -121,51 +121,6 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     std::lock_guard<std::mutex> lock(topoMutex_);
     topologies_[key] = built;
     return built;
-}
-
-Engine::RelayedError
-Engine::RelayedError::capture()
-{
-    RelayedError r;
-    try {
-        throw;
-    } catch (const DeadlineError &e) {
-        r.kind = Kind::Deadline;
-        r.message = e.what();
-    } catch (const fault::Injected &e) {
-        r.kind = Kind::Fault;
-        r.code = e.point();
-        r.message = e.what();
-    } catch (const RequestError &e) {
-        r.kind = Kind::Request;
-        r.code = e.code();
-        r.message = e.what();
-    } catch (const std::exception &e) {
-        r.kind = Kind::Internal;
-        r.message = e.what();
-    } catch (...) {
-        r.kind = Kind::Internal;
-        r.message = "unknown error";
-    }
-    return r;
-}
-
-void
-Engine::RelayedError::raise() const
-{
-    switch (kind) {
-    case Kind::None:
-        return;
-    case Kind::Deadline:
-        throw DeadlineError(message);
-    case Kind::Fault:
-        throw fault::Injected(code);
-    case Kind::Request:
-        throw RequestError(code, message);
-    case Kind::Internal:
-        break;
-    }
-    throw std::runtime_error(message);
 }
 
 mirage_pass::TranspileResult
@@ -296,91 +251,81 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
         return v;
     };
 
-    // A deadlined miss computes SOLO: it does not register in pending_
-    // (a coalesced waiter without a deadline must not inherit this
-    // request's "deadline" failure). Completed results still land in
-    // the memo -- a deadline never changes result content, only whether
-    // there is one.
+    // A deadlined miss computes SOLO: it neither joins nor registers a
+    // single-flight rendezvous, since a deadlined request never blocks
+    // on another's compute. Completed results still land in the memo --
+    // a deadline never changes result content, only whether there is
+    // one.
     const bool solo = deadline.active();
-    std::shared_ptr<Inflight> inflight;
-    bool owner = false;
+    std::shared_future<EntryPtr> waitFor;
+    std::optional<std::promise<EntryPtr>> rendezvous; // set iff registered
     EntryPtr hitEntry;
     {
         std::lock_guard<std::mutex> lock(memoMutex_);
+        std::lock_guard<std::mutex> clock(countersMutex_);
         if (auto entry = cache_.get(key)) {
             hitEntry = *entry; // snapshot; the LRU may evict it later
-            std::lock_guard<std::mutex> clock(countersMutex_);
             ++counters_.cacheHits;
-        }
-        auto it = (hitEntry || solo) ? pending_.end() : pending_.find(key);
-        if (it != pending_.end()) {
-            inflight = it->second;
-            std::lock_guard<std::mutex> clock(countersMutex_);
+        } else if (auto it = pending_.find(key);
+                   !solo && it != pending_.end()) {
+            waitFor = it->second;
             ++counters_.coalesced;
-        } else if (!hitEntry) {
-            if (!solo) {
-                inflight = std::make_shared<Inflight>();
-                inflight->future = inflight->promise.get_future().share();
-                pending_[key] = inflight;
-            }
-            owner = true;
-            std::lock_guard<std::mutex> clock(countersMutex_);
+        } else {
+            if (!solo)
+                pending_[key] = rendezvous.emplace().get_future().share();
             ++counters_.cacheMisses;
         }
     }
     if (hitEntry)
         return respond(hitEntry, true, false);
 
-    if (!owner) {
+    if (waitFor.valid()) {
         // Single-flight: an identical request is already computing;
-        // wait for its entry (or its failure) instead of duplicating
-        // the work.
-        const InflightOutcome &out = inflight->future.get();
-        out.error.raise();
-        return respond(out.entry, true, true);
+        // wait for its entry instead of duplicating the work. Null
+        // means the owner failed: compute for ourselves, solo.
+        if (EntryPtr entry = waitFor.get())
+            return respond(entry, true, true);
+        std::lock_guard<std::mutex> lock(countersMutex_);
+        ++counters_.cacheMisses;
     }
 
-    mirage_pass::TranspileOptions options = req.options;
-    options.deadline = deadline;
-    mirage_pass::TranspileResult result;
+    EntryPtr shared;
     try {
-        result = compute(input, *topo, std::move(options));
+        mirage_pass::TranspileOptions options = req.options;
+        options.deadline = deadline;
+        mirage_pass::TranspileResult result =
+            compute(input, *topo, std::move(options));
+        auto entry = std::make_shared<CachedEntry>();
+        entry->format = req.format;
+        if (req.format == "qasm") {
+            const circuit::Circuit &emitted =
+                result.loweredToBasis ? result.lowered : result.routed;
+            entry->qasm = circuit::toQasm(emitted);
+        } else {
+            entry->report = transpileReportJson(req.name, input, *topo,
+                                                req.options, result);
+        }
+        shared = std::move(entry);
     } catch (...) {
-        // Unblock coalesced waiters with the same failure, then drop
-        // the rendezvous so a retry computes fresh. (Solo requests have
-        // no rendezvous and no waiters.)
-        if (inflight) {
-            InflightOutcome io;
-            io.error = RelayedError::capture();
-            inflight->promise.set_value(std::move(io));
-            std::lock_guard<std::mutex> lock(memoMutex_);
-            pending_.erase(key);
+        // Drop the rendezvous so a retry computes fresh, then release
+        // the waiters empty-handed: each computes for itself.
+        if (rendezvous) {
+            {
+                std::lock_guard<std::mutex> lock(memoMutex_);
+                pending_.erase(key);
+            }
+            rendezvous->set_value(nullptr);
         }
         throw;
     }
-
-    auto entry = std::make_shared<CachedEntry>();
-    entry->format = req.format;
-    if (req.format == "qasm") {
-        const circuit::Circuit &emitted =
-            result.loweredToBasis ? result.lowered : result.routed;
-        entry->qasm = circuit::toQasm(emitted);
-    } else {
-        entry->report = transpileReportJson(req.name, input, *topo,
-                                            req.options, result);
-    }
-    EntryPtr shared = entry;
     {
         std::lock_guard<std::mutex> lock(memoMutex_);
         cache_.put(key, shared);
-        if (inflight)
+        if (rendezvous)
             pending_.erase(key);
     }
-    if (inflight) {
-        InflightOutcome io;
-        io.entry = shared;
-        inflight->promise.set_value(std::move(io));
-    }
+    if (rendezvous)
+        rendezvous->set_value(shared);
     return respond(shared, false, false);
 }
 

@@ -10,7 +10,10 @@
  * each miss is transpiled on the thread that called handle(), with its
  * trial grid fanned out on the shared pool (concurrent misses share the
  * pool's workers), and identical in-flight requests are coalesced
- * (single-flight) so a thundering herd computes each result once.
+ * (single-flight) so a thundering herd computes each result once. A
+ * waiter waits on at most one other computation: when its owner fails
+ * it computes for itself, under its own deadline and admission check,
+ * so every error a request returns comes from its own compute.
  *
  * Transports: SocketServer accepts newline-delimited JSON over a Unix
  * domain socket (one thread per connection); serveStdio() runs the same
@@ -101,7 +104,9 @@ struct EngineCounters
     uint64_t requests = 0;        ///< lines handled (any op)
     uint64_t transpiles = 0;      ///< circuits actually transpiled
     uint64_t cacheHits = 0;       ///< memo hits
-    uint64_t cacheMisses = 0;     ///< memo misses (owner of the compute)
+    /** Memo misses (the request computed). A waiter whose owner
+     * failed computes for itself and adds one. */
+    uint64_t cacheMisses = 0;
     uint64_t coalesced = 0;       ///< waited on an identical in-flight miss
     uint64_t errors = 0;          ///< error responses produced
     uint64_t shed = 0;            ///< requests rejected "overloaded"
@@ -177,42 +182,6 @@ class Engine
     };
     using EntryPtr = std::shared_ptr<const CachedEntry>;
 
-    /**
-     * Value-typed failure relayed across threads. The promises below
-     * must NOT carry an exception_ptr: rethrowing shares one exception
-     * object (and its refcounted message buffer) between the
-     * fulfilling and the waiting thread, and the final release races
-     * the waiter's what() read as far as ThreadSanitizer can tell
-     * (libstdc++'s internal exception refcount is uninstrumented).
-     * Shipping deep-copied strings and throwing a FRESH exception on
-     * the waiting thread keeps every exception object thread-local.
-     */
-    struct RelayedError
-    {
-        enum class Kind { None, Request, Deadline, Fault, Internal };
-        Kind kind = Kind::None;
-        std::string code;    ///< RequestError code / fault point
-        std::string message;
-        /** Describe the in-flight exception (call inside a catch). */
-        static RelayedError capture();
-        /** Throw the equivalent fresh exception; no-op when None. */
-        void raise() const;
-    };
-
-    /** Owner -> coalesced-waiter envelope for one in-flight key. */
-    struct InflightOutcome
-    {
-        EntryPtr entry;
-        RelayedError error;
-    };
-
-    /** Single-flight rendezvous for one in-flight cache key. */
-    struct Inflight
-    {
-        std::promise<InflightOutcome> promise;
-        std::shared_future<InflightOutcome> future;
-    };
-
     json::Value handleTranspile(const json::Value &doc,
                                 const json::Value &id);
     json::Value statsResponse(const json::Value &id) const;
@@ -248,7 +217,12 @@ class Engine
 
     mutable std::mutex memoMutex_;
     LruCache<std::string, EntryPtr> cache_;
-    std::unordered_map<std::string, std::shared_ptr<Inflight>> pending_;
+    /**
+     * Single-flight rendezvous per in-flight key: the owner's result,
+     * or null when the owner failed (each waiter then computes for
+     * itself, so every error a request returns is its own).
+     */
+    std::unordered_map<std::string, std::shared_future<EntryPtr>> pending_;
 
     std::atomic<bool> shuttingDown_{false};
 

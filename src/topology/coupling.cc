@@ -477,6 +477,19 @@ CouplingMap::heavyHex1121()
     return CouplingMap(n + 5, std::move(e), "heavyhex-1121");
 }
 
+namespace {
+
+std::invalid_argument
+specTooLarge(const std::string &spec)
+{
+    return std::invalid_argument(
+        "topology '" + spec + "' is too large (at most " +
+        std::to_string(CouplingMap::kMaxSpecQubits) + " qubits and " +
+        std::to_string(CouplingMap::kMaxSpecEdges) + " edges)");
+}
+
+} // namespace
+
 const char *
 CouplingMap::specForms()
 {
@@ -503,19 +516,11 @@ CouplingMap::parseSpec(const std::string &spec, int min_qubits)
     };
     auto checkSize = [&spec](int64_t qubits, int64_t edges) {
         if (qubits > kMaxSpecQubits || edges > kMaxSpecEdges)
-            throw std::invalid_argument(
-                "topology '" + spec + "' is too large (at most " +
-                std::to_string(kMaxSpecQubits) + " qubits and " +
-                std::to_string(kMaxSpecEdges) + " edges)");
+            throw specTooLarge(spec);
     };
 
-    if (spec == "auto") {
-        int64_t side = 1;
-        while (side * side < min_qubits)
-            ++side;
-        checkSize(side * side, 2 * side * (side - 1));
-        return grid(int(side), int(side));
-    }
+    if (spec == "auto")
+        return parseSpec(resolveAutoSpec(spec, min_qubits), min_qubits);
     if (spec == "heavyhex57")
         return heavyHex57();
     if (spec == "heavyhex433")
@@ -548,6 +553,21 @@ CouplingMap::parseSpec(const std::string &spec, int min_qubits)
     }
     throw std::invalid_argument("unknown topology '" + spec +
                                 "' (expected " + specForms() + ")");
+}
+
+std::string
+CouplingMap::resolveAutoSpec(const std::string &spec, int min_qubits)
+{
+    if (spec != "auto")
+        return spec;
+    // Bounded before the search: the side never passes 64 (a
+    // kMaxSpecQubits grid has 2*64*63 edges, under kMaxSpecEdges).
+    if (int64_t(min_qubits) > kMaxSpecQubits)
+        throw specTooLarge(spec);
+    int64_t side = 1;
+    while (side * side < min_qubits)
+        ++side;
+    return "grid" + std::to_string(side) + "x" + std::to_string(side);
 }
 
 } // namespace mirage::topology

@@ -215,6 +215,15 @@ class CouplingMap
      * callers map that to their own usage-error type.
      */
     static CouplingMap parseSpec(const std::string &spec, int min_qubits);
+    /**
+     * The concrete spec "auto" stands for at `min_qubits` sites:
+     * "grid<S>x<S>" for the smallest square grid that fits. Any other
+     * spec comes back unchanged. Throws std::invalid_argument when that
+     * grid would be above kMaxSpecQubits. parseSpec() and the serve
+     * topology cache both resolve "auto" through here.
+     */
+    static std::string resolveAutoSpec(const std::string &spec,
+                                       int min_qubits);
     /** The accepted parseSpec() forms, for help text and errors. */
     static const char *specForms();
 

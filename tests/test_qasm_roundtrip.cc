@@ -271,6 +271,16 @@ TEST(QasmParser, RejectsMalformedInput)
     EXPECT_THROW(circuit::fromQasm(
                      "OPENQASM 2.0;\nqreg a[2];\nqreg b[2];\nx a[3];"),
                  circuit::QasmError);
+    // Register sizes whose total passes INT_MAX are refused at the size
+    // that overflows instead of wrapping the qubit count negative.
+    auto e = diagnose(
+        "OPENQASM 2.0;\nqreg a[2147483647];\nqreg b[2];\nh b[0];");
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_EQ(e.column(), 8);
+    EXPECT_NE(e.message().find("qubit total"), std::string::npos)
+        << e.message();
+    EXPECT_NO_THROW(circuit::fromQasm(
+        "OPENQASM 2.0;\nqreg a[2147483645];\nqreg b[2];\nh b[0];"));
 }
 
 TEST(QasmParser, DiagnosticsCarryLineAndColumn)

@@ -18,12 +18,14 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "cli/cli.hh"
 #include "circuit/qasm.hh"
+#include "common/fault.hh"
 #include "common/json.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -295,6 +297,17 @@ TEST(ServeEngine, InvalidGatesAreQasmErrorsAndTheServerKeepsAnswering)
                   std::string::npos)
             << resp.dump(0);
     }
+    // Register sizes summing past INT_MAX once aborted the process on a
+    // negative qubit count; the second register's size is refused.
+    json::Value overflow = handleParsed(
+        engine, requestLine(1,
+                            "OPENQASM 2.0;\nqreg a[2147483647];\n"
+                            "qreg b[2];\nh b[0];\n"));
+    EXPECT_FALSE(overflow["ok"].asBool());
+    EXPECT_EQ(overflow["error"]["code"].asString(), "qasm");
+    EXPECT_NE(overflow["error"]["message"].asString().find("qasm:3:8: "),
+              std::string::npos)
+        << overflow.dump(0);
 
     json::Value pong = handleParsed(engine, "{\"op\":\"ping\"}");
     EXPECT_TRUE(pong["ok"].asBool()) << pong.dump(0);
@@ -304,21 +317,46 @@ TEST(ServeEngine, InvalidGatesAreQasmErrorsAndTheServerKeepsAnswering)
 TEST(ServeEngine, OversizedTopologySpecsAreRequestErrors)
 {
     // Each of these once tried to allocate tens of GB (and overflowed
-    // int or std::atoi on the way) before answering "internal".
-    serve::Engine engine;
-    for (const char *spec :
-         {"alltoall100000", "grid70000x70000", "line99999999999"}) {
-        SCOPED_TRACE(spec);
-        json::Value resp = handleParsed(
-            engine, requestLine(1, kQasm,
-                                std::string("{\"trials\":1,\"swapTrials\":1,"
-                                            "\"topology\":\"") +
-                                    spec + "\"}"));
+    // int or std::atoi on the way) before answering "internal"; the
+    // last, a 2^31-1-qubit circuit under the default "auto" topology,
+    // once spun forever resolving its grid. Each request runs on its own
+    // thread and must answer within a bounded wait, so a hang fails the
+    // test instead of stalling it (the stuck thread and its engine are
+    // then leaked, never joined).
+    auto engine = std::make_unique<serve::Engine>();
+    auto answerWithin = [&engine](const std::string &line) {
+        auto answer = std::make_shared<std::promise<std::string>>();
+        std::future<std::string> done = answer->get_future();
+        std::thread worker([e = engine.get(), answer, line] {
+            answer->set_value(e->handle(line));
+        });
+        if (done.wait_for(std::chrono::seconds(10)) !=
+            std::future_status::ready) {
+            worker.detach();
+            (void)engine.release();
+            return json::Value();
+        }
+        worker.join();
+        return json::parse(done.get());
+    };
+    const std::string hugeAuto =
+        "OPENQASM 2.0;\nqreg q[2147483647];\nh q[0];\n";
+    const std::string trial = "{\"trials\":1,\"swapTrials\":1";
+    for (const std::string &line :
+         {requestLine(1, kQasm, trial + ",\"topology\":\"alltoall100000\"}"),
+          requestLine(1, kQasm,
+                      trial + ",\"topology\":\"grid70000x70000\"}"),
+          requestLine(1, kQasm,
+                      trial + ",\"topology\":\"line99999999999\"}"),
+          requestLine(1, hugeAuto, trial + "}")}) {
+        SCOPED_TRACE(line);
+        json::Value resp = answerWithin(line);
+        ASSERT_TRUE(resp.isObject()) << "no answer within 10 s";
         EXPECT_FALSE(resp["ok"].asBool());
         EXPECT_EQ(resp["error"]["code"].asString(), "request")
             << resp.dump(0);
     }
-    EXPECT_TRUE(handleParsed(engine, requestLine(2))["ok"].asBool());
+    EXPECT_TRUE(answerWithin(requestLine(2))["ok"].asBool());
 }
 
 // --- engine: shutdown -------------------------------------------------------
@@ -440,6 +478,66 @@ TEST(ServeEngine, MixedConcurrentRequestsEachComputeOnce)
     EXPECT_EQ(c.transpiles, uint64_t(kDistinct));
     EXPECT_EQ(c.cacheHits + c.coalesced,
               uint64_t(kDistinct * (kRepeats - 1)));
+}
+
+TEST(ServeEngine, WaiterComputesWhenOwnerFails)
+{
+    // B coalesces onto A's miss; A's first fit fails. B must not be
+    // answered with A's error: it computes for itself and answers as a
+    // fault-free engine would.
+    std::string qasm = "OPENQASM 2.0;\nqreg q[16];\n";
+    uint64_t state = 1;
+    for (int i = 0; i < 200; ++i) {
+        // CX-only, so routing dominates and lowering needs only a
+        // couple of fits beyond the preseeded rules.
+        state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+        const int a = int((state >> 33) % 16);
+        const int b = (a + 1 + int((state >> 13) % 15)) % 16;
+        qasm += "cx q[" + std::to_string(a) + "],q[" + std::to_string(b) +
+                "];\n";
+    }
+    // One thread and 32 layout trials keep A routing for >= 100 ms, so
+    // B reliably arrives while A is in flight.
+    const std::string options =
+        "{\"trials\":32,\"swapTrials\":1,\"lower\":true}";
+    serve::EngineOptions eopts;
+    eopts.threads = 1;
+    eopts.catalogPath = "none";
+
+    json::Value expected;
+    {
+        serve::Engine fresh(eopts);
+        expected = handleParsed(fresh, requestLine(3, qasm, options));
+        ASSERT_TRUE(expected["ok"].asBool()) << expected.dump(0);
+    }
+
+    serve::Engine engine(eopts);
+    // Build the preseeded root-2 library first, so the one-shot fault
+    // fires at A's first fit, after its routing.
+    ASSERT_TRUE(handleParsed(engine,
+                             requestLine(1, "OPENQASM 2.0;\nqreg q[1];\n"
+                                            "h q[0];\n",
+                                         "{\"lower\":true}"))["ok"]
+                    .asBool());
+    const uint64_t missesBefore = engine.counters().cacheMisses;
+    fault::arm("seed=1,fit.converge=#1");
+    json::Value a;
+    std::thread owner(
+        [&] { a = handleParsed(engine, requestLine(2, qasm, options)); });
+    while (engine.counters().cacheMisses == missesBefore)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    json::Value b = handleParsed(engine, requestLine(3, qasm, options));
+    owner.join();
+    fault::disarm();
+
+    EXPECT_FALSE(a["ok"].asBool()) << a.dump(0);
+    EXPECT_EQ(a["error"]["code"].asString(), "fault") << a.dump(0);
+    ASSERT_TRUE(b["ok"].asBool()) << b.dump(0);
+    EXPECT_EQ(b["report"].dump(0), expected["report"].dump(0));
+    const serve::EngineCounters c = engine.counters();
+    EXPECT_EQ(c.coalesced, 1u);
+    EXPECT_EQ(c.cacheMisses, missesBefore + 2);
+    EXPECT_EQ(c.transpiles, 2u);
 }
 
 TEST(ServeEngine, ConcurrentDistinctMissesMatchSequentialAnswers)
