@@ -61,10 +61,14 @@ class ArgumentParser
     const std::string &option(const std::string &name) const;
     /** True when the user supplied the option explicitly. */
     bool optionSeen(const std::string &name) const;
-    /** option() parsed as an integer; UsageError on garbage. */
+    /** option() parsed as an int; UsageError on garbage or overflow. */
     int intOption(const std::string &name) const;
-    /** option() parsed as uint64 (seeds); UsageError on garbage. */
-    uint64_t u64Option(const std::string &name) const;
+    /**
+     * option() parsed as a seed in [0, json::kMaxExactInteger]
+     * (decimal, or 0x hex), so a JSON report reproduces it exactly;
+     * UsageError on garbage, a sign, or a larger value.
+     */
+    uint64_t seedOption(const std::string &name) const;
 
     /** Operands left after option parsing, in order. */
     const std::vector<std::string> &positionals() const

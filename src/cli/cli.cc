@@ -1,8 +1,9 @@
 /**
  * @file
  * `mirage` subcommand implementations: transpile (QASM in, JSON/QASM
- * out), sweep (experiment registry -> versioned artifacts), report
- * (artifacts -> markdown). All user-facing failures are reported as
+ * out), sweep (experiment registry -> versioned artifacts, with
+ * --check as the BENCH_*.json counter gate), report (artifacts ->
+ * markdown). All user-facing failures are reported as
  * "mirage: ..." messages on the error stream with scripting-grade exit
  * codes; nothing in this layer calls exit() or aborts.
  */
@@ -113,6 +114,19 @@ readInput(const std::string &path)
     return buf.str();
 }
 
+/** Parse a JSON file; a syntax error is a CliError at file:line:col. */
+json::Value
+readJson(const std::string &path)
+{
+    const std::string text = readInput(path);
+    try {
+        return json::parse(text);
+    } catch (const json::ParseError &e) {
+        throw CliError(path + ":" + std::to_string(e.line()) + ":" +
+                       std::to_string(e.column()) + ": " + e.what());
+    }
+}
+
 void
 writeOutput(const std::string &path, const std::string &content,
             std::ostream &out)
@@ -206,7 +220,7 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
     opts.swapTrials = parser.intOption("--swap-trials");
     opts.forwardBackwardPasses = parser.intOption("--fwd-bwd");
     opts.threads = parser.intOption("--threads");
-    opts.seed = parser.u64Option("--seed");
+    opts.seed = parser.seedOption("--seed");
     opts.fixedAggression = parser.intOption("--aggression");
     opts.tryVf2 = !parser.flag("--no-vf2");
     opts.lowerToBasis = parser.flag("--lower");
@@ -310,8 +324,7 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     parser.addOption("--mc-iters", "N", "",
                      "Monte-Carlo iterations (table2)");
     parser.addOption("--limit", "N", "",
-                     "first N suite entries / widths (mirror-rb, "
-                     "mirror-qv, matrix; default: all)");
+                     "first N suite circuits / widths (default: all)");
     parser.addOption("--cache", "DIR", "",
                      "equivalence-library cache directory shared across "
                      "runs (table3/fig13)");
@@ -319,6 +332,10 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
                      "fit catalog warm-starting lowering experiments "
                      "('none' disables; default: $MIRAGE_FIT_CATALOG, "
                      "then ./FIT_CATALOG.bin when present)");
+    parser.addOption("--check", "FILE", "",
+                     "baseline artifact of a counter-gated experiment "
+                     "(bench, bench-lowering, fig12-large); exit 1 if a "
+                     "deterministic counter regressed");
     parser.addFlag("--csv", "also write <name>.csv next to the JSON");
     parser.addFlag("--stdout",
                    "print the artifact JSON to stdout instead of "
@@ -374,155 +391,46 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     knobs.cacheDir = validateCacheDir(parser.option("--cache"));
     knobs.catalogPath = parser.option("--catalog");
 
+    // Read the baseline before writing the artifact: `--out DIR --check
+    // DIR/<name>.json` names one file, and writing first would gate the
+    // new artifact against itself -- always passing.
+    const std::string baselinePath = parser.option("--check");
+    const json::Value baseline =
+        baselinePath.empty() ? json::Value() : readJson(baselinePath);
+
     err << "mirage: running experiment '" << name << "' ("
         << experiment->artifact << ")...\n";
     json::Value artifact = runExperiment(*experiment, knobs);
 
     if (parser.flag("--stdout")) {
         out << artifact.dump(2);
-        return kExitSuccess;
-    }
-
-    const std::string dir = parser.option("--out");
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string jsonPath = dir + "/" + name + ".json";
-    {
-        std::ofstream f(jsonPath);
-        if (!f)
-            throw CliError("cannot write '" + jsonPath + "'");
-        f << artifact.dump(2);
-    }
-    out << "wrote " << jsonPath << " ("
-        << artifact["rows"].size() << " rows)\n";
-    if (parser.flag("--csv")) {
-        const std::string csvPath = dir + "/" + name + ".csv";
-        std::ofstream f(csvPath);
-        if (!f)
-            throw CliError("cannot write '" + csvPath + "'");
-        f << renderCsv(artifact);
-        out << "wrote " << csvPath << "\n";
-    }
-    return kExitSuccess;
-}
-
-// --- bench ------------------------------------------------------------------
-
-/**
- * `mirage bench`: the routing perf trajectory. Thin front end over the
- * registry's `bench` experiment that (a) defaults the artifact to the
- * repo-root BENCH_fig13.json trajectory file and (b) gates CI: --check
- * compares the deterministic hot-path counters against a checked-in
- * baseline and fails the run on any regression.
- */
-int
-cmdBench(const std::vector<std::string> &args, std::ostream &out,
-         std::ostream &err)
-{
-    ArgumentParser parser("bench", "[--check <baseline.json>]");
-    parser.addOption("--experiment", "NAME", "bench",
-                     "counter-gated experiment: bench (Table III routing, "
-                     "BENCH_fig13.json), fig12-large (1000+ qubit sparse "
-                     "topologies, BENCH_large_topo.json), or "
-                     "bench-lowering (fit pipeline cold vs catalog, "
-                     "BENCH_lowering.json)");
-    parser.addOption("--out", "FILE", "",
-                     "artifact path ('-' for stdout; default: the "
-                     "experiment's committed baseline name)");
-    parser.addOption("--check", "FILE", "",
-                     "baseline artifact; exit 1 if a deterministic "
-                     "counter (heuristicEvals/extSetBuilds, or the fit "
-                     "counters for bench-lowering) regressed");
-    parser.addOption("--catalog", "FILE", "",
-                     "fit catalog for bench-lowering's warm half ('none' "
-                     "disables; default: $MIRAGE_FIT_CATALOG, then "
-                     "./FIT_CATALOG.bin when present)");
-    parser.addOption("--trials", "N", "", "layout trials (default: 8)");
-    parser.addOption("--swap-trials", "N", "",
-                     "routing repeats per layout (default: 2)");
-    parser.addOption("--fwd-bwd", "N", "",
-                     "layout refinement rounds (default: 2)");
-    parser.addOption("--limit", "N", "",
-                     "only the first N Table III circuits (default: all)");
-    parser.parse(args);
-    if (parser.helpRequested()) {
-        out << parser.helpText();
-        return kExitSuccess;
-    }
-    if (!parser.positionals().empty())
-        throw UsageError("bench takes no positional operands");
-
-    SweepKnobs knobs;
-    auto knob = [&parser](const char *flag, int *slot, int min_value) {
-        if (!parser.optionSeen(flag))
-            return;
-        int v = parser.intOption(flag);
-        if (v < min_value)
-            throw UsageError(std::string("option '") + flag +
-                             "' must be >= " + std::to_string(min_value));
-        *slot = v;
-    };
-    knob("--trials", &knobs.layoutTrials, 1);
-    knob("--swap-trials", &knobs.swapTrials, 1);
-    knob("--fwd-bwd", &knobs.fwdBwd, 1);
-    knob("--limit", &knobs.suiteLimit, 1);
-
-    const std::string experimentName = parser.option("--experiment");
-    if (experimentName != "bench" && experimentName != "fig12-large" &&
-        experimentName != "bench-lowering")
-        throw UsageError("--experiment must be 'bench', 'fig12-large', "
-                         "or 'bench-lowering' (counter-gated "
-                         "experiments), got '" +
-                         experimentName + "'");
-    knobs.catalogPath = parser.option("--catalog");
-
-    // Read the baseline BEFORE writing the fresh artifact: with the
-    // default --out the two paths coincide (the committed repo-root
-    // BENCH_fig13.json), and writing first would make the gate compare
-    // the new artifact against itself -- always passing.
-    const std::string baselinePath = parser.option("--check");
-    json::Value baseline;
-    if (!baselinePath.empty()) {
-        try {
-            baseline = json::parse(readInput(baselinePath));
-        } catch (const json::ParseError &e) {
-            err << "mirage: " << baselinePath << ":" << e.line() << ":"
-                << e.column() << ": " << e.what() << "\n";
-            return kExitFailure;
+    } else {
+        const std::string dir = parser.option("--out");
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        const std::string jsonPath = dir + "/" + name + ".json";
+        writeOutput(jsonPath, artifact.dump(2), out);
+        out << "wrote " << jsonPath << " (" << artifact["rows"].size()
+            << " rows)\n";
+        if (parser.flag("--csv")) {
+            const std::string csvPath = dir + "/" + name + ".csv";
+            writeOutput(csvPath, renderCsv(artifact), out);
+            out << "wrote " << csvPath << "\n";
         }
     }
 
-    const Experiment *experiment = findExperiment(experimentName);
-    MIRAGE_ASSERT(experiment, "bench experiment not registered");
-    err << "mirage: running " << experimentName << " bench ("
-        << (knobs.suiteLimit >= 0 ? std::to_string(knobs.suiteLimit)
-                                  : std::string("all"))
-        << " circuits)...\n";
-    json::Value artifact = runExperiment(*experiment, knobs);
-
-    std::string path = parser.option("--out");
-    if (path.empty())
-        path = experimentName == "bench"        ? "BENCH_fig13.json"
-               : experimentName == "fig12-large" ? "BENCH_large_topo.json"
-                                                 : "BENCH_lowering.json";
-    writeOutput(path, artifact.dump(2), out);
-    if (path != "-" && !path.empty())
-        out << "wrote " << path << " (" << artifact["rows"].size()
-            << " circuits)\n";
-
-    if (!baselinePath.empty()) {
-        std::string report;
-        bool ok = checkBenchCounters(artifact, baseline, &report);
-        if (!report.empty())
-            out << report;
-        if (!ok) {
-            err << "mirage: bench counters regressed versus '"
-                << baselinePath << "'\n";
-            return kExitFailure;
-        }
-        out << "bench check OK: no counter regressions versus "
-            << baselinePath << "\n";
+    // The check report goes to stderr, so --stdout stays one artifact.
+    if (baselinePath.empty())
+        return kExitSuccess;
+    std::string report;
+    const bool ok = checkBenchCounters(artifact, baseline, &report);
+    err << report;
+    if (!ok) {
+        err << "mirage: check against '" << baselinePath << "' failed\n";
+        return kExitFailure;
     }
+    err << "mirage: check OK: no counter regressions versus "
+        << baselinePath << "\n";
     return kExitSuccess;
 }
 
@@ -545,15 +453,7 @@ cmdReport(const std::vector<std::string> &args, std::ostream &out,
 
     std::string rendered;
     for (const auto &path : parser.positionals()) {
-        const std::string text = readInput(path);
-        json::Value artifact;
-        try {
-            artifact = json::parse(text);
-        } catch (const json::ParseError &e) {
-            err << "mirage: " << path << ":" << e.line() << ":"
-                << e.column() << ": " << e.what() << "\n";
-            return kExitFailure;
-        }
+        const json::Value artifact = readJson(path);
         std::string schemaError;
         if (!validateArtifact(artifact, &schemaError)) {
             err << "mirage: " << path << ": invalid artifact: "
@@ -797,7 +697,7 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
         copts.requests = parser.intOption("--chaos-requests");
         if (copts.requests < 1)
             throw UsageError("--chaos-requests must be >= 1");
-        copts.seed = parser.u64Option("--seed");
+        copts.seed = parser.seedOption("--seed");
         copts.engineThreads = parser.intOption("--threads");
         if (copts.engineThreads < 0)
             throw UsageError("--threads must be >= 0 (0 = all cores)");
@@ -860,7 +760,7 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
     topts.engineThreads = parser.intOption("--threads");
     if (topts.engineThreads < 0)
         throw UsageError("--threads must be >= 0 (0 = all cores)");
-    topts.seed = parser.u64Option("--seed");
+    topts.seed = parser.seedOption("--seed");
     topts.topology = parser.option("--topology");
     topts.lower = parser.flag("--lower");
     topts.socketPath = parser.option("--socket");
@@ -870,16 +770,8 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
     // BENCH_serve.json), and writing first would gate the new artifact
     // against itself -- always passing.
     const std::string baselinePath = parser.option("--check");
-    json::Value baseline;
-    if (!baselinePath.empty()) {
-        try {
-            baseline = json::parse(readInput(baselinePath));
-        } catch (const json::ParseError &e) {
-            err << "mirage: " << baselinePath << ":" << e.line() << ":"
-                << e.column() << ": " << e.what() << "\n";
-            return kExitFailure;
-        }
-    }
+    const json::Value baseline =
+        baselinePath.empty() ? json::Value() : readJson(baselinePath);
 
     json::Value artifact;
     try {
@@ -1096,9 +988,9 @@ usage()
            "  transpile   run the full MIRAGE pipeline on an OpenQASM 2 "
            "file\n"
            "  sweep       run a registered paper experiment, emit a "
-           "JSON/CSV artifact\n"
-           "  bench       routing perf trajectory (BENCH_fig13.json); "
-           "--check gates CI\n"
+           "JSON/CSV artifact;\n"
+           "              --check gates CI on the BENCH_*.json "
+           "counters\n"
            "  serve       persistent transpilation service (Unix socket "
            "or stdio)\n"
            "  serve-bench serve throughput/latency (BENCH_serve.json); "
@@ -1157,8 +1049,6 @@ run(const std::vector<std::string> &args, std::ostream &out,
             return cmdTranspile(rest, out, err);
         if (command == "sweep")
             return cmdSweep(rest, out, err);
-        if (command == "bench")
-            return cmdBench(rest, out, err);
         if (command == "serve")
             return cmdServe(rest, out, err);
         if (command == "serve-bench")

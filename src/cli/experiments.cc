@@ -3,8 +3,9 @@
  * Experiment registry implementation: one entry per reproducible paper
  * artifact, each returning a versioned JSON payload, plus the shared
  * renderers (markdown, CSV) and the schema validator. The aggregation
- * logic (geomean depth over seeds, baseline-vs-MIRAGE sweeps) lives
- * here once, behind `mirage sweep`, `mirage report` and `mirage bench`.
+ * logic (geomean depth over seeds, baseline-vs-MIRAGE sweeps) and the
+ * Table III and mirror workloads live here once, behind `mirage sweep`,
+ * `mirage report` and `mirage catalog`.
  */
 
 #include "cli/experiments.hh"
@@ -28,35 +29,32 @@ namespace mirage::cli {
 
 namespace {
 
-/** Knobs with every "experiment default" slot filled in. */
-struct ResolvedKnobs
+/** `k` with every "experiment default" slot filled in. */
+SweepKnobs
+resolve(SweepKnobs k, int seeds, int trials, int swapTrials, int fwdBwd,
+        int mcIterations = 300)
 {
-    int seeds;
-    int layoutTrials;
-    int swapTrials;
-    int fwdBwd;
-    int threads;
-    int mcIterations;
-    std::string cacheDir;
-};
+    auto fill = [](int &slot, int value) {
+        if (slot < 0)
+            slot = value;
+    };
+    fill(k.seeds, seeds);
+    fill(k.layoutTrials, trials);
+    fill(k.swapTrials, swapTrials);
+    fill(k.fwdBwd, fwdBwd);
+    fill(k.mcIterations, mcIterations);
+    return k;
+}
 
-ResolvedKnobs
-resolve(const SweepKnobs &k, int seeds, int trials, int swapTrials,
-        int fwdBwd, int mcIterations = 300)
+/** `n` suite entries clipped to --limit (-1 = all). */
+size_t
+limited(const SweepKnobs &k, size_t n)
 {
-    ResolvedKnobs r;
-    r.seeds = k.seeds >= 0 ? k.seeds : seeds;
-    r.layoutTrials = k.layoutTrials >= 0 ? k.layoutTrials : trials;
-    r.swapTrials = k.swapTrials >= 0 ? k.swapTrials : swapTrials;
-    r.fwdBwd = k.fwdBwd >= 0 ? k.fwdBwd : fwdBwd;
-    r.threads = k.threads;
-    r.mcIterations = k.mcIterations >= 0 ? k.mcIterations : mcIterations;
-    r.cacheDir = k.cacheDir;
-    return r;
+    return k.suiteLimit >= 0 ? std::min(size_t(k.suiteLimit), n) : n;
 }
 
 json::Value
-parametersJson(const ResolvedKnobs &k, bool withMc = false)
+parametersJson(const SweepKnobs &k, bool withMc = false)
 {
     json::Value p = json::Value::object();
     p.set("seeds", k.seeds);
@@ -87,7 +85,7 @@ column(const char *key, const char *label, int digits = -1,
 }
 
 mirage_pass::TranspileOptions
-sweepOptions(mirage_pass::Flow flow, uint64_t seed, const ResolvedKnobs &k)
+sweepOptions(mirage_pass::Flow flow, uint64_t seed, const SweepKnobs &k)
 {
     mirage_pass::TranspileOptions o;
     o.flow = flow;
@@ -100,6 +98,114 @@ sweepOptions(mirage_pass::Flow flow, uint64_t seed, const ResolvedKnobs &k)
     o.seed = seed;
     o.threads = k.threads;
     return o;
+}
+
+/** `o`, also lowering to pulses through `library`. */
+mirage_pass::TranspileOptions
+lowerThrough(mirage_pass::TranspileOptions o,
+             decomp::EquivalenceLibrary *library)
+{
+    o.lowerToBasis = true;
+    o.equivalenceLibrary = library;
+    return o;
+}
+
+/** Routing seed of instance `i` in the multi-instance sweeps. */
+uint64_t
+instanceSeed(int i)
+{
+    return 0x9000 + 131 * uint64_t(i);
+}
+
+/**
+ * The Table III evaluation config, which FIT_CATALOG.bin is fitted
+ * from: the first --limit paper circuits on an 8x8 grid, MirageDepth
+ * flow, one seed, trials 8/2/2 and one fixed routing seed, unless the
+ * user overrides the knobs. table3, fig13, bench-lowering and bench (with
+ * its own seed) run it; buildCatalogLibrary fits it.
+ */
+struct TableThree
+{
+    SweepKnobs knobs;
+    topology::CouplingMap grid;
+    std::vector<bench::BenchmarkInfo> suite;
+    mirage_pass::TranspileOptions options;
+
+    std::vector<circuit::Circuit> circuits() const
+    {
+        std::vector<circuit::Circuit> out;
+        for (const auto &b : suite)
+            out.push_back(b.make());
+        return out;
+    }
+};
+
+TableThree
+tableThree(const SweepKnobs &user)
+{
+    const auto &paper = bench::paperBenchmarks();
+    TableThree t{resolve(user, 1, 8, 2, 2),
+                 topology::CouplingMap::grid(8, 8),
+                 std::vector<bench::BenchmarkInfo>(
+                     paper.begin(),
+                     paper.begin() + limited(user, paper.size())),
+                 {}};
+    t.options = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, t.knobs);
+    return t;
+}
+
+/** One mirror circuit of a mirror workload and its routing seed. */
+struct MirrorInstance
+{
+    int width;
+    int index; ///< instance number within its width
+    bench::MirrorCircuit mirror;
+    uint64_t routeSeed;
+};
+
+/**
+ * The mirror-rb / mirror-qv workload, which FIT_CATALOG.bin also
+ * covers: on heavy-hex 57, 3-layer RB at widths {8, 10, 14} or depth-4
+ * QV at widths {8, 10, 12} (the first --limit widths), `seeds`
+ * instances per width, trials 4/2/1 unless the user overrides them.
+ */
+struct MirrorWorkload
+{
+    SweepKnobs knobs;
+    topology::CouplingMap device;
+    size_t widths;
+    std::vector<MirrorInstance> instances; ///< width-major
+
+    /** The lowered MIRAGE run of `inst`: what the catalog covers. */
+    mirage_pass::TranspileOptions
+    lowered(const MirrorInstance &inst,
+            decomp::EquivalenceLibrary *library) const
+    {
+        return lowerThrough(sweepOptions(mirage_pass::Flow::MirageDepth,
+                                         inst.routeSeed, knobs),
+                            library);
+    }
+};
+
+MirrorWorkload
+mirrorWorkload(const SweepKnobs &user, bool qv)
+{
+    MirrorWorkload m{resolve(user, 1, 4, 2, 1),
+                     topology::CouplingMap::heavyHex57(), 0, {}};
+    std::vector<int> widths =
+        qv ? std::vector<int>{8, 10, 12} : std::vector<int>{8, 10, 14};
+    widths.resize(limited(user, widths.size()));
+    m.widths = widths.size();
+    for (int w : widths) {
+        for (int i = 0; i < m.knobs.seeds; ++i) {
+            const uint64_t gen_seed = 0xA11CE + 977 * uint64_t(i);
+            m.instances.push_back({w, i,
+                                   qv ? bench::mirrorQv(w, 4, gen_seed)
+                                      : bench::mirrorRb(w, 3, gen_seed),
+                                   instanceSeed(i)});
+        }
+    }
+    return m;
 }
 
 /** Aggregated transpile statistics over several seeds (geometric mean
@@ -116,13 +222,13 @@ struct SweepStats
 SweepStats
 runSweep(const std::string &bench_name,
          const topology::CouplingMap &coupling, mirage_pass::Flow flow,
-         const ResolvedKnobs &knobs, int fixed_aggression = -1)
+         const SweepKnobs &knobs, int fixed_aggression = -1)
 {
     SweepStats s;
     double log_depth = 0;
     for (int i = 0; i < knobs.seeds; ++i) {
         auto circ = bench::benchmarkByName(bench_name).make();
-        auto opts = sweepOptions(flow, 0x9000 + 131 * uint64_t(i), knobs);
+        auto opts = sweepOptions(flow, instanceSeed(i), knobs);
         opts.fixedAggression = fixed_aggression;
         auto res = mirage_pass::transpile(circ, coupling, opts);
         log_depth += std::log(std::max(res.metrics.depth, 1e-9));
@@ -170,7 +276,7 @@ setCatalogSummary(json::Value &summary, const decomp::CatalogLoad &catalog)
 json::Value
 runFig8(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 4, 2);
+    const SweepKnobs knobs = resolve(userKnobs, 1, 8, 4, 2);
     auto circ = bench::twoLocalFull(4, 1, 7);
     auto line = topology::CouplingMap::line(4);
 
@@ -219,7 +325,7 @@ runFig8(const SweepKnobs &userKnobs)
 json::Value
 runFig10(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
+    const SweepKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
     auto grid = topology::CouplingMap::grid(6, 6);
     const char *names[] = {"wstate_n27", "bigadder_n18", "qft_n18",
                            "bv_n30"};
@@ -283,7 +389,7 @@ suiteCircuits()
 json::Value
 runFig11(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
+    const SweepKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
     auto grid = topology::CouplingMap::grid(6, 6);
 
     json::Value rows = json::Value::array();
@@ -341,7 +447,7 @@ runFig11(const SweepKnobs &userKnobs)
 json::Value
 runFig12(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
+    const SweepKnobs knobs = resolve(userKnobs, 3, 12, 4, 2);
 
     json::Value rows = json::Value::array();
     json::Value summary = json::Value::object();
@@ -417,14 +523,11 @@ runFig12(const SweepKnobs &userKnobs)
 json::Value
 runFig13(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
-    const auto grid = topology::CouplingMap::grid(8, 8);
-
-    std::vector<circuit::Circuit> circuits;
-    for (const auto &b : bench::paperBenchmarks())
-        circuits.push_back(b.make());
-
-    auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
+    const TableThree t = tableThree(userKnobs);
+    const SweepKnobs &knobs = t.knobs;
+    const auto &grid = t.grid;
+    const std::vector<circuit::Circuit> circuits = t.circuits();
+    auto opts = t.options;
 
     // Warm the process-wide coverage/coordinate caches outside the
     // timed region (both runs then see the same warm state).
@@ -459,12 +562,11 @@ runFig13(const SweepKnobs &userKnobs)
     opts.threads = knobs.threads;
     opts.pool = knobs.threads != 1 ? &lowering_pool.emplace(knobs.threads)
                                    : nullptr;
-    opts.lowerToBasis = true;
     decomp::LibraryReport report;
     auto lib = decomp::openLibrary(opts.rootDegree, decomp::kCatalogDisabled,
                                    knobs.cacheDir, &report);
     warnIf(report.cacheWarning);
-    opts.equivalenceLibrary = lib.get();
+    opts = lowerThrough(opts, lib.get());
 
     t0 = std::chrono::steady_clock::now();
     for (const auto &c : circuits)
@@ -524,7 +626,7 @@ runFig13(const SweepKnobs &userKnobs)
 json::Value
 runHaarTable(const SweepKnobs &userKnobs, bool approximate)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 0, 0, 0);
+    const SweepKnobs knobs = resolve(userKnobs, 1, 0, 0, 0);
 
     json::Value params = json::Value::object();
     if (approximate)
@@ -580,24 +682,16 @@ runHaarTable(const SweepKnobs &userKnobs, bool approximate)
 json::Value
 runTable3(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
-    const auto grid = topology::CouplingMap::grid(8, 8);
+    const TableThree t = tableThree(userKnobs);
+    const SweepKnobs &knobs = t.knobs;
+    const auto &suite = t.suite;
+    const std::vector<circuit::Circuit> circuits = t.circuits();
 
-    const auto &suite = bench::paperBenchmarks();
-    size_t limit = userKnobs.suiteLimit >= 0
-                       ? std::min(size_t(userKnobs.suiteLimit), suite.size())
-                       : suite.size();
-    std::vector<circuit::Circuit> circuits;
-    for (size_t i = 0; i < limit; ++i)
-        circuits.push_back(suite[i].make());
-
-    auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
-    opts.lowerToBasis = true;
     decomp::LibraryReport report;
-    auto lib = decomp::openLibrary(opts.rootDegree, userKnobs.catalogPath,
+    auto lib = decomp::openLibrary(t.options.rootDegree, knobs.catalogPath,
                                    knobs.cacheDir, &report);
     warnIf(report.cacheWarning);
-    opts.equivalenceLibrary = lib.get();
+    auto opts = lowerThrough(t.options, lib.get());
     std::optional<exec::ThreadPool> pool;
     if (knobs.threads != 1)
         opts.pool = &pool.emplace(knobs.threads);
@@ -605,7 +699,7 @@ runTable3(const SweepKnobs &userKnobs)
     std::vector<mirage_pass::TranspileResult> results;
     auto t0 = std::chrono::steady_clock::now();
     for (const auto &c : circuits)
-        results.push_back(mirage_pass::transpile(c, grid, opts));
+        results.push_back(mirage_pass::transpile(c, t.grid, opts));
     double elapsed_ms = millisSince(t0);
     warnIf(decomp::saveLibrary(*lib, knobs.cacheDir));
 
@@ -683,31 +777,22 @@ runTable3(const SweepKnobs &userKnobs)
  * resolves). Wall times are recorded but never gated; the
  * deterministic counters (fits, fitEvaluations, warmNewFits,
  * warmFitEvaluations -- pure functions of the circuits and the
- * FMA-free fit pipeline) are gated by `mirage bench --experiment
+ * FMA-free fit pipeline) are gated by `mirage sweep --experiment
  * bench-lowering --check BENCH_lowering.json` in CI, so the repo can
  * never silently go cold again.
  */
 json::Value
 runBenchLowering(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
-    const auto grid = topology::CouplingMap::grid(8, 8);
-
-    const auto &suite = bench::paperBenchmarks();
-    size_t limit = userKnobs.suiteLimit >= 0
-                       ? std::min(size_t(userKnobs.suiteLimit), suite.size())
-                       : suite.size();
-    std::vector<circuit::Circuit> circuits;
-    for (size_t i = 0; i < limit; ++i)
-        circuits.push_back(suite[i].make());
+    const TableThree t = tableThree(userKnobs);
+    const auto &suite = t.suite;
 
     // Route once (table3's exact config); lowering is then isolated
     // from routing cost and measured per circuit, sequentially, so the
     // counters cannot be split across threads.
-    auto opts = sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
     std::vector<mirage_pass::TranspileResult> routed;
-    for (const auto &c : circuits)
-        routed.push_back(mirage_pass::transpile(c, grid, opts));
+    for (const auto &c : t.circuits())
+        routed.push_back(mirage_pass::transpile(c, t.grid, t.options));
 
     decomp::EquivalenceLibrary cold(2);
     std::vector<decomp::TranslateStats> cold_stats(routed.size());
@@ -719,7 +804,7 @@ runBenchLowering(const SweepKnobs &userKnobs)
     }
 
     decomp::CatalogLoad catalog;
-    auto warm_lib = decomp::loadCatalog(2, userKnobs.catalogPath, &catalog);
+    auto warm_lib = decomp::loadCatalog(2, t.knobs.catalogPath, &catalog);
     decomp::EquivalenceLibrary &warm = warm_lib ? *warm_lib : cold;
 
     std::vector<decomp::TranslateStats> warm_stats(routed.size());
@@ -751,7 +836,7 @@ runBenchLowering(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    json::Value params = parametersJson(knobs);
+    json::Value params = parametersJson(t.knobs);
     params.set("circuits", uint64_t(routed.size()));
     out.set("parameters", std::move(params));
     json::Value cols = json::Value::array();
@@ -787,8 +872,8 @@ runBenchLowering(const SweepKnobs &userKnobs)
 }
 
 /**
- * Routing perf trajectory (`mirage bench`): the Table III suite routed
- * with the MIRAGE flow, reporting per-circuit routing-phase wall time
+ * Routing perf trajectory (the `bench` experiment): the Table III suite
+ * routed with the MIRAGE flow, reporting per-circuit routing-phase wall time
  * (threads=1 and all cores) next to the deterministic hot-path work
  * counters. The counters are pure functions of (circuit, options,
  * seed) -- machine-, build-, and thread-invariant -- so the committed
@@ -798,26 +883,20 @@ runBenchLowering(const SweepKnobs &userKnobs)
 json::Value
 runBenchRouting(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 8, 2, 2);
-    const auto grid = topology::CouplingMap::grid(8, 8);
-    const auto &suite = bench::paperBenchmarks();
-    const size_t limit =
-        userKnobs.suiteLimit >= 0
-            ? std::min(size_t(userKnobs.suiteLimit), suite.size())
-            : suite.size();
+    const TableThree t = tableThree(userKnobs);
 
     json::Value rows = json::Value::array();
     bool identical = true;
     double serial_ms = 0, parallel_ms = 0;
     uint64_t total_evals = 0, total_stalls = 0;
-    for (size_t i = 0; i < limit; ++i) {
-        auto circ = suite[i].make();
-        auto opts =
-            sweepOptions(mirage_pass::Flow::MirageDepth, 0xF13, knobs);
+    for (const auto &info : t.suite) {
+        auto circ = info.make();
+        auto opts = t.options;
+        opts.seed = 0xF13;
         opts.threads = 1;
-        auto serial = mirage_pass::transpile(circ, grid, opts);
+        auto serial = mirage_pass::transpile(circ, t.grid, opts);
         opts.threads = 0; // all hardware threads
-        auto parallel = mirage_pass::transpile(circ, grid, opts);
+        auto parallel = mirage_pass::transpile(circ, t.grid, opts);
         identical = identical &&
                     circuit::Circuit::bitIdentical(serial.routed,
                                                    parallel.routed) &&
@@ -825,8 +904,8 @@ runBenchRouting(const SweepKnobs &userKnobs)
 
         const auto &c = serial.routingCounters;
         json::Value row = json::Value::object();
-        row.set("name", suite[i].name);
-        row.set("qubits", suite[i].qubits);
+        row.set("name", info.name);
+        row.set("qubits", info.qubits);
         row.set("serialMs", serial.routingMs);
         row.set("parallelMs", parallel.routingMs);
         row.set("swaps", serial.swapsAdded);
@@ -846,8 +925,8 @@ runBenchRouting(const SweepKnobs &userKnobs)
     }
 
     json::Value out = json::Value::object();
-    json::Value params = parametersJson(knobs);
-    params.set("circuits", uint64_t(limit));
+    json::Value params = parametersJson(t.knobs);
+    params.set("circuits", uint64_t(t.suite.size()));
     out.set("parameters", std::move(params));
     json::Value cols = json::Value::array();
     cols.push(column("name", "name"));
@@ -879,7 +958,7 @@ runBenchRouting(const SweepKnobs &userKnobs)
             "grid (MirageDepth flow), threads=1 vs all cores, with the "
             "deterministic hot-path counters. Wall times vary by "
             "machine; the counters and routed circuits must not (the "
-            "`mirage bench --check` CI gate compares counters only).");
+            "`mirage sweep --check` CI gate compares counters only).");
     return out;
 }
 
@@ -889,7 +968,7 @@ runBenchRouting(const SweepKnobs &userKnobs)
  * 33x33-grid topologies, which build in sparse mode (CSR + BFS-on-demand
  * distance rows; no O(n^2) tables). The artifact records the same
  * deterministic hot-path counters as the `bench` experiment -- so
- * `mirage bench --experiment fig12-large --check` gates regressions the
+ * `mirage sweep --experiment fig12-large --check` gates regressions the
  * same way -- plus per-topology memory accounting (CSR + components +
  * per-thread row cache vs the dense-equivalent flat tables). The
  * `memorySubQuadratic` summary flag is the CI memory gate.
@@ -900,7 +979,7 @@ runFig12Large(const SweepKnobs &userKnobs)
     // Small knob defaults: a single routed pass per direction is enough
     // for the counters/memory gate, and keeps the 1121-qubit sweep in CI
     // seconds territory.
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 2, 1, 1);
+    const SweepKnobs knobs = resolve(userKnobs, 1, 2, 1, 1);
     // Pin the per-thread row-cache budget so the memory audit is a
     // fixed, reproducible bound (128 rows ~= 0.5 MB at n=1121); the
     // budget found on entry is restored afterwards.
@@ -917,10 +996,7 @@ runFig12Large(const SweepKnobs &userKnobs)
     // ms-per-gate across rows tracks route-time scaling in gate count.
     const std::vector<std::string> circuits = {
         "wstate_n27", "knn_n25", "multiplier_n15", "qft_n18"};
-    const size_t limit =
-        userKnobs.suiteLimit >= 0
-            ? std::min(size_t(userKnobs.suiteLimit), circuits.size())
-            : circuits.size();
+    const size_t limit = limited(knobs, circuits.size());
 
     json::Value rows = json::Value::array();
     json::Value topo_summaries = json::Value::array();
@@ -1059,7 +1135,7 @@ runFig12Large(const SweepKnobs &userKnobs)
             "topology bytes (tables + row cache) stay under half of the "
             "dense-equivalent flat tables; msPerGate2q tracks route-time "
             "scaling in gate count. Counters are deterministic and gated "
-            "by `mirage bench --experiment fig12-large --check`; wall "
+            "by `mirage sweep --experiment fig12-large --check`; wall "
             "times vary by machine and are never compared.");
     return out;
 }
@@ -1093,75 +1169,61 @@ loweredSuccessTolerance(double root_infidelity_sum)
 json::Value
 runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 4, 2, 1);
-    const auto topo = topology::CouplingMap::heavyHex57();
-    std::vector<int> widths =
-        qv ? std::vector<int>{8, 10, 12} : std::vector<int>{8, 10, 14};
-    if (userKnobs.suiteLimit >= 0 &&
-        size_t(userKnobs.suiteLimit) < widths.size())
-        widths.resize(size_t(userKnobs.suiteLimit));
+    const MirrorWorkload m = mirrorWorkload(userKnobs, qv);
+    const SweepKnobs &knobs = m.knobs;
+    const auto &topo = m.device;
 
     decomp::LibraryReport report;
-    auto lib = decomp::openLibrary(2, userKnobs.catalogPath, knobs.cacheDir,
+    auto lib = decomp::openLibrary(2, knobs.catalogPath, knobs.cacheDir,
                                    &report);
     warnIf(report.cacheWarning);
 
     json::Value rows = json::Value::array();
     bool all_verified = true;
     double min_lowered = 1.0;
-    for (int w : widths) {
-        for (int i = 0; i < knobs.seeds; ++i) {
-            const uint64_t gen_seed = 0xA11CE + 977 * uint64_t(i);
-            auto mc = qv ? bench::mirrorQv(w, 4, gen_seed)
-                         : bench::mirrorRb(w, 3, gen_seed);
+    for (const auto &inst : m.instances) {
+        const bench::MirrorCircuit &mc = inst.mirror;
+        auto base = mirage_pass::transpile(
+            mc.circuit, topo,
+            sweepOptions(mirage_pass::Flow::SabreBaseline, inst.routeSeed,
+                         knobs));
+        auto res = mirage_pass::transpile(mc.circuit, topo,
+                                          m.lowered(inst, lib.get()));
 
-            const uint64_t route_seed = 0x9000 + 131 * uint64_t(i);
-            auto base = mirage_pass::transpile(
-                mc.circuit, topo,
-                sweepOptions(mirage_pass::Flow::SabreBaseline, route_seed,
-                             knobs));
-            auto opts = sweepOptions(mirage_pass::Flow::MirageDepth,
-                                     route_seed, knobs);
-            opts.lowerToBasis = true;
-            opts.equivalenceLibrary = lib.get();
-            auto res = mirage_pass::transpile(mc.circuit, topo, opts);
+        const auto &l2p = res.final.logicalToPhysical();
+        double routed_p = bench::mirrorSuccessProbability(
+            res.routed, l2p, mc.bitstring);
+        double lowered_p = bench::mirrorSuccessProbability(
+            res.lowered, l2p, mc.bitstring);
+        double tol = loweredSuccessTolerance(
+            res.translateStats.rootInfidelitySum);
+        bool verified = routed_p >= 1.0 - 1e-9 && lowered_p >= 1.0 - tol;
+        all_verified = all_verified && verified;
+        min_lowered = std::min(min_lowered, lowered_p);
 
-            const auto &l2p = res.final.logicalToPhysical();
-            double routed_p = bench::mirrorSuccessProbability(
-                res.routed, l2p, mc.bitstring);
-            double lowered_p = bench::mirrorSuccessProbability(
-                res.lowered, l2p, mc.bitstring);
-            double tol = loweredSuccessTolerance(
-                res.translateStats.rootInfidelitySum);
-            bool verified =
-                routed_p >= 1.0 - 1e-9 && lowered_p >= 1.0 - tol;
-            all_verified = all_verified && verified;
-            min_lowered = std::min(min_lowered, lowered_p);
-
-            json::Value row = json::Value::object();
-            row.set("circuit", mc.circuit.name());
-            row.set("qubits", w);
-            row.set("instance", i);
-            row.set("baselineDepth", base.metrics.depth);
-            row.set("mirageDepth", res.metrics.depth);
-            row.set("depthRed", pct(base.metrics.depth, res.metrics.depth));
-            row.set("swaps", res.swapsAdded);
-            row.set("mirrors", res.mirrorsAccepted);
-            row.set("routedSuccess", routed_p);
-            row.set("loweredSuccess", lowered_p);
-            row.set("successTolerance", tol);
-            row.set("verified", verified);
-            row.set("stallSteps", res.routingCounters.stallSteps);
-            row.set("heuristicEvals", res.routingCounters.heuristicEvals);
-            rows.push(std::move(row));
-        }
+        json::Value row = json::Value::object();
+        row.set("circuit", mc.circuit.name());
+        row.set("qubits", inst.width);
+        row.set("instance", inst.index);
+        row.set("baselineDepth", base.metrics.depth);
+        row.set("mirageDepth", res.metrics.depth);
+        row.set("depthRed", pct(base.metrics.depth, res.metrics.depth));
+        row.set("swaps", res.swapsAdded);
+        row.set("mirrors", res.mirrorsAccepted);
+        row.set("routedSuccess", routed_p);
+        row.set("loweredSuccess", lowered_p);
+        row.set("successTolerance", tol);
+        row.set("verified", verified);
+        row.set("stallSteps", res.routingCounters.stallSteps);
+        row.set("heuristicEvals", res.routingCounters.heuristicEvals);
+        rows.push(std::move(row));
     }
     warnIf(decomp::saveLibrary(*lib, knobs.cacheDir));
 
     json::Value out = json::Value::object();
     json::Value params = parametersJson(knobs);
     params.set("topology", topo.name());
-    params.set("widths", uint64_t(widths.size()));
+    params.set("widths", uint64_t(m.widths));
     out.set("parameters", std::move(params));
     json::Value cols = json::Value::array();
     cols.push(column("circuit", "circuit"));
@@ -1205,7 +1267,7 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
 json::Value
 runMatrix(const SweepKnobs &userKnobs)
 {
-    ResolvedKnobs knobs = resolve(userKnobs, 1, 2, 2, 1);
+    const SweepKnobs knobs = resolve(userKnobs, 1, 2, 2, 1);
 
     struct Workload
     {
@@ -1221,9 +1283,7 @@ runMatrix(const SweepKnobs &userKnobs)
     suite.push_back({qv.circuit.name(), 10, qv.circuit, qv.bitstring});
     for (const auto &b : bench::paperBenchmarks())
         suite.push_back({b.name, b.qubits, b.make(), {}});
-    if (userKnobs.suiteLimit >= 0 &&
-        size_t(userKnobs.suiteLimit) < suite.size())
-        suite.resize(size_t(userKnobs.suiteLimit));
+    suite.resize(limited(knobs, suite.size()));
 
     const std::vector<topology::CouplingMap> topologies = {
         topology::CouplingMap::grid(6, 6),
@@ -1237,11 +1297,11 @@ runMatrix(const SweepKnobs &userKnobs)
         for (const auto &topo : topologies) {
             auto base = mirage_pass::transpile(
                 w.circ, topo,
-                sweepOptions(mirage_pass::Flow::SabreBaseline, 0x9000,
-                             knobs));
+                sweepOptions(mirage_pass::Flow::SabreBaseline,
+                             instanceSeed(0), knobs));
             for (int a = 0; a <= 3; ++a) {
                 auto opts = sweepOptions(mirage_pass::Flow::MirageDepth,
-                                         0x9000, knobs);
+                                         instanceSeed(0), knobs);
                 opts.fixedAggression = a;
                 auto res = mirage_pass::transpile(w.circ, topo, opts);
 
@@ -1410,44 +1470,14 @@ buildCatalogLibrary(int threads)
     auto lib = std::make_unique<decomp::EquivalenceLibrary>(2);
     SweepKnobs user;
     user.threads = threads;
-
-    // Table III target set, at the exact config table3/fig13/
-    // bench-lowering run: 8x8 grid, MirageDepth, seed 0xB3,
-    // trials 8/2/2.
-    {
-        ResolvedKnobs knobs = resolve(user, 1, 8, 2, 2);
-        const auto grid = topology::CouplingMap::grid(8, 8);
-        auto opts =
-            sweepOptions(mirage_pass::Flow::MirageDepth, 0xB3, knobs);
-        opts.lowerToBasis = true;
-        opts.equivalenceLibrary = lib.get();
-        for (const auto &b : bench::paperBenchmarks())
-            mirage_pass::transpile(b.make(), grid, opts);
-    }
-
-    // Mirror-workload target set, at the exact mirror-rb/mirror-qv
-    // default config: heavy-hex 57, trials 4/2/1, the registered widths
-    // and generation/routing seeds.
-    {
-        ResolvedKnobs knobs = resolve(user, 1, 4, 2, 1);
-        const auto topo = topology::CouplingMap::heavyHex57();
-        for (bool qv : {false, true}) {
-            std::vector<int> widths = qv ? std::vector<int>{8, 10, 12}
-                                         : std::vector<int>{8, 10, 14};
-            for (int w : widths) {
-                for (int i = 0; i < knobs.seeds; ++i) {
-                    const uint64_t gen_seed = 0xA11CE + 977 * uint64_t(i);
-                    auto mc = qv ? bench::mirrorQv(w, 4, gen_seed)
-                                 : bench::mirrorRb(w, 3, gen_seed);
-                    const uint64_t route_seed = 0x9000 + 131 * uint64_t(i);
-                    auto opts = sweepOptions(
-                        mirage_pass::Flow::MirageDepth, route_seed, knobs);
-                    opts.lowerToBasis = true;
-                    opts.equivalenceLibrary = lib.get();
-                    mirage_pass::transpile(mc.circuit, topo, opts);
-                }
-            }
-        }
+    const TableThree t = tableThree(user);
+    for (const auto &c : t.circuits())
+        mirage_pass::transpile(c, t.grid, lowerThrough(t.options, lib.get()));
+    for (bool qv : {false, true}) {
+        const MirrorWorkload m = mirrorWorkload(user, qv);
+        for (const auto &inst : m.instances)
+            mirage_pass::transpile(inst.mirror.circuit, m.device,
+                                   m.lowered(inst, lib.get()));
     }
     return lib;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * The paper-reproduction experiment registry behind the `mirage sweep`,
- * `mirage report` and `mirage bench` subcommands.
+ * `mirage report` and `mirage catalog` subcommands.
  *
  * Every reproducible figure/table of the paper (Figs. 8/10/11/12/13,
  * Tables I-III) is one named Experiment whose run() returns a
@@ -35,9 +35,9 @@ inline constexpr int kArtifactSchemaVersion = 1;
 inline constexpr const char *kSweepArtifactKind = "mirage-sweep";
 
 /**
- * User-tunable sweep knobs. -1 (or "" for cacheDir) means "use the
- * experiment's own default"; the resolved values are recorded in the
- * artifact's `parameters` object.
+ * Sweep knobs. -1 (or "" for cacheDir) means "use the experiment's own
+ * default"; each experiment fills those slots in and records the
+ * resolved values in the artifact's `parameters` object.
  */
 struct SweepKnobs
 {
@@ -47,7 +47,7 @@ struct SweepKnobs
     int fwdBwd = -1;        ///< layout refinement rounds
     int threads = 1;        ///< trial-grid fan-out (0 = all cores)
     int mcIterations = -1;  ///< Monte-Carlo iterations (Table II)
-    int suiteLimit = -1;    ///< first N Table III circuits (-1 = all)
+    int suiteLimit = -1;    ///< first N suite entries / widths (-1 = all)
     std::string cacheDir;   ///< equivalence-library cache dir ("" = off)
     /**
      * Committed fit catalog: "" auto-discovers ($MIRAGE_FIT_CATALOG,
@@ -73,13 +73,13 @@ struct Experiment
 const std::vector<Experiment> &experimentRegistry();
 
 /**
- * Fit the full catalog target set -- every decomposition the Table III
- * sweep (exact table3/fig13 config) and the mirror-rb/mirror-qv
- * families need, plus the standard preseed gates -- into one
- * equivalence library, cold (no catalog/cache load). saveCache of the
- * result IS the FIT_CATALOG.bin artifact; the build is deterministic,
- * so `mirage catalog check` can compare bytes against the committed
- * file.
+ * Fit the full catalog target set -- every decomposition the table3 and
+ * mirror-rb/mirror-qv sweeps lower at their default knobs (the same
+ * workload definitions they run), plus the standard preseed gates --
+ * into one equivalence library, cold (no catalog/cache load).
+ * saveCache of the result IS the FIT_CATALOG.bin artifact; the build
+ * is deterministic, so `mirage catalog check` can compare bytes
+ * against the committed file.
  */
 std::unique_ptr<decomp::EquivalenceLibrary>
 buildCatalogLibrary(int threads);
@@ -103,12 +103,12 @@ json::Value runExperiment(const Experiment &e, const SweepKnobs &knobs);
 bool validateArtifact(const json::Value &artifact, std::string *error);
 
 /**
- * Perf-trajectory gate for `mirage bench --check`: compare a freshly
- * produced `bench` artifact against a checked-in baseline. Fails (and
- * explains in *report) when the run parameters differ, a baseline
- * circuit is missing, or a deterministic work counter (heuristicEvals,
- * extSetBuilds) regressed -- wall times are never compared, so the
- * check is noise-free and runs on any machine.
+ * Perf-trajectory gate for `mirage sweep --check`: compare a freshly
+ * produced bench, bench-lowering or fig12-large artifact against a
+ * checked-in baseline. Fails (and explains in *report) on any other
+ * experiment, when the run parameters differ, a baseline circuit is
+ * missing, or a deterministic work counter regressed -- wall times are
+ * never compared, so the check is noise-free and runs on any machine.
  */
 bool checkBenchCounters(const json::Value &current,
                         const json::Value &baseline, std::string *report);

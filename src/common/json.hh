@@ -22,6 +22,12 @@
 
 namespace mirage::json {
 
+/**
+ * 2^53: numbers are doubles, which hold every integer up to here
+ * exactly. Integers a report must reproduce (seeds) are bounded by it.
+ */
+inline constexpr uint64_t kMaxExactInteger = uint64_t(1) << 53;
+
 /** Malformed-document error with 1-based line/column position. */
 class ParseError : public std::runtime_error
 {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Logging implementation: message formatting and the fatal()/panic()
- * exit/abort behavior split.
+ * Logging implementation: message formatting, panic()'s abort, and
+ * warn().
  */
 
 #include "common/logging.hh"
@@ -22,16 +22,6 @@ vreport(const char *label, const char *fmt, va_list args)
 }
 
 } // namespace
-
-void
-fatal(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport("fatal", fmt, args);
-    va_end(args);
-    std::exit(1);
-}
 
 void
 panic(const char *fmt, ...)
@@ -69,15 +59,6 @@ warnIf(const std::string &message)
 {
     if (!message.empty())
         warn("%s", message.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    vreport("info", fmt, args);
-    va_end(args);
 }
 
 } // namespace mirage

@@ -2,10 +2,9 @@
  * @file
  * Status / error reporting helpers in the spirit of gem5's logging.hh.
  *
- * fatal() is for user-caused conditions (bad arguments, impossible
- * configuration) and exits cleanly; panic() is for internal invariant
- * violations (library bugs) and aborts. warn()/inform() never stop
- * execution.
+ * panic() is for internal invariant violations (library bugs) and
+ * aborts; warn() never stops execution. User-caused conditions are
+ * typed exceptions, never an exit from library code.
  */
 
 #ifndef MIRAGE_COMMON_LOGGING_HH
@@ -16,10 +15,6 @@
 
 namespace mirage {
 
-/** Print an error caused by the user and exit(1). */
-[[noreturn]] void fatal(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /** Print an internal-bug error and abort(). */
 [[noreturn]] void panic(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
@@ -29,9 +24,6 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** warn() a preformatted message; an empty one prints nothing. */
 void warnIf(const std::string &message);
-
-/** Print a status message; execution continues. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Report a failed MIRAGE_ASSERT (condition text, site, message), abort. */
 [[noreturn]] void assertionFailed(const char *cond, const char *file,

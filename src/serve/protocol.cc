@@ -7,6 +7,8 @@
 
 #include "serve/protocol.hh"
 
+#include <climits>
+#include <cmath>
 #include <cstring>
 
 namespace mirage::serve {
@@ -118,28 +120,29 @@ parseTranspileRequest(const json::Value &doc)
     if (!options)
         return req;
 
-    auto intField = [](const json::Value &v, const std::string &key) {
+    // The range is checked on the double, so the int64_t conversion is
+    // always defined and no value is silently truncated into an int.
+    auto intField = [](const json::Value &v, const std::string &key,
+                       int64_t lo, int64_t hi) {
         if (!v.isNumber())
             throw RequestError("request", "option '" + key +
                                               "' must be a number");
         double d = v.asNumber();
-        auto i = int64_t(d);
-        if (double(i) != d)
+        if (d != std::floor(d))
             throw RequestError("request", "option '" + key +
                                               "' must be an integer");
-        return i;
+        if (!(d >= double(lo) && d <= double(hi)))
+            throw RequestError("request", "option '" + key +
+                                              "' must be in [" +
+                                              std::to_string(lo) + ", " +
+                                              std::to_string(hi) + "]");
+        return int64_t(d);
     };
     auto boolField = [](const json::Value &v, const std::string &key) {
         if (!v.isBool())
             throw RequestError("request", "option '" + key +
                                               "' must be a boolean");
         return v.asBool();
-    };
-    auto requirePositive = [](int64_t v, const std::string &key) {
-        if (v < 1)
-            throw RequestError("request", "option '" + key +
-                                              "' must be >= 1");
-        return int(v);
     };
 
     mirage_pass::TranspileOptions &o = req.options;
@@ -165,34 +168,18 @@ parseTranspileRequest(const json::Value &doc)
                                    "option 'flow' must be a string");
             o.flow = parseFlow(value.asString());
         } else if (key == "trials") {
-            o.layoutTrials = requirePositive(intField(value, key), key);
+            o.layoutTrials = int(intField(value, key, 1, INT_MAX));
         } else if (key == "swapTrials") {
-            o.swapTrials = requirePositive(intField(value, key), key);
+            o.swapTrials = int(intField(value, key, 1, INT_MAX));
         } else if (key == "fwdBwd") {
-            int64_t v = intField(value, key);
-            if (v < 0)
-                throw RequestError("request",
-                                   "option 'fwdBwd' must be >= 0");
-            o.forwardBackwardPasses = int(v);
+            o.forwardBackwardPasses = int(intField(value, key, 0, INT_MAX));
         } else if (key == "seed") {
-            int64_t v = intField(value, key);
-            if (v < 0)
-                throw RequestError("request",
-                                   "option 'seed' must be >= 0");
-            o.seed = uint64_t(v);
+            o.seed = uint64_t(
+                intField(value, key, 0, int64_t(json::kMaxExactInteger)));
         } else if (key == "aggression") {
-            int64_t v = intField(value, key);
-            if (v < -1 || v > 3)
-                throw RequestError("request",
-                                   "option 'aggression' must be between "
-                                   "-1 (mixed) and 3");
-            o.fixedAggression = int(v);
+            o.fixedAggression = int(intField(value, key, -1, 3));
         } else if (key == "root") {
-            int64_t v = intField(value, key);
-            if (v < 2)
-                throw RequestError("request",
-                                   "option 'root' must be >= 2");
-            o.rootDegree = int(v);
+            o.rootDegree = int(intField(value, key, 2, INT_MAX));
         } else if (key == "lower") {
             o.lowerToBasis = boolField(value, key);
         } else if (key == "vf2") {

@@ -138,9 +138,6 @@ class Engine
      */
     std::string handle(const std::string &line);
 
-    /** handle() on an already parsed document (in-process callers). */
-    json::Value handleValue(const json::Value &request);
-
     /**
      * Stop accepting transpile work: subsequent transpile requests get
      * a "shutdown" error response while stats/ping keep answering.
@@ -182,6 +179,8 @@ class Engine
     };
     using EntryPtr = std::shared_ptr<const CachedEntry>;
 
+    /** handle() on the parsed request line. */
+    json::Value handleValue(const json::Value &request);
     json::Value handleTranspile(const json::Value &doc,
                                 const json::Value &id);
     json::Value statsResponse(const json::Value &id) const;

@@ -124,6 +124,27 @@ TEST(ArgumentParser, ErrorsAreUsageErrors)
     s.addOption("--seed", "N", "42", "seed");
     s.parse({"--seed", "banana"});
     EXPECT_THROW(s.intOption("--seed"), cli::UsageError);
+    EXPECT_THROW(s.seedOption("--seed"), cli::UsageError);
+
+    // Values that used to be truncated or wrapped silently.
+    auto parsed = [](const std::string &value) {
+        cli::ArgumentParser parser("test", "");
+        parser.addOption("--n", "N", "0", "n");
+        parser.parse({"--n", value});
+        return parser;
+    };
+    EXPECT_EQ(parsed("2147483647").intOption("--n"), 2147483647);
+    EXPECT_EQ(parsed("-2147483648").intOption("--n"), -2147483647 - 1);
+    for (const char *v : {"4294967297", "2147483648", "-2147483649",
+                          "99999999999999999999"})
+        EXPECT_THROW(parsed(v).intOption("--n"), cli::UsageError) << v;
+
+    EXPECT_EQ(parsed("9007199254740992").seedOption("--n"),
+              uint64_t(1) << 53);
+    EXPECT_EQ(parsed("0x10").seedOption("--n"), 16u);
+    for (const char *v : {"-1", "+1", " 1", "9007199254740993",
+                          "18446744073709551615", "18446744073709551616"})
+        EXPECT_THROW(parsed(v).seedOption("--n"), cli::UsageError) << v;
 }
 
 // --- json layer -------------------------------------------------------------
@@ -188,9 +209,12 @@ TEST(CliDispatch, NoArgumentsIsUsageError)
 
 TEST(CliDispatch, UnknownCommandIsUsageError)
 {
-    auto r = runCli({"frobnicate"});
-    EXPECT_EQ(r.code, cli::kExitUsage);
-    EXPECT_NE(r.err.find("unknown command"), std::string::npos);
+    // `bench` is gone: its gate is `sweep --check`.
+    for (const char *command : {"frobnicate", "bench"}) {
+        auto r = runCli({command});
+        EXPECT_EQ(r.code, cli::kExitUsage) << command;
+        EXPECT_NE(r.err.find("unknown command"), std::string::npos);
+    }
 }
 
 TEST(CliDispatch, HelpAndVersionSucceed)
@@ -277,6 +301,11 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         {{"--root", "1"}, "--root"},
         {{"--aggression", "4"}, "--aggression"},
         {{"--aggression", "-2"}, "--aggression"},
+        {{"--trials", "4294967297"}, "--trials"},
+        {{"--root", "4294967298"}, "--root"},
+        {{"--seed", "-1"}, "--seed"},
+        {{"--seed", "18446744073709551616"}, "--seed"},
+        {{"--seed", "9007199254740993"}, "--seed"},
     };
     for (const auto &c : cases) {
         std::vector<std::string> args = {"transpile", qft4Path()};
@@ -487,6 +516,14 @@ TEST(CliSweep, UnknownExperimentListsAvailable)
     EXPECT_NE(r.err.find("sweep --list"), std::string::npos);
 }
 
+TEST(CliSweep, OverflowingKnobIsUsageError)
+{
+    auto r = runCli({"sweep", "--experiment", "fig8", "--trials",
+                     "4294967297", "--stdout"});
+    EXPECT_EQ(r.code, cli::kExitUsage) << r.out;
+    EXPECT_NE(r.err.find("--trials"), std::string::npos) << r.err;
+}
+
 TEST(CliSweep, MissingExperimentIsUsageError)
 {
     auto r = runCli({"sweep"});
@@ -583,26 +620,44 @@ TEST(CliSweep, MatrixSweepCoversTopologiesAndAggressions)
     EXPECT_EQ(aggressions, (std::set<int64_t>{0, 1, 2, 3}));
 }
 
-// --- bench ------------------------------------------------------------------
+// --- sweep --check (the counter-gated bench experiments) --------------------
 
 namespace {
 
-/** Tiny-knob bench invocation so the test stays fast. */
+/** Tiny-knob `bench` sweep into `outDir`, so the test stays fast. */
 std::vector<std::string>
-benchArgs(const std::string &outPath)
+benchArgs(const std::string &outDir)
 {
-    return {"bench",   "--limit",       "2", "--trials", "2",
-            "--swap-trials", "1", "--fwd-bwd", "1", "--out", outPath};
+    return {"sweep",         "--experiment", "bench", "--limit",
+            "2",             "--trials",     "2",     "--swap-trials",
+            "1",             "--fwd-bwd",    "1",     "--out",
+            outDir};
+}
+
+/** Lower the first row's heuristicEvals by one in an artifact file. */
+void
+plantRegression(const std::string &from, const std::string &to)
+{
+    std::string text = readFile(from);
+    const std::string key = "\"heuristicEvals\": ";
+    size_t start = text.find(key);
+    ASSERT_NE(start, std::string::npos);
+    start += key.size();
+    size_t end = text.find_first_of(",\n", start);
+    long long evals = std::stoll(text.substr(start, end - start));
+    writeFile(to, text.substr(0, start) + std::to_string(evals - 1) +
+                      text.substr(end));
 }
 
 } // namespace
 
 TEST(CliBench, WritesValidArtifactAndSelfCheckPasses)
 {
-    const std::string path = tempPath("bench_self.json");
-    auto r = runCli(benchArgs(path));
+    const std::string dir = tempPath("bench_self");
+    auto r = runCli(benchArgs(dir));
     ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
 
+    const std::string path = dir + "/bench.json";
     json::Value artifact = json::parse(readFile(path));
     std::string schemaError;
     EXPECT_TRUE(cli::validateArtifact(artifact, &schemaError))
@@ -613,38 +668,26 @@ TEST(CliBench, WritesValidArtifactAndSelfCheckPasses)
     EXPECT_TRUE(artifact["summary"]["outputsBitIdentical"].asBool());
 
     // Re-running against the just-written baseline must pass: the
-    // counters are deterministic.
-    auto args = benchArgs(tempPath("bench_self2.json"));
-    args.push_back("--check");
-    args.push_back(path);
+    // counters are deterministic. --stdout keeps stdout one artifact.
+    auto args = benchArgs(tempPath("bench_self2"));
+    args.insert(args.end(), {"--check", path, "--stdout"});
     auto check = runCli(args);
     EXPECT_EQ(check.code, cli::kExitSuccess) << check.err;
-    EXPECT_NE(check.out.find("bench check OK"), std::string::npos);
+    EXPECT_NE(check.err.find("check OK"), std::string::npos);
+    EXPECT_EQ(json::parse(check.out)["rows"].size(), 2u);
 }
 
 TEST(CliBench, CheckFailsOnCounterRegression)
 {
-    const std::string path = tempPath("bench_base.json");
-    auto r = runCli(benchArgs(path));
+    const std::string dir = tempPath("bench_base");
+    auto r = runCli(benchArgs(dir));
     ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
 
-    // Doctor the baseline so the current run looks like a regression:
-    // lower the first row's heuristicEvals by one.
-    std::string text = readFile(path);
-    const std::string key = "\"heuristicEvals\": ";
-    size_t start = text.find(key);
-    ASSERT_NE(start, std::string::npos);
-    start += key.size();
-    size_t end = text.find_first_of(",\n", start);
-    long long evals = std::stoll(text.substr(start, end - start));
-    text = text.substr(0, start) + std::to_string(evals - 1) +
-           text.substr(end);
     const std::string doctored = tempPath("bench_doctored.json");
-    writeFile(doctored, text);
+    plantRegression(dir + "/bench.json", doctored);
 
-    auto args = benchArgs(tempPath("bench_cur.json"));
-    args.push_back("--check");
-    args.push_back(doctored);
+    auto args = benchArgs(tempPath("bench_cur"));
+    args.insert(args.end(), {"--check", doctored});
     auto check = runCli(args);
     EXPECT_EQ(check.code, cli::kExitFailure);
     EXPECT_NE(check.err.find("regressed"), std::string::npos) << check.err;
@@ -652,42 +695,37 @@ TEST(CliBench, CheckFailsOnCounterRegression)
 
 TEST(CliBench, CheckRejectsMismatchedParameters)
 {
-    const std::string path = tempPath("bench_params.json");
-    auto r = runCli(benchArgs(path));
+    const std::string dir = tempPath("bench_params");
+    auto r = runCli(benchArgs(dir));
     ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
 
     auto args = std::vector<std::string>{
-        "bench", "--limit", "2", "--trials", "1", "--swap-trials", "1",
-        "--fwd-bwd", "1", "--out", tempPath("bench_params2.json"),
-        "--check", path};
+        "sweep",       "--experiment", "bench", "--limit",
+        "2",           "--trials",     "1",     "--swap-trials",
+        "1",           "--fwd-bwd",    "1",     "--out",
+        tempPath("bench_params2"), "--check", dir + "/bench.json"};
     auto check = runCli(args);
     EXPECT_EQ(check.code, cli::kExitFailure);
-    EXPECT_NE(check.err.find("regressed"), std::string::npos);
+    EXPECT_NE(check.err.find("differs from the baseline"),
+              std::string::npos)
+        << check.err;
 }
 
 TEST(CliBench, CheckReadsBaselineBeforeOverwritingIt)
 {
-    // The default --out IS the committed baseline path, so the gate
+    // `--out DIR --check DIR/bench.json` names one file, so the gate
     // must read the baseline before writing the fresh artifact --
     // otherwise it compares the new file to itself and always passes.
-    const std::string path = tempPath("bench_inplace.json");
-    auto r = runCli(benchArgs(path));
+    const std::string dir = tempPath("bench_inplace");
+    auto r = runCli(benchArgs(dir));
     ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
 
     // Plant a regression in the baseline, then check IN PLACE.
-    std::string text = readFile(path);
-    const std::string key = "\"heuristicEvals\": ";
-    size_t start = text.find(key);
-    ASSERT_NE(start, std::string::npos);
-    start += key.size();
-    size_t end = text.find_first_of(",\n", start);
-    long long evals = std::stoll(text.substr(start, end - start));
-    writeFile(path, text.substr(0, start) + std::to_string(evals - 1) +
-                        text.substr(end));
+    const std::string path = dir + "/bench.json";
+    plantRegression(path, path);
 
-    auto args = benchArgs(path); // --out == --check target
-    args.push_back("--check");
-    args.push_back(path);
+    auto args = benchArgs(dir);
+    args.insert(args.end(), {"--check", path});
     auto check = runCli(args);
     EXPECT_EQ(check.code, cli::kExitFailure) << check.out;
     EXPECT_NE(check.err.find("regressed"), std::string::npos) << check.err;
@@ -695,8 +733,24 @@ TEST(CliBench, CheckReadsBaselineBeforeOverwritingIt)
 
 TEST(CliBench, RejectsBadLimit)
 {
-    auto r = runCli({"bench", "--limit", "0"});
+    auto r = runCli({"sweep", "--experiment", "bench", "--limit", "0"});
     EXPECT_EQ(r.code, cli::kExitUsage);
+}
+
+TEST(CliBench, CheckRejectsAnExperimentThatIsNotCounterGated)
+{
+    const std::string dir = tempPath("bench_gate");
+    auto r = runCli(benchArgs(dir));
+    ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
+
+    auto check = runCli({"sweep", "--experiment", "table3", "--limit", "1",
+                         "--catalog", kCatalogPath, "--out",
+                         tempPath("table3_gate"), "--check",
+                         dir + "/bench.json"});
+    EXPECT_EQ(check.code, cli::kExitFailure);
+    EXPECT_NE(check.err.find("not a counter-gated artifact"),
+              std::string::npos)
+        << check.err;
 }
 
 TEST(CliReport, RejectsMalformedJsonWithPosition)

@@ -113,6 +113,21 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
     EXPECT_THROW(
         parse("{\"qasm\":\"x\",\"options\":{\"flow\":\"sobre\"}}"),
         serve::RequestError);
+    // Integers past an int (or, for the seed, past 2^53, the largest a
+    // report reproduces exactly) used to be truncated silently.
+    for (const char *opts :
+         {"{\"trials\":4294967297}", "{\"swapTrials\":2147483648}",
+          "{\"fwdBwd\":1e300}", "{\"root\":4294967298}",
+          "{\"aggression\":-1e300}", "{\"seed\":-1}",
+          "{\"seed\":1152921504606846976}", "{\"seed\":1e300}"})
+        EXPECT_THROW(parse(std::string("{\"qasm\":\"x\",\"options\":") +
+                           opts + "}"),
+                     serve::RequestError)
+            << opts;
+    EXPECT_EQ(parse("{\"qasm\":\"x\",\"options\":{\"seed\":"
+                    "9007199254740992}}")
+                  .options.seed,
+              uint64_t(1) << 53);
 
     serve::TranspileRequest req = parse(
         "{\"id\":7,\"qasm\":\"x\",\"options\":{\"trials\":3,"
