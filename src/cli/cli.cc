@@ -620,10 +620,11 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
 
 /**
  * `mirage serve-bench`: the serve throughput/latency trajectory.
- * Runs the two-phase synthetic workload (see serve/traffic.hh) against
- * an in-process engine (default) or a live server (--socket), writes
- * the BENCH_serve.json artifact, and with --check gates CI on the
- * deterministic parameters/counters exactly (timings stay
+ * Runs the fixed two-phase synthetic workload (see serve/traffic.hh;
+ * no option changes it, so every run is comparable with the baseline)
+ * against an in-process engine (default) or a live server (--socket),
+ * writes the BENCH_serve.json artifact, and with --check gates CI on
+ * the deterministic parameters/counters exactly (timings stay
  * informational).
  */
 int
@@ -631,30 +632,6 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
               std::ostream &err)
 {
     ArgumentParser parser("serve-bench", "[--check <baseline.json>]");
-    parser.addOption("--clients", "N", "8",
-                     "concurrent drive-phase client threads");
-    parser.addOption("--requests", "N", "6",
-                     "drive requests per client");
-    parser.addOption("--distinct", "N", "4",
-                     "distinct synthetic circuits in the request mix");
-    parser.addOption("--width", "N", "5",
-                     "qubits per synthetic circuit");
-    parser.addOption("--gates", "N", "18",
-                     "entangling gates per synthetic circuit");
-    parser.addOption("--topology", "SPEC", "grid3x3",
-                     "device coupling map for every request");
-    parser.addOption("--trials", "N", "4", "layout trials per request");
-    parser.addOption("--swap-trials", "N", "2",
-                     "routing repeats per layout");
-    parser.addOption("--fwd-bwd", "N", "2", "layout refinement rounds");
-    parser.addOption("--seed", "N", "20240229",
-                     "workload + pipeline seed");
-    parser.addOption("--aggression", "N", "-1",
-                     "fixed mirror aggression 0-3 (-1 = mixed)");
-    parser.addFlag("--lower",
-                   "requests also lower to RootISWAP pulses");
-    parser.addOption("--threads", "N", "0",
-                     "in-process engine pool threads (0 = all cores)");
     parser.addOption("--socket", "PATH", "",
                      "drive a live `mirage serve` at this socket "
                      "instead of an in-process engine");
@@ -669,12 +646,6 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
                    "fault schedule; exit 1 unless it degrades cleanly "
                    "(documented errors, bit-identical successes, no "
                    "crash)");
-    parser.addOption("--chaos-requests", "N", "200",
-                     "requests driven through the chaos server");
-    parser.addOption("--faults", "SPEC", "",
-                     "chaos fault schedule (default: every injection "
-                     "point; ignored with --socket, where the server "
-                     "process owns its schedule)");
     parser.addOption("--chaos-dir", "DIR", "",
                      "chaos scratch directory for the in-process "
                      "server's socket/catalog/cache (default: "
@@ -694,14 +665,6 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
                              "exclusive (chaos gates on its own pass "
                              "flag)");
         serve::ChaosOptions copts;
-        copts.requests = parser.intOption("--chaos-requests");
-        if (copts.requests < 1)
-            throw UsageError("--chaos-requests must be >= 1");
-        copts.seed = parser.seedOption("--seed");
-        copts.engineThreads = parser.intOption("--threads");
-        if (copts.engineThreads < 0)
-            throw UsageError("--threads must be >= 0 (0 = all cores)");
-        copts.faultSpec = parser.option("--faults");
         copts.socketPath = parser.option("--socket");
         copts.workDir = parser.option("--chaos-dir");
         // Writes happen over SocketClient; a server killed mid-chaos
@@ -731,40 +694,6 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
         return kExitSuccess;
     }
 
-    serve::TrafficOptions topts;
-    auto positive = [&parser](const char *flag, int *slot) {
-        int v = parser.intOption(flag);
-        if (v < 1)
-            throw UsageError(std::string("option '") + flag +
-                             "' must be >= 1");
-        *slot = v;
-    };
-    positive("--clients", &topts.clients);
-    positive("--requests", &topts.requestsPerClient);
-    positive("--distinct", &topts.distinct);
-    positive("--trials", &topts.trials);
-    positive("--swap-trials", &topts.swapTrials);
-    topts.width = parser.intOption("--width");
-    if (topts.width < 2)
-        throw UsageError("--width must be >= 2 (entangling gates need "
-                         "two qubits)");
-    topts.twoQubitGates = parser.intOption("--gates");
-    if (topts.twoQubitGates < 1)
-        throw UsageError("--gates must be >= 1");
-    topts.fwdBwd = parser.intOption("--fwd-bwd");
-    if (topts.fwdBwd < 0)
-        throw UsageError("--fwd-bwd must be >= 0");
-    topts.aggression = parser.intOption("--aggression");
-    if (topts.aggression < -1 || topts.aggression > 3)
-        throw UsageError("--aggression must be in [-1, 3] (-1 = mixed)");
-    topts.engineThreads = parser.intOption("--threads");
-    if (topts.engineThreads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
-    topts.seed = parser.seedOption("--seed");
-    topts.topology = parser.option("--topology");
-    topts.lower = parser.flag("--lower");
-    topts.socketPath = parser.option("--socket");
-
     // Read the baseline BEFORE writing the fresh artifact: with the
     // default --out the two paths coincide (the committed repo-root
     // BENCH_serve.json), and writing first would gate the new artifact
@@ -775,7 +704,7 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
 
     json::Value artifact;
     try {
-        artifact = serve::runTraffic(topts, err);
+        artifact = serve::runTraffic(parser.option("--socket"), err);
     } catch (const serve::ServeError &e) {
         throw CliError(e.what());
     }

@@ -58,6 +58,17 @@ BasisSpec::cnot()
 
 namespace {
 
+/**
+ * The numeric construction's fixed budget: random interleaved products
+ * per k, Nelder-Mead evaluations per support direction, the largest k
+ * built, and the sampler seed. `mirage coverage check` pins the
+ * committed tables to exactly these values.
+ */
+constexpr int kSamplesPerK = 6000;
+constexpr int kRefineEvals = 250;
+constexpr int kMaxK = 8;
+constexpr uint64_t kSamplerSeed = 0x5EEDULL;
+
 /** Candidate facet directions: integer vectors with |component| <= 2,
  * primitive (gcd 1), both orientations kept. */
 const std::vector<Vec3> &
@@ -205,12 +216,12 @@ CoverageSet::CoverageSet(BasisSpec basis, std::vector<Polytope> perK)
 }
 
 CoverageSet
-CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
-                   const CoverageSet *parent, int parent_stride)
+CoverageSet::build(const BasisSpec &basis, const CoverageSet *parent,
+                   int parent_stride)
 {
     std::vector<Polytope> perK;
 
-    Rng rng(opts.seed);
+    Rng rng(kSamplerSeed);
     const auto &dirs = candidateDirections();
     const double grid = kPi / (16.0 * basis.gridDivisor);
     const double snap_tol = 0.012;
@@ -222,9 +233,9 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
 
     std::vector<Vec3> prev_vertices = {signedVec(basis.coords)};
     std::vector<bool> certified(landmarkPoints().size(), false);
-    Rng fit_rng(opts.seed ^ 0xF17ULL);
+    Rng fit_rng(kSamplerSeed ^ 0xF17ULL);
 
-    for (int k = 2; k <= opts.maxK; ++k) {
+    for (int k = 2; k <= kMaxK; ++k) {
         const int nparams = 6 * (k - 1);
         std::vector<double> supports(dirs.size(),
                                      -std::numeric_limits<double>::infinity());
@@ -238,7 +249,7 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
         }
 
         // Bulk sampling of interleaved products.
-        for (int s = 0; s < opts.samplesPerK; ++s) {
+        for (int s = 0; s < kSamplesPerK; ++s) {
             std::vector<double> p(static_cast<size_t>(nparams));
             for (auto &x : p)
                 x = rng.uniform(-kPi, kPi);
@@ -317,21 +328,17 @@ CoverageSet::build(const BasisSpec &basis, const CoverageBuildOptions &opts,
         }
 
         // Per-direction support refinement.
-        if (opts.refineSupports) {
-            for (size_t d = 0; d < dirs.size(); ++d) {
-                if (argmax[d].empty())
-                    continue;
-                decomp::ObjectiveFn obj =
-                    [&](const std::vector<double> &p) {
-                        weyl::Coord c = weyl::weylCoordinates(
-                            interleavedProduct(basis.matrix, k, p));
-                        return -dirs[d].dot(signedVec(c));
-                    };
-                double val = 0;
-                decomp::nelderMead(obj, argmax[d], 0.15, opts.refineEvals,
-                                   &val);
-                supports[d] = std::max(supports[d], -val);
-            }
+        for (size_t d = 0; d < dirs.size(); ++d) {
+            if (argmax[d].empty())
+                continue;
+            decomp::ObjectiveFn obj = [&](const std::vector<double> &p) {
+                weyl::Coord c = weyl::weylCoordinates(
+                    interleavedProduct(basis.matrix, k, p));
+                return -dirs[d].dot(signedVec(c));
+            };
+            double val = 0;
+            decomp::nelderMead(obj, argmax[d], 0.15, kRefineEvals, &val);
+            supports[d] = std::max(supports[d], -val);
         }
 
         // Snap supports onto the rational grid; pad un-snapped values so
@@ -473,7 +480,7 @@ rootCoverage(int n, std::map<int, CoverageSet> &memo, bool useTables)
     if (!cs) {
         const int m = parentRoot(n);
         cs = CoverageSet::build(
-            basis, {}, m ? &rootCoverage(m, memo, useTables) : nullptr,
+            basis, m ? &rootCoverage(m, memo, useTables) : nullptr,
             m ? n / m : 1);
     }
     return memo.emplace(n, std::move(*cs)).first->second;

@@ -55,18 +55,6 @@ struct BasisSpec
     static BasisSpec cnot();
 };
 
-/** Options for coverage construction. */
-struct CoverageBuildOptions
-{
-    int samplesPerK = 6000;
-    bool refineSupports = true;
-    int refineEvals = 250;
-    int maxK = 8;
-    uint64_t seed = 0x5EEDULL;
-    /** Stop once the Haar fraction exceeds this (full coverage). */
-    double fullCoverageThreshold = 0.999999;
-};
-
 /** Coverage sets P_1..P_kMax for one basis gate. */
 class CoverageSet
 {
@@ -86,7 +74,6 @@ class CoverageSet
      * of relying on numerical certification alone.
      */
     static CoverageSet build(const BasisSpec &basis,
-                             const CoverageBuildOptions &opts = {},
                              const CoverageSet *parent = nullptr,
                              int parent_stride = 1);
 

@@ -19,6 +19,10 @@
 
 namespace mirage::monodromy {
 
+/** Optimizer budget per approximation check in haarScoreMonteCarlo. */
+constexpr int kApproxFitRestarts = 2;
+constexpr int kApproxFitIterations = 220;
+
 HaarScore
 haarScoreExact(const CoverageSet &coverage, bool mirrors)
 {
@@ -57,8 +61,8 @@ haarScoreMonteCarlo(const CoverageSet &coverage, const MonteCarloOptions &opts)
     double total_fid = 0;
 
     decomp::FitOptions fit_opts;
-    fit_opts.restarts = opts.fitRestarts;
-    fit_opts.adamIterations = opts.fitIterations;
+    fit_opts.restarts = kApproxFitRestarts;
+    fit_opts.adamIterations = kApproxFitIterations;
     fit_opts.polish = false;
     fit_opts.targetInfidelity = 1e-9;
 

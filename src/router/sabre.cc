@@ -18,9 +18,9 @@
  * results because both modes feed the same integer sums through the
  * same combiner. Since distances are small non-negative ints, the sums
  * are exact in any accumulation order, so Delta == Naive holds for
- * every extendedSetWeight; with the default weight 0.5 (exactly
- * representable halves) the combined doubles also reproduce the
- * historical per-term accumulation bit for bit.
+ * any extended-set weight; with SABRE's 0.5 (exactly representable
+ * halves) the combined doubles also reproduce the historical per-term
+ * accumulation bit for bit.
  */
 
 #include "router/sabre.hh"
@@ -49,6 +49,18 @@ using layout::Layout;
 using topology::CouplingMap;
 
 namespace {
+
+/**
+ * SABRE's heuristic constants (Li, Ding, Xie, "Tackling the Qubit
+ * Mapping Problem for NISQ-Era Quantum Devices", ASPLOS'19): the
+ * lookahead window of |E| = 20 two-qubit gates weighted W = 0.5, and
+ * the per-qubit decay bumped by delta = 0.001 per SWAP and reset every
+ * 5 SWAPs.
+ */
+constexpr int kExtendedSetSize = 20;
+constexpr double kExtendedSetWeight = 0.5;
+constexpr double kDecayIncrement = 0.001;
+constexpr int kDecayResetInterval = 5;
 
 /**
  * One front/extended node's contribution pinned to a physical wire:
@@ -83,13 +95,13 @@ struct ScoreSums
  * reduces to equality of the integer sums.
  */
 double
-combineHeuristic(const ScoreSums &s, size_t nf, size_t ne, double w)
+combineHeuristic(const ScoreSums &s, size_t nf, size_t ne)
 {
     double h = 0;
     if (nf)
         h += double(s.fineFront) / double(nf);
     if (ne)
-        h += w * double(s.fineExt) / double(ne);
+        h += kExtendedSetWeight * double(s.fineExt) / double(ne);
     return h;
 }
 
@@ -106,12 +118,13 @@ combineHeuristic(const ScoreSums &s, size_t nf, size_t ne, double w)
  * permutation, hurting CCX-heavy circuits.
  */
 double
-combineOutlook(const ScoreSums &s, size_t ne, double w)
+combineOutlook(const ScoreSums &s, size_t ne)
 {
-    double units = double(s.unitFront) + w * double(s.unitExt);
+    double units =
+        double(s.unitFront) + kExtendedSetWeight * double(s.unitExt);
     double fine = double(s.fineFront);
     if (ne)
-        fine += w * double(s.fineExt) / double(ne);
+        fine += kExtendedSetWeight * double(s.fineExt) / double(ne);
     return units + 0.02 * fine;
 }
 
@@ -281,7 +294,7 @@ struct PassState
     /**
      * Collect the lookahead window into scratch->ext: the next 2Q gates
      * after the front, breadth-first over the successor closure, capped
-     * at extendedSetSize. With skip_node >= 0 the BFS seeds the front
+     * at kExtendedSetSize. With skip_node >= 0 the BFS seeds the front
      * minus that node first and the node last (the mirror decision's
      * view); those builds bypass the stall-step cache.
      */
@@ -307,7 +320,7 @@ struct PassState
         // that are not already in the front.
         size_t head = 0;
         while (head < walk.size() &&
-               int(ext.size()) < opts->extendedSetSize) {
+               int(ext.size()) < kExtendedSetSize) {
             int id = walk[head++];
             for (int s : dag->node(id).succs) {
                 if (seen[size_t(s)] == epoch)
@@ -315,7 +328,7 @@ struct PassState
                 seen[size_t(s)] = epoch;
                 if (plan->twoQ[size_t(s)]) {
                     ext.push_back(s);
-                    if (int(ext.size()) >= opts->extendedSetSize)
+                    if (int(ext.size()) >= kExtendedSetSize)
                         break;
                 }
                 walk.push_back(s);
@@ -511,9 +524,8 @@ struct PassState
             mirror_sums = rescanSums(pa, pb);
         }
         const size_t ne = scratch->ext.size();
-        const double w = opts->extendedSetWeight;
-        double h_now = combineOutlook(now_sums, ne, w);
-        double h_mirror = combineOutlook(mirror_sums, ne, w);
+        double h_now = combineOutlook(now_sums, ne);
+        double h_mirror = combineOutlook(mirror_sums, ne);
 
         double swap_cost = opts->costModel->swapCost();
         double cost_current = mi.gateCost + swap_cost * h_now;
@@ -614,7 +626,6 @@ struct PassState
         const bool use_delta = opts->scoreMode == ScoreMode::Delta;
         const size_t nf = scratch->front2q.size();
         const size_t ne = scratch->ext.size();
-        const double w = opts->extendedSetWeight;
         ScoreSums base;
         if (use_delta)
             base = buildBaseSums();
@@ -626,7 +637,7 @@ struct PassState
             ++counters.heuristicEvals;
             ScoreSums s = use_delta ? deltaSums(base, pa, pb)
                                     : rescanSums(pa, pb);
-            double h = combineHeuristic(s, nf, ne, w);
+            double h = combineHeuristic(s, nf, ne);
             h *= std::max(decay[size_t(pa)], decay[size_t(pb)]);
             if (h < best - 1e-12) {
                 best = h;
@@ -643,9 +654,9 @@ struct PassState
         out.append(std::move(sw));
         layout.swapPhysical(pa, pb);
         ++swaps_added;
-        decay[size_t(pa)] += opts->decayIncrement;
-        decay[size_t(pb)] += opts->decayIncrement;
-        if (++swaps_since_reset >= opts->decayResetInterval)
+        decay[size_t(pa)] += kDecayIncrement;
+        decay[size_t(pb)] += kDecayIncrement;
+        if (++swaps_since_reset >= kDecayResetInterval)
             resetDecay();
     }
 

@@ -66,10 +66,6 @@ enum class ScoreMode
 /** Options for one routing pass. */
 struct PassOptions
 {
-    int extendedSetSize = 20;
-    double extendedSetWeight = 0.5;
-    double decayIncrement = 0.001;
-    int decayResetInterval = 5;
     Aggression aggression = Aggression::None;
     /** Cost model used for mirror decisions and depth estimation; may be
      * null only when aggression == None. */

@@ -188,10 +188,13 @@ parseTranspileRequest(const json::Value &doc)
             if (!value.isNumber())
                 throw RequestError("request",
                                    "option 'deadlineMs' must be a number");
+            // The CLI's --deadline-ms range; a larger budget would
+            // overflow the clock-tick conversion in Deadline::afterMs.
             double v = value.asNumber();
-            if (v < 1)
+            if (!(v >= 1 && v <= INT_MAX))
                 throw RequestError("request",
-                                   "option 'deadlineMs' must be >= 1");
+                                   "option 'deadlineMs' must be in [1, "
+                                   "2147483647]");
             req.deadlineMs = v;
         } else {
             throw RequestError("request",

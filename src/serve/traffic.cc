@@ -74,27 +74,78 @@ syntheticQasm(int index, int width, int two_qubit_gates, uint64_t seed)
 
 namespace {
 
-/** The transpile request line for circuit #index of the workload. */
-std::string
-requestLine(const TrafficOptions &o, int index, const std::string &qasm,
-            int request_id)
+/** Seed of every synthetic circuit and of every request's pipeline. */
+constexpr uint64_t kSeed = 20240229;
+/** Mirror aggression of every request (-1 = the mixed per-trial set). */
+constexpr int kAggression = -1;
+
+/**
+ * One fixed request mix: `distinct` synthetic circuits of `width`
+ * qubits and `twoQubitGates` CXs, each requested on `topology` with
+ * the same trial counts.
+ */
+struct Workload
 {
-    json::Value req = json::Value::object();
-    req.set("id", request_id);
-    req.set("op", "transpile");
-    req.set("name", "traffic" + std::to_string(index));
-    req.set("qasm", qasm);
-    json::Value opts = json::Value::object();
-    opts.set("topology", o.topology);
-    opts.set("trials", o.trials);
-    opts.set("swapTrials", o.swapTrials);
-    opts.set("fwdBwd", o.fwdBwd);
-    opts.set("seed", o.seed);
-    opts.set("aggression", o.aggression);
-    opts.set("lower", o.lower);
-    req.set("options", std::move(opts));
-    return req.dump(0);
-}
+    const char *name; ///< request-name prefix ("traffic0", "chaos5")
+    int distinct;
+    int width;
+    int twoQubitGates;
+    const char *topology;
+    int trials;
+    int swapTrials;
+    int fwdBwd;
+
+    std::vector<std::string> circuits() const
+    {
+        std::vector<std::string> qasm;
+        for (int k = 0; k < distinct; ++k)
+            qasm.push_back(syntheticQasm(k, width, twoQubitGates, kSeed));
+        return qasm;
+    }
+
+    /** The transpile request line for circuit #index. */
+    std::string requestLine(int index, const std::string &qasm,
+                            int request_id, bool lower = false,
+                            double deadline_ms = 0.0) const
+    {
+        json::Value req = json::Value::object();
+        req.set("id", request_id);
+        req.set("op", "transpile");
+        req.set("name", name + std::to_string(index));
+        req.set("qasm", qasm);
+        json::Value opts = json::Value::object();
+        opts.set("topology", topology);
+        opts.set("trials", trials);
+        opts.set("swapTrials", swapTrials);
+        opts.set("fwdBwd", fwdBwd);
+        opts.set("seed", kSeed);
+        opts.set("aggression", kAggression);
+        opts.set("lower", lower);
+        if (deadline_ms > 0)
+            opts.set("deadlineMs", deadline_ms);
+        req.set("options", std::move(opts));
+        return req.dump(0);
+    }
+
+    /** The workload's slice of an artifact's `parameters` block. */
+    void describe(json::Value &p) const
+    {
+        p.set("distinctCircuits", distinct);
+        p.set("width", width);
+        p.set("twoQubitGates", twoQubitGates);
+        p.set("topology", topology);
+        p.set("trials", trials);
+        p.set("swapTrials", swapTrials);
+        p.set("fwdBwd", fwdBwd);
+        p.set("seed", kSeed);
+        p.set("aggression", kAggression);
+    }
+};
+
+/** `serve-bench`: 8 clients x 6 drive requests over this mix. */
+constexpr Workload kTraffic = {"traffic", 4, 5, 18, "grid3x3", 4, 2, 2};
+constexpr int kClients = 8;
+constexpr int kRequestsPerClient = 6;
 
 uint64_t
 counterOf(const json::Value &report, const char *name)
@@ -112,18 +163,16 @@ counterOf(const json::Value &report, const char *name)
 } // namespace
 
 json::Value
-runTraffic(const TrafficOptions &o, std::ostream &log)
+runTraffic(const std::string &socket_path, std::ostream &log)
 {
-    const bool overSocket = !o.socketPath.empty();
+    const Workload &w = kTraffic;
+    const bool overSocket = !socket_path.empty();
 
-    // The in-process engine (unused over a socket). The memo must hold
-    // the whole distinct set or drive-phase hits stop being exact.
-    EngineOptions eopts;
-    eopts.threads = o.engineThreads;
-    eopts.cacheEntries = std::max<size_t>(256, size_t(o.distinct) * 4);
+    // The in-process engine (unused over a socket). Its default memo
+    // holds the whole distinct set, so drive-phase hits are exact.
     std::unique_ptr<Engine> engine;
     if (!overSocket)
-        engine = std::make_unique<Engine>(eopts);
+        engine = std::make_unique<Engine>(EngineOptions{});
 
     // call(): one request line -> one response line, whatever the
     // transport. Over the socket each thread makes its own client.
@@ -132,28 +181,25 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
             Engine *e = engine.get();
             return [e](const std::string &line) { return e->handle(line); };
         }
-        auto client = std::make_shared<SocketClient>(o.socketPath);
+        auto client = std::make_shared<SocketClient>(socket_path);
         return [client](const std::string &line) {
             return client->roundTrip(line);
         };
     };
 
-    std::vector<std::string> qasm(size_t(o.distinct));
-    for (int k = 0; k < o.distinct; ++k)
-        qasm[size_t(k)] =
-            syntheticQasm(k, o.width, o.twoQubitGates, o.seed);
+    const std::vector<std::string> qasm = w.circuits();
 
     // --- phase 1: warmup (sequential; every circuit misses once) ----------
-    log << "mirage: serve-bench warmup: " << o.distinct
-        << " distinct circuits on " << o.topology << "...\n";
+    log << "mirage: serve-bench warmup: " << w.distinct
+        << " distinct circuits on " << w.topology << "...\n";
     auto warmCall = makeCall();
-    std::vector<std::string> referenceReports(size_t(o.distinct));
+    std::vector<std::string> referenceReports(size_t(w.distinct));
     uint64_t warmupMisses = 0, warmupErrors = 0;
     uint64_t heuristicEvals = 0, swapCandidates = 0, mirrorOutlooks = 0;
     const auto warmupStart = Clock::now();
-    for (int k = 0; k < o.distinct; ++k) {
+    for (int k = 0; k < w.distinct; ++k) {
         const std::string response =
-            warmCall(requestLine(o, k, qasm[size_t(k)], k));
+            warmCall(w.requestLine(k, qasm[size_t(k)], k));
         json::Value doc = json::parse(response);
         if (!doc["ok"].asBool()) {
             ++warmupErrors;
@@ -170,9 +216,9 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
     const double warmupMs = msSince(warmupStart);
 
     // --- phase 2: drive (N clients, all requests memo hits) ---------------
-    const int driveTotal = o.clients * o.requestsPerClient;
-    log << "mirage: serve-bench drive: " << o.clients << " clients x "
-        << o.requestsPerClient << " requests...\n";
+    const int driveTotal = kClients * kRequestsPerClient;
+    log << "mirage: serve-bench drive: " << kClients << " clients x "
+        << kRequestsPerClient << " requests...\n";
     std::vector<std::thread> clients;
     std::mutex mergeMutex;
     std::vector<double> latenciesMs;
@@ -180,17 +226,17 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
     uint64_t driveHits = 0, driveErrors = 0;
     bool bitIdentical = true;
     const auto driveStart = Clock::now();
-    for (int i = 0; i < o.clients; ++i) {
+    for (int i = 0; i < kClients; ++i) {
         clients.emplace_back([&, i] {
             auto call = makeCall();
             std::vector<double> local;
-            local.reserve(size_t(o.requestsPerClient));
+            local.reserve(size_t(kRequestsPerClient));
             uint64_t hits = 0, errors = 0;
             bool identical = true;
-            for (int j = 0; j < o.requestsPerClient; ++j) {
-                const int k = (i + j) % o.distinct;
-                const std::string line = requestLine(
-                    o, k, qasm[size_t(k)], 1000 + i * 1000 + j);
+            for (int j = 0; j < kRequestsPerClient; ++j) {
+                const int k = (i + j) % w.distinct;
+                const std::string line =
+                    w.requestLine(k, qasm[size_t(k)], 1000 + i * 1000 + j);
                 const auto t0 = Clock::now();
                 const std::string response = call(line);
                 local.push_back(msSince(t0));
@@ -236,25 +282,17 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
     doc.set("kind", kServeBenchKind);
     {
         json::Value p = json::Value::object();
-        p.set("clients", o.clients);
-        p.set("requestsPerClient", o.requestsPerClient);
-        p.set("distinctCircuits", o.distinct);
-        p.set("width", o.width);
-        p.set("twoQubitGates", o.twoQubitGates);
-        p.set("topology", o.topology);
-        p.set("trials", o.trials);
-        p.set("swapTrials", o.swapTrials);
-        p.set("fwdBwd", o.fwdBwd);
-        p.set("seed", o.seed);
-        p.set("aggression", o.aggression);
-        p.set("lower", o.lower);
+        p.set("clients", kClients);
+        p.set("requestsPerClient", kRequestsPerClient);
+        w.describe(p);
+        p.set("lower", false);
         doc.set("parameters", std::move(p));
     }
     {
         // Exact, machine- and thread-count-invariant: what --check
         // gates. A drift here is a behavior change, never noise.
         json::Value c = json::Value::object();
-        c.set("requests", uint64_t(o.distinct) + uint64_t(driveTotal));
+        c.set("requests", uint64_t(w.distinct) + uint64_t(driveTotal));
         c.set("warmupMisses", warmupMisses);
         c.set("driveHits", driveHits);
         c.set("errors", warmupErrors + driveErrors);
@@ -287,7 +325,7 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
         t.set("maxMs", latenciesMs.empty() ? 0.0 : latenciesMs.back());
         doc.set("timing", std::move(t));
     }
-    log << "mirage: serve-bench: " << (o.distinct + driveTotal)
+    log << "mirage: serve-bench: " << (w.distinct + driveTotal)
         << " requests, " << driveHits << "/" << driveTotal
         << " drive hits, bitIdentical="
         << (bitIdentical ? "true" : "false") << "\n";
@@ -296,35 +334,32 @@ runTraffic(const TrafficOptions &o, std::ostream &log)
 
 // --- chaos harness ----------------------------------------------------------
 
-const char *const kDefaultChaosFaults =
-    "seed=7,catalog.load=1/1,cache.save=1/1,fit.converge=1/3,"
-    "serve.accept=1/5,serve.read=1/11,serve.write=1/13,queue.admit=1/7";
-
 namespace {
 
-/** The transpile request line for chaos request #request_id. */
-std::string
-chaosRequestLine(const ChaosOptions &o, int index, const std::string &qasm,
-                 int request_id, bool lower, double deadline_ms)
-{
-    json::Value req = json::Value::object();
-    req.set("id", request_id);
-    req.set("op", "transpile");
-    req.set("name", "chaos" + std::to_string(index));
-    req.set("qasm", qasm);
-    json::Value opts = json::Value::object();
-    opts.set("topology", o.topology);
-    opts.set("trials", o.trials);
-    opts.set("swapTrials", o.swapTrials);
-    opts.set("fwdBwd", o.fwdBwd);
-    opts.set("seed", o.seed);
-    opts.set("aggression", o.aggression);
-    opts.set("lower", lower);
-    if (deadline_ms > 0)
-        opts.set("deadlineMs", deadline_ms);
-    req.set("options", std::move(opts));
-    return req.dump(0);
-}
+/**
+ * `serve-bench --chaos`: 200 requests over this mix. Every 5th request
+ * asks for lowering, which crosses fit.converge, the most invasive
+ * injection point; every 7th of the others carries a 1 ms deadline.
+ * The run passes only if at least 6 fault kinds were injected.
+ */
+constexpr Workload kChaos = {"chaos", 6, 4, 8, "grid2x2", 2, 1, 1};
+constexpr int kChaosRequests = 200;
+constexpr int kLowerEvery = 5;
+constexpr int kDeadlineEvery = 7;
+constexpr double kDeadlineMs = 1.0;
+constexpr int kRequireFaultKinds = 6;
+/** In-flight miss bound of the in-process server under test. */
+constexpr int kChaosMaxQueue = 64;
+
+/**
+ * Fault schedule of the in-process server under test: every named
+ * injection point in common/fault.hh fires (catalog.load and
+ * cache.save always; fit.converge at 1/3 so some lowers succeed and
+ * the library save path runs; the transport points at low rates).
+ */
+constexpr const char *kDefaultChaosFaults =
+    "seed=7,catalog.load=1/1,cache.save=1/1,fit.converge=1/3,"
+    "serve.accept=1/5,serve.read=1/11,serve.write=1/13,queue.admit=1/7";
 
 /**
  * SocketClient that treats a dropped connection (injected serve.read/
@@ -375,32 +410,29 @@ class ReconnectingClient
 json::Value
 runChaos(const ChaosOptions &o, std::ostream &log)
 {
+    const Workload &w = kChaos;
     const bool external = !o.socketPath.empty();
     std::string workDir = o.workDir;
     if (workDir.empty())
         workDir = "/tmp/mirage-chaos-" + std::to_string(::getpid());
     ::mkdir(workDir.c_str(), 0755);
 
-    std::vector<std::string> qasm(size_t(o.distinct));
-    for (int k = 0; k < o.distinct; ++k)
-        qasm[size_t(k)] =
-            syntheticQasm(k, o.width, o.twoQubitGates, o.seed);
+    const std::vector<std::string> qasm = w.circuits();
 
     // --- fault-free references -------------------------------------------
     // Every SUCCESSFUL chaos response must be byte-identical to these:
     // faults may fail a request, never corrupt one.
     fault::disarm();
-    log << "mirage: chaos: computing " << o.distinct
+    log << "mirage: chaos: computing " << w.distinct
         << " fault-free reference reports...\n";
-    std::vector<std::string> reference(size_t(o.distinct));
+    std::vector<std::string> reference(size_t(w.distinct));
     {
         EngineOptions ropts;
-        ropts.threads = o.engineThreads;
         ropts.catalogPath = "none";
         Engine ref(ropts);
-        for (int k = 0; k < o.distinct; ++k) {
-            json::Value doc = json::parse(ref.handle(chaosRequestLine(
-                o, k, qasm[size_t(k)], k, false, 0.0)));
+        for (int k = 0; k < w.distinct; ++k) {
+            json::Value doc = json::parse(
+                ref.handle(w.requestLine(k, qasm[size_t(k)], k)));
             if (!doc["ok"].asBool())
                 throw ServeError(
                     "chaos: fault-free reference request failed: " +
@@ -410,8 +442,6 @@ runChaos(const ChaosOptions &o, std::ostream &log)
     }
 
     // --- the server under test -------------------------------------------
-    const std::string spec =
-        o.faultSpec.empty() ? kDefaultChaosFaults : o.faultSpec;
     struct DisarmGuard
     {
         bool active = false;
@@ -435,15 +465,13 @@ runChaos(const ChaosOptions &o, std::ostream &log)
         decomp::EquivalenceLibrary empty(2, /*preseed=*/false);
         empty.saveCacheFile(catalogPath);
 
-        fault::arm(spec);
+        fault::arm(kDefaultChaosFaults);
         disarmGuard.active = true;
 
         EngineOptions eopts;
-        eopts.threads = o.engineThreads;
-        eopts.cacheEntries = std::max<size_t>(256, size_t(o.distinct) * 4);
         eopts.catalogPath = catalogPath;
         eopts.cacheDir = workDir; // shutdown save crosses cache.save
-        eopts.maxQueue = o.maxQueue;
+        eopts.maxQueue = kChaosMaxQueue;
         engine = std::make_unique<Engine>(eopts);
         catalogDegraded =
             engine->catalogLoad().status !=
@@ -453,7 +481,7 @@ runChaos(const ChaosOptions &o, std::ostream &log)
         server->start();
         serverThread = std::thread([&server] { server->run(); });
         log << "mirage: chaos: server up at " << socketPath
-            << " under schedule '" << spec << "'\n";
+            << " under schedule '" << kDefaultChaosFaults << "'\n";
     }
 
     // --- drive ------------------------------------------------------------
@@ -468,18 +496,15 @@ runChaos(const ChaosOptions &o, std::ostream &log)
     std::set<std::string> undocumented;
     bool bitIdentical = true;
     const auto driveStart = Clock::now();
-    for (int i = 0; i < o.requests; ++i) {
-        const int k = i % o.distinct;
-        const bool lower =
-            o.lowerEvery > 0 && i % o.lowerEvery == o.lowerEvery - 1;
+    for (int i = 0; i < kChaosRequests; ++i) {
+        const int k = i % w.distinct;
+        const bool lower = i % kLowerEvery == kLowerEvery - 1;
         const bool withDeadline =
-            !lower && o.deadlineEvery > 0 &&
-            i % o.deadlineEvery == o.deadlineEvery - 1;
+            !lower && i % kDeadlineEvery == kDeadlineEvery - 1;
         loweredRequests += lower ? 1 : 0;
         deadlineRequests += withDeadline ? 1 : 0;
-        json::Value doc = json::parse(client.call(chaosRequestLine(
-            o, k, qasm[size_t(k)], i, lower,
-            withDeadline ? o.deadlineMs : 0.0)));
+        json::Value doc = json::parse(client.call(w.requestLine(
+            k, qasm[size_t(k)], i, lower, withDeadline ? kDeadlineMs : 0.0)));
         if (doc["ok"].asBool()) {
             ++okCount;
             if (!lower &&
@@ -545,28 +570,20 @@ runChaos(const ChaosOptions &o, std::ostream &log)
 
     const bool pass = undocumented.empty() && bitIdentical &&
                       okCount > 0 &&
-                      faultKinds >= uint64_t(o.requireFaultKinds);
+                      faultKinds >= uint64_t(kRequireFaultKinds);
 
     json::Value doc = json::Value::object();
     doc.set("schemaVersion", kProtocolVersion);
     doc.set("kind", kServeChaosKind);
     {
         json::Value p = json::Value::object();
-        p.set("requests", o.requests);
-        p.set("distinctCircuits", o.distinct);
-        p.set("width", o.width);
-        p.set("twoQubitGates", o.twoQubitGates);
-        p.set("topology", o.topology);
-        p.set("trials", o.trials);
-        p.set("swapTrials", o.swapTrials);
-        p.set("fwdBwd", o.fwdBwd);
-        p.set("seed", o.seed);
-        p.set("aggression", o.aggression);
-        p.set("lowerEvery", o.lowerEvery);
-        p.set("deadlineEvery", o.deadlineEvery);
-        p.set("deadlineMs", o.deadlineMs);
-        p.set("requireFaultKinds", o.requireFaultKinds);
-        p.set("faults", external ? std::string("<server-side>") : spec);
+        p.set("requests", kChaosRequests);
+        w.describe(p);
+        p.set("lowerEvery", kLowerEvery);
+        p.set("deadlineEvery", kDeadlineEvery);
+        p.set("deadlineMs", kDeadlineMs);
+        p.set("requireFaultKinds", kRequireFaultKinds);
+        p.set("faults", external ? "<server-side>" : kDefaultChaosFaults);
         p.set("transport", external ? "socket" : "in-process");
         doc.set("parameters", std::move(p));
     }
@@ -603,7 +620,7 @@ runChaos(const ChaosOptions &o, std::ostream &log)
     }
     doc.set("pass", pass);
 
-    log << "mirage: chaos: " << o.requests << " requests, " << okCount
+    log << "mirage: chaos: " << kChaosRequests << " requests, " << okCount
         << " ok / " << errorCount << " errors, " << client.drops()
         << " drops survived, " << faultKinds
         << " fault kinds injected (total " << totalInjected

@@ -34,28 +34,6 @@ namespace mirage::serve {
 /** The artifact's `kind` tag. */
 inline constexpr const char *kServeBenchKind = "mirage-serve-bench";
 
-/** Workload + engine knobs for one traffic run. */
-struct TrafficOptions
-{
-    int clients = 8;           ///< concurrent drive-phase clients
-    int requestsPerClient = 6; ///< drive requests per client
-    int distinct = 4;          ///< distinct synthetic circuits
-    int width = 5;             ///< qubits per synthetic circuit
-    int twoQubitGates = 18;    ///< entangling gates per circuit
-    std::string topology = "grid3x3";
-    int trials = 4;
-    int swapTrials = 2;
-    int fwdBwd = 2;
-    uint64_t seed = 20240229;
-    int aggression = -1;
-    bool lower = false;
-    /** In-process engine pool size (0 = all cores). */
-    int engineThreads = 0;
-    /** Non-empty: drive a live server at this socket instead of an
-     * in-process engine (timings include the transport). */
-    std::string socketPath;
-};
-
 /**
  * Deterministic synthetic request circuit #index: seeded layered
  * random 1Q rotations + CNOTs (pure function of index/width/gates/
@@ -65,13 +43,15 @@ std::string syntheticQasm(int index, int width, int two_qubit_gates,
                           uint64_t seed);
 
 /**
- * Run the two-phase workload; progress goes to `log`. Returns the
+ * Run the fixed two-phase workload (8 clients x 6 requests over 4
+ * distinct 5-qubit, 18-CX circuits on grid3x3; see traffic.cc) against
+ * an in-process engine, or, when `socket_path` is non-empty, a live
+ * server at that socket. Progress goes to `log`. Returns the
  * serve-bench artifact: {schemaVersion, kind, parameters, counters
- * (exact -- see file comment), server (engine-side snapshot),
- * informational, timing}. Throws ServeError when a socket target is
- * unreachable.
+ * (exact -- see file comment), informational (engine-side snapshot),
+ * timing}. Throws ServeError when a socket target is unreachable.
  */
-json::Value runTraffic(const TrafficOptions &opts, std::ostream &log);
+json::Value runTraffic(const std::string &socket_path, std::ostream &log);
 
 /**
  * Regression gate for `mirage serve-bench --check`: `parameters` and
@@ -86,42 +66,9 @@ bool checkServeArtifact(const json::Value &current,
 /** The chaos artifact's `kind` tag. */
 inline constexpr const char *kServeChaosKind = "mirage-serve-chaos";
 
-/**
- * Default seeded fault schedule for `serve-bench --chaos`: every named
- * injection point in common/fault.hh fires (catalog.load and
- * cache.save always; fit.converge at 1/3 so some lowers succeed and
- * the library save path runs; the transport points at low rates).
- */
-extern const char *const kDefaultChaosFaults;
-
-/** Workload knobs for one chaos run (`mirage serve-bench --chaos`). */
+/** Where one chaos run (`mirage serve-bench --chaos`) happens. */
 struct ChaosOptions
 {
-    int requests = 200;    ///< requests driven through the server
-    int distinct = 6;      ///< distinct synthetic circuits
-    int width = 4;         ///< qubits per circuit
-    int twoQubitGates = 8; ///< entangling gates per circuit
-    std::string topology = "grid2x2";
-    int trials = 2;
-    int swapTrials = 1;
-    int fwdBwd = 1;
-    uint64_t seed = 20240229;
-    int aggression = -1;
-    /** Every K-th request asks for lowering (0 = never). Lowering
-     * crosses fit.converge, the most invasive injection point. */
-    int lowerEvery = 5;
-    /** Every K-th non-lowered request carries deadlineMs (0 = never). */
-    int deadlineEvery = 7;
-    double deadlineMs = 1.0;
-    /** Injected fault kinds required for pass (the acceptance floor). */
-    int requireFaultKinds = 6;
-    /** Fault schedule; empty = kDefaultChaosFaults. Ignored over an
-     * external socket (the server process owns its schedule). */
-    std::string faultSpec;
-    /** Engine in-flight miss bound for the in-process server. */
-    int maxQueue = 64;
-    /** In-process engine pool size (0 = all cores). */
-    int engineThreads = 0;
     /** Non-empty: torture a live `mirage serve --faults ...` at this
      * socket instead of an in-process server. */
     std::string socketPath;
@@ -131,10 +78,13 @@ struct ChaosOptions
 };
 
 /**
- * Drive a server through a seeded fault schedule and prove it degrades
- * instead of dying: reference reports are computed fault-free first,
- * then every chaos-run success must be byte-identical to its reference
- * and every failure must carry a documented error code. Returns the
+ * Drive a server through a seeded fault schedule (200 requests over 6
+ * distinct 4-qubit circuits on grid2x2; every 5th is lowered and every
+ * 7th, unless lowered, carries a 1 ms deadline; see traffic.cc) and
+ * prove it degrades instead of dying: reference reports are computed
+ * fault-free first, then every chaos-run success must be
+ * byte-identical to its reference and every failure must carry a
+ * documented error code. Returns the
  * chaos artifact {schemaVersion, kind, parameters, results, pass};
  * throws ServeError only when the server stops answering for good
  * (crash/deadlock -- the one thing that must never happen).

@@ -119,7 +119,9 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
          {"{\"trials\":4294967297}", "{\"swapTrials\":2147483648}",
           "{\"fwdBwd\":1e300}", "{\"root\":4294967298}",
           "{\"aggression\":-1e300}", "{\"seed\":-1}",
-          "{\"seed\":1152921504606846976}", "{\"seed\":1e300}"})
+          "{\"seed\":1152921504606846976}", "{\"seed\":1e300}",
+          // A deadline past the CLI's 2^31-1 ms overflowed the clock.
+          "{\"deadlineMs\":1e300}", "{\"deadlineMs\":2147483648}"})
         EXPECT_THROW(parse(std::string("{\"qasm\":\"x\",\"options\":") +
                            opts + "}"),
                      serve::RequestError)
@@ -128,6 +130,10 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
                     "9007199254740992}}")
                   .options.seed,
               uint64_t(1) << 53);
+    EXPECT_EQ(parse("{\"qasm\":\"x\",\"options\":{\"deadlineMs\":"
+                    "2147483647}}")
+                  .deadlineMs,
+              2147483647.0);
 
     serve::TranspileRequest req = parse(
         "{\"id\":7,\"qasm\":\"x\",\"options\":{\"trials\":3,"
@@ -719,30 +725,25 @@ TEST(ServeEngine, OtherRootPersistsBesideTheCatalog)
 
 TEST(ServeBench, ArtifactCountersAreExactAndCheckGates)
 {
-    serve::TrafficOptions opts;
-    opts.clients = 4;
-    opts.requestsPerClient = 3;
-    opts.distinct = 2;
-    opts.width = 4;
-    opts.twoQubitGates = 6;
-    opts.topology = "grid2x2";
-    opts.trials = 2;
-    opts.swapTrials = 1;
-
     std::ostringstream log;
-    json::Value first = serve::runTraffic(opts, log);
+    json::Value first = serve::runTraffic("", log);
     EXPECT_EQ(first["kind"].asString(), serve::kServeBenchKind);
     const json::Value &counters = first["counters"];
-    EXPECT_EQ(counters["requests"].asInt(), 2 + 4 * 3);
-    EXPECT_EQ(counters["warmupMisses"].asInt(), 2);
-    EXPECT_EQ(counters["driveHits"].asInt(), 4 * 3);
+    EXPECT_EQ(counters["requests"].asInt(), 4 + 8 * 6);
+    EXPECT_EQ(counters["warmupMisses"].asInt(), 4);
+    EXPECT_EQ(counters["driveHits"].asInt(), 8 * 6);
     EXPECT_EQ(counters["errors"].asInt(), 0);
     EXPECT_TRUE(counters["bitIdentical"].asBool());
 
-    // A second run reproduces the deterministic sections exactly.
-    json::Value second = serve::runTraffic(opts, log);
+    // The fixed workload reproduces the committed baseline exactly, so
+    // serve counter drift fails here as well as in CI's serve-smoke.
+    std::ifstream in(MIRAGE_TEST_DATA_DIR "/../BENCH_serve.json");
+    ASSERT_TRUE(in) << "BENCH_serve.json not found";
+    std::stringstream text;
+    text << in.rdbuf();
+    const json::Value committed = json::parse(text.str());
     std::string report;
-    EXPECT_TRUE(serve::checkServeArtifact(second, first, &report))
+    EXPECT_TRUE(serve::checkServeArtifact(first, committed, &report))
         << report;
 
     // Any counter drift fails the gate and is named in the report.
@@ -752,7 +753,7 @@ TEST(ServeBench, ArtifactCountersAreExactAndCheckGates)
                     badCounters["heuristicEvals"].asInt() + 1);
     doctored.set("counters", std::move(badCounters));
     report.clear();
-    EXPECT_FALSE(serve::checkServeArtifact(second, doctored, &report));
+    EXPECT_FALSE(serve::checkServeArtifact(first, doctored, &report));
     EXPECT_NE(report.find("heuristicEvals"), std::string::npos);
 
     // Parameter drift (a different workload) also fails.
@@ -760,7 +761,7 @@ TEST(ServeBench, ArtifactCountersAreExactAndCheckGates)
     json::Value p = otherParams["parameters"];
     p.set("clients", 99);
     otherParams.set("parameters", std::move(p));
-    EXPECT_FALSE(serve::checkServeArtifact(second, otherParams, &report));
+    EXPECT_FALSE(serve::checkServeArtifact(first, otherParams, &report));
 }
 
 TEST(ServeBench, SyntheticQasmIsDeterministicAndDistinctPerIndex)
