@@ -9,23 +9,39 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace mirage::circuit {
+
+namespace {
+
+/**
+ * Throw the CircuitError for operand `q` of `g` on `n` qubits: out of
+ * range, or else repeated. Out of line and cold, so append()'s per-gate
+ * check costs what an assert does and the message is built only here.
+ */
+[[noreturn]] __attribute__((noinline, cold)) void
+rejectOperand(const Gate &g, int q, int n)
+{
+    if (q >= 0 && q < n)
+        throw CircuitError("repeated operand " + std::to_string(q) +
+                           " in " + g.name());
+    throw CircuitError("gate " + g.name() + " operand " + std::to_string(q) +
+                       " out of range (n=" + std::to_string(n) + ")");
+}
+
+} // namespace
 
 void
 Circuit::append(Gate g)
 {
     for (int q : g.qubits) {
-        MIRAGE_ASSERT(q >= 0 && q < numQubits_,
-                      "gate %s operand %d out of range (n=%d)",
-                      g.name().c_str(), q, numQubits_);
+        if (q < 0 || q >= numQubits_)
+            rejectOperand(g, q, numQubits_);
     }
     if (g.numQubits() >= 2) {
         for (size_t i = 0; i < g.qubits.size(); ++i)
             for (size_t j = i + 1; j < g.qubits.size(); ++j)
-                MIRAGE_ASSERT(g.qubits[i] != g.qubits[j],
-                              "repeated operand in %s", g.name().c_str());
+                if (g.qubits[i] == g.qubits[j])
+                    rejectOperand(g, g.qubits[i], numQubits_);
     }
     gates_.push_back(std::move(g));
 }

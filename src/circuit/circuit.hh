@@ -7,12 +7,24 @@
 #ifndef MIRAGE_CIRCUIT_CIRCUIT_HH
 #define MIRAGE_CIRCUIT_CIRCUIT_HH
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "circuit/gate.hh"
 
 namespace mirage::circuit {
+
+/**
+ * Invalid gate for its circuit: an operand out of range or repeated.
+ * Thrown (rather than abort()) so programmatic callers can recover, as
+ * with topology::TopologyError.
+ */
+class CircuitError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** An ordered quantum circuit. */
 class Circuit
@@ -32,7 +44,8 @@ class Circuit
     size_t size() const { return gates_.size(); }
     bool empty() const { return gates_.empty(); }
 
-    /** Append any gate (operand bounds are checked). */
+    /** Append any gate; throws CircuitError on an operand out of range
+     * or repeated. */
     void append(Gate g);
 
     // Builder helpers ------------------------------------------------------

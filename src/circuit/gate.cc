@@ -155,7 +155,6 @@ makeGate1(GateKind kind, int q, std::vector<double> params)
 Gate
 makeGate2(GateKind kind, int a, int b, std::vector<double> params)
 {
-    MIRAGE_ASSERT(a != b, "two-qubit gate with repeated operand %d", a);
     Gate g;
     g.kind = kind;
     g.qubits = {a, b};

@@ -83,7 +83,8 @@ struct Gate
     Coord annotateCoords();
 };
 
-// Convenience constructors.
+// Convenience constructors. Operands are checked where a gate joins a
+// circuit (Circuit::append throws CircuitError), not here.
 Gate makeGate1(GateKind kind, int q, std::vector<double> params = {});
 Gate makeGate2(GateKind kind, int a, int b, std::vector<double> params = {});
 Gate makeUnitary2(int a, int b, const Mat4 &m);

@@ -322,12 +322,12 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     parser.addOption("--threads", "N", "1",
                      "trial-grid worker threads (0 = all cores)");
     parser.addOption("--mc-iters", "N", "",
-                     "Monte-Carlo iterations (table2)");
+                     "Monte-Carlo iterations (table2, fig5)");
     parser.addOption("--limit", "N", "",
                      "first N suite circuits / widths (default: all)");
     parser.addOption("--cache", "DIR", "",
                      "equivalence-library cache directory shared across "
-                     "runs (table3/fig13)");
+                     "runs (table3, mirror-*)");
     parser.addOption("--catalog", "FILE", "",
                      "fit catalog warm-starting lowering experiments "
                      "('none' disables; default: $MIRAGE_FIT_CATALOG, "

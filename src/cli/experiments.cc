@@ -13,17 +13,21 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <optional>
 
 #include "bench_circuits/generators.hh"
 #include "bench_circuits/mirror.hh"
+#include "circuit/consolidate.hh"
 #include "common/exec.hh"
 #include "common/logging.hh"
 #include "decomp/catalog.hh"
 #include "decomp/equivalence.hh"
 #include "mirage/pipeline.hh"
+#include "monodromy/cost_model.hh"
 #include "monodromy/scores.hh"
 #include "topology/coupling.hh"
+#include "weyl/catalog.hh"
 
 namespace mirage::cli {
 
@@ -54,7 +58,7 @@ limited(const SweepKnobs &k, size_t n)
 }
 
 json::Value
-parametersJson(const SweepKnobs &k, bool withMc = false)
+parametersJson(const SweepKnobs &k)
 {
     json::Value p = json::Value::object();
     p.set("seeds", k.seeds);
@@ -62,8 +66,6 @@ parametersJson(const SweepKnobs &k, bool withMc = false)
     p.set("swapTrials", k.swapTrials);
     p.set("forwardBackwardPasses", k.fwdBwd);
     p.set("threads", k.threads);
-    if (withMc)
-        p.set("mcIterations", k.mcIterations);
     if (!k.cacheDir.empty())
         p.set("cacheDir", k.cacheDir);
     return p;
@@ -82,6 +84,29 @@ column(const char *key, const char *label, int digits = -1,
     if (sci)
         c.set("sci", true);
     return c;
+}
+
+/**
+ * An experiment's payload in artifact key order: parameters, columns,
+ * rows, then the summary and notes when given.
+ */
+json::Value
+payload(json::Value parameters, std::vector<json::Value> columns,
+        json::Value rows, json::Value summary = {},
+        const char *notes = nullptr)
+{
+    json::Value out = json::Value::object();
+    out.set("parameters", std::move(parameters));
+    json::Value cols = json::Value::array();
+    for (json::Value &c : columns)
+        cols.push(std::move(c));
+    out.set("columns", std::move(cols));
+    out.set("rows", std::move(rows));
+    if (!summary.isNull())
+        out.set("summary", std::move(summary));
+    if (notes)
+        out.set("notes", notes);
+    return out;
 }
 
 mirage_pass::TranspileOptions
@@ -121,8 +146,8 @@ instanceSeed(int i)
  * The Table III evaluation config, which FIT_CATALOG.bin is fitted
  * from: the first --limit paper circuits on an 8x8 grid, MirageDepth
  * flow, one seed, trials 8/2/2 and one fixed routing seed, unless the
- * user overrides the knobs. table3, fig13, bench-lowering and bench (with
- * its own seed) run it; buildCatalogLibrary fits it.
+ * user overrides the knobs. table3, bench-lowering and bench (with its
+ * own seed) run it; buildCatalogLibrary fits it.
  */
 struct TableThree
 {
@@ -272,6 +297,143 @@ setCatalogSummary(json::Value &summary, const decomp::CatalogLoad &catalog)
 
 // --- experiments ------------------------------------------------------------
 
+/** Figs. 3-4: Haar-weighted coverage per k of CNOT and the iSWAP roots,
+ * standard vs mirror-extended. */
+json::Value
+runFig3And4(const SweepKnobs &)
+{
+    json::Value rows = json::Value::array();
+    json::Value k_max = json::Value::object();
+    for (const monodromy::CoverageSet *cs :
+         {&monodromy::coverageForCnot(), &monodromy::coverageForRootIswap(2),
+          &monodromy::coverageForRootIswap(3),
+          &monodromy::coverageForRootIswap(4)}) {
+        for (int k = 1; k <= cs->kMax(); ++k) {
+            json::Value row = json::Value::object();
+            row.set("basis", cs->basis().name);
+            row.set("k", k);
+            row.set("coverage", 100.0 * cs->haarFractionAt(k));
+            row.set("mirrorCoverage", 100.0 * cs->mirrorHaarFractionAt(k));
+            rows.push(std::move(row));
+        }
+        k_max.set(cs->basis().name, cs->kMax());
+    }
+
+    json::Value summary = json::Value::object();
+    summary.set("kMax", std::move(k_max));
+    return payload(json::Value::object(),
+                   {column("basis", "basis"), column("k", "k"),
+                    column("coverage", "coverage(%)", 2),
+                    column("mirrorCoverage", "mirror coverage(%)", 2)},
+                   std::move(rows), std::move(summary),
+                   "Haar-weighted volume of the monodromy polytope P_k (k "
+                   "basis applications), in percent; kMax is the k at which "
+                   "a basis covers the whole Weyl chamber.");
+}
+
+/** Fig. 5: Monte-Carlo convergence of the 4th-root-iSWAP Haar score. */
+json::Value
+runFig5(const SweepKnobs &userKnobs)
+{
+    const int iters = resolve(userKnobs, 1, 0, 0, 0).mcIterations;
+    const monodromy::CoverageSet &cs = monodromy::coverageForRootIswap(4);
+
+    // Log-spaced checkpoints like the paper's x-axis; the counter is
+    // 64-bit so doubling past 2^30 cannot overflow.
+    std::vector<int> checkpoints;
+    for (int64_t c = 1; c <= iters; c *= 2)
+        checkpoints.push_back(int(c));
+    if (checkpoints.back() != iters)
+        checkpoints.push_back(iters);
+
+    struct Strategy
+    {
+        const char *key, *label;
+        bool mirrors, approximate;
+    };
+    const Strategy strategies[] = {
+        {"exact", "exact", false, false},
+        {"approximate", "approximate", false, true},
+        {"exactMirrors", "exact+mirrors", true, false},
+        {"approxMirrors", "approx+mirrors", true, true},
+    };
+
+    json::Value summary = json::Value::object();
+    summary.set("exactReference", monodromy::haarScoreExact(cs, false).score);
+    summary.set("exactMirrorsReference",
+                monodromy::haarScoreExact(cs, true).score);
+    std::vector<json::Value> cols = {column("iteration", "iteration")};
+    std::vector<json::Value> rows(checkpoints.size(), json::Value::object());
+    for (size_t i = 0; i < checkpoints.size(); ++i)
+        rows[i].set("iteration", checkpoints[i]);
+    for (const Strategy &s : strategies) {
+        monodromy::MonteCarloOptions opts;
+        opts.iterations = iters;
+        opts.mirrors = s.mirrors;
+        opts.approximate = s.approximate;
+        size_t next = 0;
+        opts.progress = [&](int it, double running) {
+            if (checkpoints[next] == it)
+                rows[next++].set(s.key, running);
+        };
+        const monodromy::HaarScore final_score =
+            monodromy::haarScoreMonteCarlo(cs, opts);
+        rows.back().set(s.key, final_score.score);
+        json::Value f = json::Value::object();
+        f.set("score", final_score.score);
+        f.set("fidelity", final_score.fidelity);
+        summary.set(s.key, std::move(f));
+        cols.push_back(column(s.key, s.label, 4));
+    }
+
+    json::Value params = json::Value::object();
+    params.set("mcIterations", iters);
+    json::Value row_array = json::Value::array();
+    for (json::Value &row : rows)
+        row_array.push(std::move(row));
+    return payload(std::move(params), std::move(cols), std::move(row_array),
+                   std::move(summary),
+                   "Running average of the Haar score (expected cost in "
+                   "iSWAP units) under Algorithm 1, exact or approximate "
+                   "decomposition, with and without mirrors; the last row "
+                   "is the final score. The exact references are polytope "
+                   "integrals.");
+}
+
+/** Fig. 6: the CPHASE family and its pSWAP mirrors vs sqrt(iSWAP). */
+json::Value
+runFig6(const SweepKnobs &)
+{
+    const monodromy::CostModel cm = monodromy::makeRootIswapCostModel(2);
+    json::Value rows = json::Value::array();
+    for (int i = 1; i <= 8; ++i) {
+        const double phi = linalg::kPi * i / 8.0;
+        const weyl::Coord cp = weyl::coordCP(phi);
+        const weyl::Coord ps = weyl::mirrorCoord(cp);
+        json::Value row = json::Value::object();
+        row.set("phiOverPi", phi / linalg::kPi);
+        row.set("cpCoords", cp.toString());
+        row.set("cpCost", cm.costOf(cp));
+        row.set("cpK", cm.kFor(cp));
+        row.set("pswapCoords", ps.toString());
+        row.set("pswapCost", cm.costOf(ps));
+        row.set("pswapK", cm.kFor(ps));
+        rows.push(std::move(row));
+    }
+
+    return payload(json::Value::object(),
+                   {column("phiOverPi", "phi/pi", 3),
+                    column("cpCoords", "CP coords"),
+                    column("cpCost", "cost", 2), column("cpK", "k"),
+                    column("pswapCoords", "pSWAP coords"),
+                    column("pswapCost", "cost", 2), column("pswapK", "k")},
+                   std::move(rows), json::Value(),
+                   "Costs in iSWAP units against the sqrt(iSWAP) coverage. "
+                   "CNOT (phi = pi) and its mirror iSWAP both cost k=2; "
+                   "fractional CPHASEs mirror into k=3 pSWAPs, favored only "
+                   "when absorbing a SWAP.");
+}
+
 /** Fig. 8: TwoLocal(full, 4q) on a 4-qubit line, baseline vs MIRAGE. */
 json::Value
 runFig8(const SweepKnobs &userKnobs)
@@ -305,20 +467,68 @@ runFig8(const SweepKnobs &userKnobs)
         }
     }
 
-    json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
-    json::Value cols = json::Value::array();
-    cols.push(column("flow", "flow"));
-    cols.push(column("depthPulses", "pulses(sqiSW)", 1));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("mirrors", "mirrors"));
-    cols.push(column("depth", "depth(iSWAP)", 2));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("mirageTwoQubitGates", std::move(gates));
-    out.set("summary", std::move(summary));
-    return out;
+    return payload(parametersJson(knobs),
+                   {column("flow", "flow"),
+                    column("depthPulses", "pulses(sqiSW)", 1),
+                    column("swaps", "swaps"), column("mirrors", "mirrors"),
+                    column("depth", "depth(iSWAP)", 2)},
+                   std::move(rows), std::move(summary));
+}
+
+/**
+ * Fig. 9: local minima in greedy routing. The Fig. 8 ansatz is routed
+ * from the identity layout (its first gate needs no SWAP) 64 times with
+ * cycling aggression and distinct seeds; the tie-breaks land in
+ * different minima, which is why MIRAGE post-selects across trials.
+ */
+json::Value
+runFig9(const SweepKnobs &)
+{
+    const int trials = 64;
+    const auto consolidated =
+        circuit::consolidateBlocks(bench::twoLocalFull(4, 1, 7));
+    const auto line = topology::CouplingMap::line(4);
+    const auto cost = monodromy::makeRootIswapCostModel(2);
+    const router::Aggression cycle[] = {
+        router::Aggression::Lower, router::Aggression::Equal,
+        router::Aggression::Always, router::Aggression::None};
+
+    std::map<int, int> histogram; // depth pulses -> trials
+    double best = 1e30, worst = 0;
+    for (int t = 0; t < trials; ++t) {
+        router::PassOptions opts;
+        opts.costModel = &cost;
+        opts.aggression = cycle[t % 4];
+        opts.seed = 101 + 7 * uint64_t(t);
+        const auto res =
+            router::routePass(consolidated, line, layout::Layout(4), opts);
+        const double pulses =
+            mirage_pass::computeMetrics(res.routed, cost).depthPulses;
+        ++histogram[int(pulses + 0.5)];
+        best = std::min(best, pulses);
+        worst = std::max(worst, pulses);
+    }
+
+    json::Value rows = json::Value::array();
+    for (auto [pulses, count] : histogram) {
+        json::Value row = json::Value::object();
+        row.set("depthPulses", pulses);
+        row.set("trials", count);
+        rows.push(std::move(row));
+    }
+    json::Value summary = json::Value::object();
+    summary.set("best", best);
+    summary.set("worst", worst);
+    summary.set("trials", trials);
+    return payload(json::Value::object(),
+                   {column("depthPulses", "depth(pulses)"),
+                    column("trials", "trials")},
+                   std::move(rows), std::move(summary),
+                   "Depth-pulse histogram over 64 routing passes of one "
+                   "input from one layout; post-selection across trials "
+                   "keeps the best route.");
 }
 
 /** Fig. 10: fixed aggression levels vs baseline on four circuits. */
@@ -352,24 +562,19 @@ runFig10(const SweepKnobs &userKnobs)
         rows.push(std::move(row));
     }
 
-    json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
-    json::Value cols = json::Value::array();
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qiskit", "qiskit", 1));
+    std::vector<json::Value> cols = {column("circuit", "circuit"),
+                                     column("qiskit", "qiskit", 1)};
     for (int a = 0; a <= 3; ++a) {
         std::string key("a");
         key.push_back(char('0' + a));
-        cols.push(column(key.c_str(), key.c_str(), 1));
+        cols.push_back(column(key.c_str(), key.c_str(), 1));
     }
-    cols.push(column("mix", "mix", 1));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    out.set("notes",
-            "Average depth in iSWAP units on a 6x6 grid. No single "
-            "aggression level wins everywhere, motivating the mixed "
-            "5/45/45/5 distribution.");
-    return out;
+    cols.push_back(column("mix", "mix", 1));
+    return payload(parametersJson(knobs), std::move(cols), std::move(rows),
+                   json::Value(),
+                   "Average depth in iSWAP units on a 6x6 grid. No single "
+                   "aggression level wins everywhere, motivating the mixed "
+                   "5/45/45/5 distribution.");
 }
 
 const std::vector<const char *> &
@@ -418,29 +623,23 @@ runFig11(const SweepKnobs &userKnobs)
         ++count;
     }
 
-    json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
-    json::Value cols = json::Value::array();
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qiskit", "qiskit", 1));
-    cols.push(column("mirageSwaps", "mirage-swaps", 1));
-    cols.push(column("mirageDepth", "mirage-depth", 1));
-    cols.push(column("swapSelRed", "dS(%)", 1));
-    cols.push(column("depthSelRed", "dD(%)", 1));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("avgDepthReductionSwapSel", sum_swap_red / count);
     summary.set("avgDepthReductionDepthSel", sum_depth_red / count);
     summary.set("avgExtraFromDepthSel",
                 (sum_depth_red - sum_swap_red) / count);
     summary.set("avgTotalPulseChange", sum_gate_ratio / count);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Average depth in iSWAP units on a 6x6 grid; dS/dD are the "
-            "reductions of MIRAGE post-selected on SWAPs/depth vs the "
-            "baseline.");
-    return out;
+    return payload(parametersJson(knobs),
+                   {column("circuit", "circuit"),
+                    column("qiskit", "qiskit", 1),
+                    column("mirageSwaps", "mirage-swaps", 1),
+                    column("mirageDepth", "mirage-depth", 1),
+                    column("swapSelRed", "dS(%)", 1),
+                    column("depthSelRed", "dD(%)", 1)},
+                   std::move(rows), std::move(summary),
+                   "Average depth in iSWAP units on a 6x6 grid; dS/dD are "
+                   "the reductions of MIRAGE post-selected on SWAPs/depth "
+                   "vs the baseline.");
 }
 
 /** Fig. 12: end-to-end comparison on heavy-hex 57Q and the 6x6 grid. */
@@ -499,127 +698,19 @@ runFig12(const SweepKnobs &userKnobs)
         summary.set(topo.name(), std::move(t));
     }
 
-    json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
-    json::Value cols = json::Value::array();
-    cols.push(column("topology", "topology"));
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qiskitDepth", "Q.depth", 1));
-    cols.push(column("mirageDepth", "M.depth", 1));
-    cols.push(column("depthRed", "d%", 1));
-    cols.push(column("qiskitPulses", "Q.pulse", 0));
-    cols.push(column("miragePulses", "M.pulse", 0));
-    cols.push(column("pulseRed", "g%", 1));
-    cols.push(column("qiskitSwaps", "Q.swap", 1));
-    cols.push(column("mirageSwaps", "M.swap", 1));
-    cols.push(column("mirrorRate", "mirror%", 1));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    out.set("summary", std::move(summary));
-    return out;
-}
-
-/** Fig. 13: suite transpile timing, serial vs parallel + lowering. */
-json::Value
-runFig13(const SweepKnobs &userKnobs)
-{
-    const TableThree t = tableThree(userKnobs);
-    const SweepKnobs &knobs = t.knobs;
-    const auto &grid = t.grid;
-    const std::vector<circuit::Circuit> circuits = t.circuits();
-    auto opts = t.options;
-
-    // Warm the process-wide coverage/coordinate caches outside the
-    // timed region (both runs then see the same warm state).
-    mirage_pass::transpile(circuits.front(), grid, opts);
-
-    opts.threads = 1;
-    std::vector<mirage_pass::TranspileResult> serial;
-    auto t0 = std::chrono::steady_clock::now();
-    for (const auto &c : circuits)
-        serial.push_back(mirage_pass::transpile(c, grid, opts));
-    double serial_ms = millisSince(t0);
-
-    // One pool of all hardware threads serves every circuit's trial grid.
-    std::vector<mirage_pass::TranspileResult> parallel;
-    t0 = std::chrono::steady_clock::now();
-    exec::ThreadPool pool(0);
-    opts.pool = &pool;
-    for (const auto &c : circuits)
-        parallel.push_back(mirage_pass::transpile(c, grid, opts));
-    double parallel_ms = millisSince(t0);
-
-    bool identical = serial.size() == parallel.size();
-    for (size_t i = 0; identical && i < serial.size(); ++i)
-        identical =
-            circuit::Circuit::bitIdentical(serial[i].routed,
-                                           parallel[i].routed) &&
-            serial[i].metrics.depth == parallel[i].metrics.depth;
-
-    // Lowering stage: cold library (numerical fits) vs warm rerun
-    // (pure cache hits) over one shared equivalence library.
-    std::optional<exec::ThreadPool> lowering_pool;
-    opts.threads = knobs.threads;
-    opts.pool = knobs.threads != 1 ? &lowering_pool.emplace(knobs.threads)
-                                   : nullptr;
-    decomp::LibraryReport report;
-    auto lib = decomp::openLibrary(opts.rootDegree, decomp::kCatalogDisabled,
-                                   knobs.cacheDir, &report);
-    warnIf(report.cacheWarning);
-    opts = lowerThrough(opts, lib.get());
-
-    t0 = std::chrono::steady_clock::now();
-    for (const auto &c : circuits)
-        mirage_pass::transpile(c, grid, opts);
-    double cold_ms = millisSince(t0);
-    uint64_t cold_fits = lib->fitCount();
-
-    t0 = std::chrono::steady_clock::now();
-    int warm_fits = 0;
-    for (const auto &c : circuits)
-        warm_fits +=
-            mirage_pass::transpile(c, grid, opts).translateStats.newFits;
-    double warm_ms = millisSince(t0);
-    warnIf(decomp::saveLibrary(*lib, knobs.cacheDir));
-
-    json::Value rows = json::Value::array();
-    auto addRow = [&rows](const char *stage, double ms,
-                          const std::string &detail) {
-        json::Value row = json::Value::object();
-        row.set("stage", stage);
-        row.set("ms", ms);
-        row.set("detail", detail);
-        rows.push(std::move(row));
-    };
-    addRow("transpile-serial", serial_ms, "threads=1");
-    addRow("transpile-parallel", parallel_ms,
-           "threads=" + std::to_string(exec::defaultThreads()));
-    addRow("lowering-cold", cold_ms,
-           std::to_string(cold_fits) + " fits");
-    addRow("lowering-warm", warm_ms,
-           std::to_string(warm_fits) + " new fits");
-
-    json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
-    json::Value cols = json::Value::array();
-    cols.push(column("stage", "stage"));
-    cols.push(column("ms", "wall(ms)", 1));
-    cols.push(column("detail", "detail"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    json::Value summary = json::Value::object();
-    summary.set("parallelSpeedup",
-                parallel_ms > 0 ? serial_ms / parallel_ms : 0.0);
-    summary.set("loweringWarmSpeedup",
-                warm_ms > 0 ? cold_ms / warm_ms : 0.0);
-    summary.set("outputsBitIdentical", identical);
-    summary.set("hardwareThreads", exec::defaultThreads());
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Whole Table III suite on an 8x8 grid. Wall times vary by "
-            "machine; outputsBitIdentical must always be true (the "
-            "trial engine's determinism guarantee).");
-    return out;
+    return payload(parametersJson(knobs),
+                   {column("topology", "topology"),
+                    column("circuit", "circuit"),
+                    column("qiskitDepth", "Q.depth", 1),
+                    column("mirageDepth", "M.depth", 1),
+                    column("depthRed", "d%", 1),
+                    column("qiskitPulses", "Q.pulse", 0),
+                    column("miragePulses", "M.pulse", 0),
+                    column("pulseRed", "g%", 1),
+                    column("qiskitSwaps", "Q.swap", 1),
+                    column("mirageSwaps", "M.swap", 1),
+                    column("mirrorRate", "mirror%", 1)},
+                   std::move(rows), std::move(summary));
 }
 
 /** Tables I/II: Haar scores, exact or Monte-Carlo approximate. */
@@ -659,23 +750,17 @@ runHaarTable(const SweepKnobs &userKnobs, bool approximate)
         rows.push(std::move(row));
     }
 
-    json::Value out = json::Value::object();
-    out.set("parameters", std::move(params));
-    json::Value cols = json::Value::array();
-    cols.push(column("basis", "basis"));
-    cols.push(column("haar", "haar", 4));
-    cols.push(column("fidelity", "fidelity", 4));
-    cols.push(column("mirrorHaar", "mirror haar", 4));
-    cols.push(column("mirrorFidelity", "mirror fid", 4));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
-    out.set("notes", approximate
-                         ? "Algorithm 1 Monte Carlo with approximate "
-                           "decomposition accepted when it improves "
-                           "total fidelity."
-                         : "Exact decomposition scores by polytope "
-                           "integration.");
-    return out;
+    return payload(std::move(params),
+                   {column("basis", "basis"), column("haar", "haar", 4),
+                    column("fidelity", "fidelity", 4),
+                    column("mirrorHaar", "mirror haar", 4),
+                    column("mirrorFidelity", "mirror fid", 4)},
+                   std::move(rows), json::Value(),
+                   approximate ? "Algorithm 1 Monte Carlo with approximate "
+                                 "decomposition accepted when it improves "
+                                 "total fidelity."
+                               : "Exact decomposition scores by polytope "
+                                 "integration.");
 }
 
 /** Table III: suite inventory + measured sqrt(iSWAP) pulse counts. */
@@ -732,22 +817,6 @@ runTable3(const SweepKnobs &userKnobs)
         fit_evals += r.translateStats.fitEvaluations;
     }
 
-    json::Value out = json::Value::object();
-    out.set("parameters", parametersJson(knobs));
-    json::Value cols = json::Value::array();
-    cols.push(column("name", "name"));
-    cols.push(column("class", "class"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("paperTwoQ", "paper 2Q"));
-    cols.push(column("rawTwoQ", "raw 2Q"));
-    cols.push(column("cxEquiv", "cx-equiv"));
-    cols.push(column("estPulses", "est.pulse", 0));
-    cols.push(column("measPulses", "meas.pulse", 0));
-    cols.push(column("measDepthPulses", "meas.depth", 0));
-    cols.push(column("fits", "fits"));
-    cols.push(column("worstInfidelity", "worst-inf", -1, true));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("measuredEqualsEstimated", all_equal);
     summary.set("worstInfidelity", worst_inf);
@@ -757,15 +826,25 @@ runTable3(const SweepKnobs &userKnobs)
     summary.set("fitEvaluations", fit_evals);
     summary.set("cachedDecompositions", uint64_t(lib->cacheSize()));
     setCatalogSummary(summary, report.catalog);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Routed on an 8x8 grid with MirageDepth flow, then lowered "
-            "to sqrt(iSWAP) pulses over one shared equivalence library. "
-            "est.pulse is the polytope estimate, meas.pulse the count "
-            "measured on the emitted circuit; the paper counts "
-            "QASMBench entries natively (raw 2Q) and MQTBench entries "
-            "after CX decomposition (cx-equiv).");
-    return out;
+    return payload(parametersJson(knobs),
+                   {column("name", "name"), column("class", "class"),
+                    column("qubits", "qubits"),
+                    column("paperTwoQ", "paper 2Q"),
+                    column("rawTwoQ", "raw 2Q"),
+                    column("cxEquiv", "cx-equiv"),
+                    column("estPulses", "est.pulse", 0),
+                    column("measPulses", "meas.pulse", 0),
+                    column("measDepthPulses", "meas.depth", 0),
+                    column("fits", "fits"),
+                    column("worstInfidelity", "worst-inf", -1, true)},
+                   std::move(rows), std::move(summary),
+                   "Routed on an 8x8 grid with MirageDepth flow, then "
+                   "lowered to sqrt(iSWAP) pulses over one shared "
+                   "equivalence library. est.pulse is the polytope "
+                   "estimate, meas.pulse the count measured on the emitted "
+                   "circuit; the paper counts QASMBench entries natively "
+                   "(raw 2Q) and MQTBench entries after CX decomposition "
+                   "(cx-equiv).");
 }
 
 /**
@@ -835,22 +914,8 @@ runBenchLowering(const SweepKnobs &userKnobs)
         warm_new_fits += warm_stats[i].newFits;
     }
 
-    json::Value out = json::Value::object();
     json::Value params = parametersJson(t.knobs);
     params.set("circuits", uint64_t(routed.size()));
-    out.set("parameters", std::move(params));
-    json::Value cols = json::Value::array();
-    cols.push(column("name", "name"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("blocks", "blocks"));
-    cols.push(column("fits", "fits"));
-    cols.push(column("fitEvaluations", "fit-evals"));
-    cols.push(column("coldMs", "cold(ms)", 1));
-    cols.push(column("warmNewFits", "warm-fits"));
-    cols.push(column("warmFitEvaluations", "warm-evals"));
-    cols.push(column("warmMs", "warm(ms)", 1));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("loweringColdMs", total_cold);
     summary.set("loweringWarmMs", total_warm);
@@ -859,16 +924,23 @@ runBenchLowering(const SweepKnobs &userKnobs)
     summary.set("totalFits", uint64_t(cold.fitCount()));
     summary.set("totalFitEvaluations", uint64_t(cold.fitEvaluations()));
     setCatalogSummary(summary, catalog);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Table III suite routed once on an 8x8 grid, then lowered "
-            "cold (fresh library, every block fitted) vs warm (library "
-            "restored from the committed FIT_CATALOG.bin). Wall times "
-            "are machine-dependent and never gated; fits/fitEvaluations/"
-            "warmNewFits are deterministic and CI-gated. warmNewFits "
-            "must be 0: a nonzero value means the committed catalog no "
-            "longer covers the suite.");
-    return out;
+    return payload(std::move(params),
+                   {column("name", "name"), column("qubits", "qubits"),
+                    column("blocks", "blocks"), column("fits", "fits"),
+                    column("fitEvaluations", "fit-evals"),
+                    column("coldMs", "cold(ms)", 1),
+                    column("warmNewFits", "warm-fits"),
+                    column("warmFitEvaluations", "warm-evals"),
+                    column("warmMs", "warm(ms)", 1)},
+                   std::move(rows), std::move(summary),
+                   "Table III suite routed once on an 8x8 grid, then "
+                   "lowered cold (fresh library, every block fitted) vs "
+                   "warm (library restored from the committed "
+                   "FIT_CATALOG.bin). Wall times are machine-dependent and "
+                   "never gated; fits/fitEvaluations/warmNewFits are "
+                   "deterministic and CI-gated. warmNewFits must be 0: a "
+                   "nonzero value means the committed catalog no longer "
+                   "covers the suite.");
 }
 
 /**
@@ -924,23 +996,8 @@ runBenchRouting(const SweepKnobs &userKnobs)
         total_stalls += c.stallSteps;
     }
 
-    json::Value out = json::Value::object();
     json::Value params = parametersJson(t.knobs);
     params.set("circuits", uint64_t(t.suite.size()));
-    out.set("parameters", std::move(params));
-    json::Value cols = json::Value::array();
-    cols.push(column("name", "name"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("serialMs", "route(ms,1T)", 1));
-    cols.push(column("parallelMs", "route(ms,NT)", 1));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("stallSteps", "stalls"));
-    cols.push(column("heuristicEvals", "h-evals"));
-    cols.push(column("evalsPerStall", "evals/stall", 2));
-    cols.push(column("extSetBuilds", "ext-builds"));
-    cols.push(column("extSetReuses", "ext-reuses"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("routingSerialMs", serial_ms);
     summary.set("routingParallelMs", parallel_ms);
@@ -952,14 +1009,23 @@ runBenchRouting(const SweepKnobs &userKnobs)
                              : 0.0);
     summary.set("outputsBitIdentical", identical);
     summary.set("hardwareThreads", exec::defaultThreads());
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Routing-phase wall time of the Table III suite on an 8x8 "
-            "grid (MirageDepth flow), threads=1 vs all cores, with the "
-            "deterministic hot-path counters. Wall times vary by "
-            "machine; the counters and routed circuits must not (the "
-            "`mirage sweep --check` CI gate compares counters only).");
-    return out;
+    return payload(std::move(params),
+                   {column("name", "name"), column("qubits", "qubits"),
+                    column("serialMs", "route(ms,1T)", 1),
+                    column("parallelMs", "route(ms,NT)", 1),
+                    column("swaps", "swaps"),
+                    column("stallSteps", "stalls"),
+                    column("heuristicEvals", "h-evals"),
+                    column("evalsPerStall", "evals/stall", 2),
+                    column("extSetBuilds", "ext-builds"),
+                    column("extSetReuses", "ext-reuses")},
+                   std::move(rows), std::move(summary),
+                   "Routing-phase wall time of the Table III suite on an "
+                   "8x8 grid (MirageDepth flow), threads=1 vs all cores, "
+                   "with the deterministic hot-path counters. Wall times "
+                   "vary by machine; the counters and routed circuits must "
+                   "not (the `mirage sweep --check` CI gate compares "
+                   "counters only).");
 }
 
 /**
@@ -1104,40 +1170,36 @@ runFig12Large(const SweepKnobs &userKnobs)
     topology::CouplingMap::clearRowCache();
     topology::CouplingMap::setRowCacheCapacity(entry_capacity);
 
-    json::Value out = json::Value::object();
     json::Value params = parametersJson(knobs);
     params.set("circuits", uint64_t(limit));
     params.set("rowCacheCapacity", uint64_t(kAuditRowCacheCapacity));
-    out.set("parameters", std::move(params));
-    json::Value cols = json::Value::array();
-    cols.push(column("name", "name"));
-    cols.push(column("deviceQubits", "device-q"));
-    cols.push(column("gates2q", "2q-gates"));
-    cols.push(column("routeMs", "route(ms)", 1));
-    cols.push(column("msPerGate2q", "ms/2q-gate", 3));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("stallSteps", "stalls"));
-    cols.push(column("heuristicEvals", "h-evals"));
-    cols.push(column("extSetBuilds", "ext-builds"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("topologies", std::move(topo_summaries));
     summary.set("memorySubQuadratic", all_sub_quadratic);
     summary.set("memoryRatioShrinksWithN", ratio_shrinks);
     summary.set("routeTimeNearLinearInGates", all_near_linear);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Table III circuits routed on 433/1121-qubit heavy-hex and a "
-            "33x33 grid, all in sparse topology mode (CSR adjacency + "
-            "BFS-on-demand distance rows behind a per-thread LRU cache; "
-            "no O(n^2) tables). memorySubQuadratic asserts resident "
-            "topology bytes (tables + row cache) stay under half of the "
-            "dense-equivalent flat tables; msPerGate2q tracks route-time "
-            "scaling in gate count. Counters are deterministic and gated "
-            "by `mirage sweep --experiment fig12-large --check`; wall "
-            "times vary by machine and are never compared.");
-    return out;
+    return payload(std::move(params),
+                   {column("name", "name"),
+                    column("deviceQubits", "device-q"),
+                    column("gates2q", "2q-gates"),
+                    column("routeMs", "route(ms)", 1),
+                    column("msPerGate2q", "ms/2q-gate", 3),
+                    column("swaps", "swaps"),
+                    column("stallSteps", "stalls"),
+                    column("heuristicEvals", "h-evals"),
+                    column("extSetBuilds", "ext-builds")},
+                   std::move(rows), std::move(summary),
+                   "Table III circuits routed on 433/1121-qubit heavy-hex "
+                   "and a 33x33 grid, all in sparse topology mode (CSR "
+                   "adjacency + BFS-on-demand distance rows behind a "
+                   "per-thread LRU cache; no O(n^2) tables). "
+                   "memorySubQuadratic asserts resident topology bytes "
+                   "(tables + row cache) stay under half of the "
+                   "dense-equivalent flat tables; msPerGate2q tracks "
+                   "route-time scaling in gate count. Counters are "
+                   "deterministic and gated by `mirage sweep --experiment "
+                   "fig12-large --check`; wall times vary by machine and "
+                   "are never compared.");
 }
 
 // --- mirror-circuit verification -------------------------------------------
@@ -1220,42 +1282,35 @@ runMirrorFamily(const SweepKnobs &userKnobs, bool qv)
     }
     warnIf(decomp::saveLibrary(*lib, knobs.cacheDir));
 
-    json::Value out = json::Value::object();
     json::Value params = parametersJson(knobs);
     params.set("topology", topo.name());
     params.set("widths", uint64_t(m.widths));
-    out.set("parameters", std::move(params));
-    json::Value cols = json::Value::array();
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("instance", "inst"));
-    cols.push(column("baselineDepth", "base depth", 1));
-    cols.push(column("mirageDepth", "mirage depth", 1));
-    cols.push(column("depthRed", "d%", 1));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("mirrors", "mirrors"));
-    cols.push(column("routedSuccess", "P(routed)", 6));
-    cols.push(column("loweredSuccess", "P(lowered)", 6));
-    cols.push(column("successTolerance", "tol", -1, true));
-    cols.push(column("verified", "ok"));
-    cols.push(column("stallSteps", "stalls"));
-    cols.push(column("heuristicEvals", "h-evals"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("allVerified", all_verified);
     summary.set("minLoweredSuccess", min_lowered);
     setCatalogSummary(summary, report.catalog);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Every row is one self-verifying mirror circuit routed on "
-            "heavy-hex 57Q and lowered to sqrt(iSWAP) pulses; the ideal "
-            "bitstring's probability is measured by sparse simulation of "
-            "the emitted circuit on all 57 wires. allVerified must be "
-            "true: the bitstring check certifies the whole pipeline at "
-            "widths the exhaustive unitary oracle (<= 6 qubits) cannot "
-            "reach.");
-    return out;
+    return payload(std::move(params),
+                   {column("circuit", "circuit"),
+                    column("qubits", "qubits"),
+                    column("instance", "inst"),
+                    column("baselineDepth", "base depth", 1),
+                    column("mirageDepth", "mirage depth", 1),
+                    column("depthRed", "d%", 1), column("swaps", "swaps"),
+                    column("mirrors", "mirrors"),
+                    column("routedSuccess", "P(routed)", 6),
+                    column("loweredSuccess", "P(lowered)", 6),
+                    column("successTolerance", "tol", -1, true),
+                    column("verified", "ok"),
+                    column("stallSteps", "stalls"),
+                    column("heuristicEvals", "h-evals")},
+                   std::move(rows), std::move(summary),
+                   "Every row is one self-verifying mirror circuit routed "
+                   "on heavy-hex 57Q and lowered to sqrt(iSWAP) pulses; the "
+                   "ideal bitstring's probability is measured by sparse "
+                   "simulation of the emitted circuit on all 57 wires. "
+                   "allVerified must be true: the bitstring check "
+                   "certifies the whole pipeline at widths the exhaustive "
+                   "unitary oracle (<= 6 qubits) cannot reach.");
 }
 
 /**
@@ -1335,40 +1390,32 @@ runMatrix(const SweepKnobs &userKnobs)
         }
     }
 
-    json::Value out = json::Value::object();
     json::Value params = parametersJson(knobs);
     params.set("workloads", uint64_t(suite.size()));
-    out.set("parameters", std::move(params));
-    json::Value cols = json::Value::array();
-    cols.push(column("circuit", "circuit"));
-    cols.push(column("qubits", "qubits"));
-    cols.push(column("topology", "topology"));
-    cols.push(column("aggression", "aggr"));
-    cols.push(column("baselineDepth", "base depth", 1));
-    cols.push(column("depth", "depth", 1));
-    cols.push(column("depthRed", "d%", 1));
-    cols.push(column("swaps", "swaps"));
-    cols.push(column("mirrors", "mirrors"));
-    cols.push(column("heuristicEvals", "h-evals"));
-    cols.push(column("successProb", "P(bitstring)", 6));
-    cols.push(column("verified", "ok"));
-    out.set("columns", std::move(cols));
-    out.set("rows", std::move(rows));
     json::Value summary = json::Value::object();
     summary.set("cells", cells);
     summary.set("mirrorCells", mirror_cells);
     summary.set("verifiedCells", verified_cells);
-    summary.set("allMirrorCellsVerified",
-                mirror_cells == verified_cells);
-    out.set("summary", std::move(summary));
-    out.set("notes",
-            "Table III grown into a scenario matrix: every workload x "
-            "{grid6x6, heavyhex57, line30} x fixed aggression 0-3, one "
-            "row per cell. The two mirror workloads lead the suite "
-            "(--limit 2 runs only them) and are bitstring-verified "
-            "against the routed circuit in every cell; "
-            "allMirrorCellsVerified must be true.");
-    return out;
+    summary.set("allMirrorCellsVerified", mirror_cells == verified_cells);
+    return payload(std::move(params),
+                   {column("circuit", "circuit"),
+                    column("qubits", "qubits"),
+                    column("topology", "topology"),
+                    column("aggression", "aggr"),
+                    column("baselineDepth", "base depth", 1),
+                    column("depth", "depth", 1),
+                    column("depthRed", "d%", 1), column("swaps", "swaps"),
+                    column("mirrors", "mirrors"),
+                    column("heuristicEvals", "h-evals"),
+                    column("successProb", "P(bitstring)", 6),
+                    column("verified", "ok")},
+                   std::move(rows), std::move(summary),
+                   "Table III grown into a scenario matrix: every workload "
+                   "x {grid6x6, heavyhex57, line30} x fixed aggression 0-3, "
+                   "one row per cell. The two mirror workloads lead the "
+                   "suite (--limit 2 runs only them) and are "
+                   "bitstring-verified against the routed circuit in every "
+                   "cell; allMirrorCellsVerified must be true.");
 }
 
 } // namespace
@@ -1377,9 +1424,33 @@ const std::vector<Experiment> &
 experimentRegistry()
 {
     static const std::vector<Experiment> registry = {
+        {"fig3-4", "Figures 3-4",
+         "Haar-weighted coverage of CNOT and iSWAP-root polytopes, with "
+         "and without mirrors",
+         "paper: sqrt(iSWAP) k=2 covers 79.0% (94.4% with mirrors); CNOT "
+         "k=2 is a zero-volume planar slice; the 4th root needs k=6 "
+         "exactly, k=4 with mirrors",
+         runFig3And4},
+        {"fig5", "Figure 5",
+         "Monte-Carlo convergence of the 4th-root-iSWAP Haar score, four "
+         "strategies",
+         "paper: exact ~0.96, exact+mirrors ~0.90, approx+mirrors < 0.85",
+         runFig5},
+        {"fig6", "Figure 6",
+         "CPHASE gates and their pSWAP mirrors against the sqrt(iSWAP) "
+         "cost model",
+         "paper: the CNOT <-> iSWAP mirror is free at k=2; fractional "
+         "CPHASEs mirror into k=3 pSWAPs",
+         runFig6},
         {"fig8", "Figure 8",
          "TwoLocal(full, 4q) on a 4-qubit line: baseline vs MIRAGE",
          "paper: 16 pulses / 3 SWAPs vs 10 pulses / 0 SWAPs", runFig8},
+        {"fig9", "Figure 9",
+         "Greedy local minima: 64 routing passes of one input from one "
+         "layout",
+         "paper: trials from the same layout land in different minima (6 "
+         "vs 7+ pulses on its subset); post-selection keeps the best",
+         runFig9},
         {"fig10", "Figure 10",
          "Fixed mirror-aggression levels vs the Qiskit baseline",
          "paper: no single aggression level is universally optimal; the "
@@ -1396,11 +1467,6 @@ experimentRegistry()
          "SWAPs; square lattice -29.58% depth / -10.25% gates / -59.86% "
          "SWAPs",
          runFig12},
-        {"fig13", "Figure 13",
-         "Transpiler runtime: parallel trial engine and lowering cache",
-         "paper: caching keeps MIRAGE runtime competitive with SABRE "
-         "(Section VI-C)",
-         runFig13},
         {"table1", "Table I",
          "Exact Haar scores/fidelities for iSWAP roots, with mirrors",
          "paper: 1.105/0.9890 1.029/0.9897 | 0.9907/0.9901 "

@@ -3,7 +3,7 @@
  * The paper-reproduction experiment registry behind the `mirage sweep`,
  * `mirage report` and `mirage catalog` subcommands.
  *
- * Every reproducible figure/table of the paper (Figs. 8/10/11/12/13,
+ * Every reproducible figure/table of the paper (Figs. 3-6 and 8-13,
  * Tables I-III) is one named Experiment whose run() returns a
  * machine-readable JSON artifact: a versioned envelope (schemaVersion,
  * kind, experiment, title, paperRef) around resolved parameters, a

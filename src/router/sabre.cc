@@ -702,18 +702,6 @@ struct PassState
 };
 
 /**
- * Lift the logical circuit onto the padded wire count so the DAG and
- * the layout agree. One DAG serves every pass over the same circuit:
- * routeWithTrials builds the forward/backward DAGs once and shares them
- * read-only across the whole trial grid instead of re-copying every
- * gate (4x4 matrices included) per pass.
- *
- * With annotate_coords set, 2Q gates missing Weyl coordinates get them
- * stamped here (the same deterministic weylCoordinates value every
- * later consumer would compute), so the routed output carries coords
- * and per-pass metric computation never re-runs the eigensolver.
- */
-/**
  * Route-entry fail-fast: on a disconnected device, distance() returns
  * the -1 sentinel for cross-component pairs, which would otherwise flow
  * silently into the heuristic's integer score sums and corrupt every
@@ -734,6 +722,18 @@ requireRoutableTopology(const CouplingMap &coupling)
             "undefined across components (distance() == -1)");
 }
 
+/**
+ * Lift the logical circuit onto the padded wire count so the DAG and
+ * the layout agree. One DAG serves every pass over the same circuit:
+ * routeWithTrials builds the forward/backward DAGs once and shares them
+ * read-only across the whole trial grid instead of re-copying every
+ * gate (4x4 matrices included) per pass.
+ *
+ * With annotate_coords set, 2Q gates missing Weyl coordinates get them
+ * stamped here (the same deterministic weylCoordinates value every
+ * later consumer would compute), so the routed output carries coords
+ * and per-pass metric computation never re-runs the eigensolver.
+ */
 DagCircuit
 liftToDag(const Circuit &circuit, const CouplingMap &coupling,
           bool annotate_coords)

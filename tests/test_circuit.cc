@@ -52,8 +52,23 @@ TEST(Circuit, MetricsAndDepth)
 TEST(Circuit, RejectsBadOperands)
 {
     Circuit c(2);
-    EXPECT_DEATH(c.cx(0, 5), "");
-    EXPECT_DEATH(c.append(makeGate2(GateKind::CX, 1, 1)), "");
+    auto message = [](auto &&append) {
+        try {
+            append();
+        } catch (const CircuitError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no CircuitError");
+    };
+    EXPECT_THROW(c.cx(0, 5), CircuitError);
+    EXPECT_EQ(message([&] { c.cx(0, 5); }),
+              "gate cx operand 5 out of range (n=2)");
+    EXPECT_EQ(message([&] { c.h(-1); }),
+              "gate h operand -1 out of range (n=2)");
+    EXPECT_THROW(c.append(makeGate2(GateKind::CX, 1, 1)), CircuitError);
+    EXPECT_EQ(message([&] { c.append(makeGate2(GateKind::CX, 1, 1)); }),
+              "repeated operand 1 in cx");
+    EXPECT_TRUE(c.empty()); // a rejected gate is not appended
 }
 
 TEST(Dag, DependencyStructure)

@@ -14,6 +14,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 
@@ -808,10 +809,106 @@ TEST(CliReport, RejectsMissingRequiredKeys)
 
 TEST(ExperimentRegistry, CoversTheReproduciblePaperArtifacts)
 {
-    for (const char *name : {"fig8", "fig10", "fig11", "fig12", "fig13",
-                             "table1", "table2", "table3", "fig12-large"})
+    for (const char *name :
+         {"fig3-4", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11",
+          "fig12", "table1", "table2", "table3", "fig12-large", "bench",
+          "bench-lowering"})
         EXPECT_NE(cli::findExperiment(name), nullptr) << name;
     EXPECT_EQ(cli::findExperiment("fig7"), nullptr);
+    // Fig. 13 is the `bench` and `bench-lowering` trajectories.
+    EXPECT_EQ(cli::findExperiment("fig13"), nullptr);
+}
+
+namespace {
+
+/** Run a registered experiment and assert its artifact is schema-valid. */
+json::Value
+validArtifact(const char *name, const cli::SweepKnobs &knobs = {})
+{
+    json::Value artifact =
+        cli::runExperiment(*cli::findExperiment(name), knobs);
+    std::string schemaError;
+    EXPECT_TRUE(cli::validateArtifact(artifact, &schemaError))
+        << name << ": " << schemaError;
+    return artifact;
+}
+
+} // namespace
+
+TEST(ExperimentRegistry, Fig3And4CoverageMatchesThePaperAnchors)
+{
+    const json::Value a = validArtifact("fig3-4");
+    ASSERT_EQ(a["rows"].size(), 17u);
+    bool sawRootTwo = false;
+    for (size_t i = 0; i < a["rows"].size(); ++i) {
+        const json::Value &row = a["rows"].at(i);
+        if (row["basis"].asString() != "riswap-2" || row["k"].asInt() != 2)
+            continue;
+        sawRootTwo = true;
+        EXPECT_NEAR(row["coverage"].asNumber(), 79.01, 0.01);
+        EXPECT_NEAR(row["mirrorCoverage"].asNumber(), 94.36, 0.01);
+    }
+    EXPECT_TRUE(sawRootTwo);
+    const json::Value &kMax = a["summary"]["kMax"];
+    EXPECT_EQ(kMax["cnot"].asInt(), 3);
+    EXPECT_EQ(kMax["riswap-2"].asInt(), 3);
+    EXPECT_EQ(kMax["riswap-3"].asInt(), 5);
+    EXPECT_EQ(kMax["riswap-4"].asInt(), 6);
+}
+
+TEST(ExperimentRegistry, Fig5ConvergenceCheckpointsAndReferences)
+{
+    cli::SweepKnobs knobs;
+    knobs.mcIterations = 8;
+    const json::Value a = validArtifact("fig5", knobs);
+    EXPECT_EQ(a["parameters"]["mcIterations"].asInt(), 8);
+    const json::Value &rows = a["rows"];
+    ASSERT_EQ(rows.size(), 4u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+        EXPECT_EQ(rows.at(i)["iteration"].asInt(), int64_t(1) << i);
+        for (const char *strategy :
+             {"exact", "approximate", "exactMirrors", "approxMirrors"}) {
+            ASSERT_NE(rows.at(i).find(strategy), nullptr) << strategy;
+            if (i + 1 == rows.size()) {
+                EXPECT_EQ(rows.at(i)[strategy].asNumber(),
+                          a["summary"][strategy]["score"].asNumber());
+            }
+        }
+    }
+    EXPECT_EQ(a["columns"].size(), 5u); // iteration + four strategies
+    EXPECT_NEAR(a["summary"]["exactReference"].asNumber(), 0.9729, 1e-4);
+    EXPECT_NEAR(a["summary"]["exactMirrorsReference"].asNumber(), 0.9008,
+                1e-4);
+}
+
+TEST(ExperimentRegistry, Fig6CphaseMirrorsCostOneMorePulse)
+{
+    const json::Value a = validArtifact("fig6");
+    const json::Value &rows = a["rows"];
+    ASSERT_EQ(rows.size(), 8u);
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const bool cnot = i + 1 == rows.size(); // phi = pi
+        EXPECT_EQ(rows.at(i)["cpK"].asInt(), 2) << i;
+        EXPECT_EQ(rows.at(i)["pswapK"].asInt(), cnot ? 2 : 3) << i;
+        EXPECT_DOUBLE_EQ(rows.at(i)["cpCost"].asNumber(), 1.0) << i;
+        EXPECT_DOUBLE_EQ(rows.at(i)["pswapCost"].asNumber(),
+                         cnot ? 1.0 : 1.5)
+            << i;
+    }
+}
+
+TEST(ExperimentRegistry, Fig9GreedyMinimaHistogram)
+{
+    const json::Value a = validArtifact("fig9");
+    std::map<int64_t, int64_t> histogram;
+    for (size_t i = 0; i < a["rows"].size(); ++i)
+        histogram[a["rows"].at(i)["depthPulses"].asInt()] =
+            a["rows"].at(i)["trials"].asInt();
+    EXPECT_EQ(histogram,
+              (std::map<int64_t, int64_t>{{10, 32}, {19, 15}, {21, 17}}));
+    EXPECT_EQ(a["summary"]["best"].asNumber(), 10.0);
+    EXPECT_EQ(a["summary"]["worst"].asNumber(), 21.0);
+    EXPECT_EQ(a["summary"]["trials"].asInt(), 64);
 }
 
 TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)

@@ -37,7 +37,7 @@ namespace {
 /**
  * Bit-exact circuit comparison (doubles compared with ==, not near).
  * Circuit::bitIdentical is the authoritative check (shared with the
- * fig13 sweep and serve-bench); the field-by-field EXPECTs below exist
+ * bench sweep and serve-bench); the field-by-field EXPECTs below exist
  * to localize a mismatch when it fails.
  */
 void
