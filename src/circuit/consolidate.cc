@@ -7,12 +7,9 @@
 
 #include "circuit/consolidate.hh"
 
-#include <cmath>
-#include <cstring>
-
-#include "common/logging.hh"
 #include <mutex>
 
+#include "common/logging.hh"
 #include "common/lru_cache.hh"
 #include "weyl/coordinates.hh"
 
@@ -20,44 +17,12 @@ namespace mirage::circuit {
 
 namespace {
 
-/** Quantized-matrix key for the coordinate cache. */
-struct MatKey
-{
-    std::array<int64_t, 32> q;
-
-    bool operator==(const MatKey &o) const { return q == o.q; }
-};
-
-struct MatKeyHash
-{
-    size_t
-    operator()(const MatKey &k) const
-    {
-        uint64_t h = 0xcbf29ce484222325ULL;
-        for (int64_t v : k.q) {
-            h ^= uint64_t(v);
-            h *= 0x100000001b3ULL;
-        }
-        return size_t(h);
-    }
-};
-
-MatKey
-quantize(const Mat4 &m)
-{
-    MatKey k;
-    for (int i = 0; i < 16; ++i) {
-        k.q[size_t(2 * i)] = int64_t(std::llround(m.a[size_t(i)].real() * 1e9));
-        k.q[size_t(2 * i + 1)] =
-            int64_t(std::llround(m.a[size_t(i)].imag() * 1e9));
-    }
-    return k;
-}
-
-LruCache<MatKey, weyl::Coord, MatKeyHash> &
+LruCache<linalg::QuantizedMat, weyl::Coord, linalg::QuantizedMatHash> &
 coordCache()
 {
-    static LruCache<MatKey, weyl::Coord, MatKeyHash> cache(1 << 16);
+    static LruCache<linalg::QuantizedMat, weyl::Coord,
+                    linalg::QuantizedMatHash>
+        cache(1 << 16);
     return cache;
 }
 
@@ -107,7 +72,7 @@ consolidateBlocks(const Circuit &input, const ConsolidateOptions &opts,
             // The cache is process-wide shared state: callers running
             // transpile() concurrently from their own threads (serve
             // misses on connection threads) would otherwise race here.
-            MatKey key = quantize(*g.mat4);
+            const linalg::QuantizedMat key = linalg::quantize(*g.mat4);
             {
                 std::lock_guard<std::mutex> lock(coordCacheMutex());
                 if (auto hit = coordCache().get(key)) {

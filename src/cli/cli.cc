@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cctype>
 #include <csignal>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -175,8 +174,8 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
                      "save after; implies faster --lower reruns)");
     parser.addOption("--catalog", "FILE", "",
                      "fit catalog warm-starting --lower ('none' "
-                     "disables; default: $MIRAGE_FIT_CATALOG, then "
-                     "./FIT_CATALOG.bin when present)");
+                     "disables; default: ./FIT_CATALOG.bin when "
+                     "present)");
     parser.addOption("--deadline-ms", "N", "0",
                      "abort with exit 1 if the pipeline exceeds this "
                      "compute budget (0 = none)");
@@ -330,8 +329,8 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
                      "runs (table3, mirror-*)");
     parser.addOption("--catalog", "FILE", "",
                      "fit catalog warm-starting lowering experiments "
-                     "('none' disables; default: $MIRAGE_FIT_CATALOG, "
-                     "then ./FIT_CATALOG.bin when present)");
+                     "('none' disables; default: ./FIT_CATALOG.bin "
+                     "when present)");
     parser.addOption("--check", "FILE", "",
                      "baseline artifact of a counter-gated experiment "
                      "(bench, bench-lowering, fig12-large); exit 1 if a "
@@ -504,8 +503,7 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
     parser.addOption("--catalog", "FILE", "",
                      "fit catalog warm-starting the root-2 library at "
                      "startup ('none' disables; default: "
-                     "$MIRAGE_FIT_CATALOG, then ./FIT_CATALOG.bin "
-                     "when present)");
+                     "./FIT_CATALOG.bin when present)");
     parser.addOption("--max-queue", "N", "256",
                      "admission bound: shed misses with 'overloaded' "
                      "+ retryAfterMs once this many are in flight (0 = "
@@ -522,7 +520,7 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
     parser.addOption("--faults", "SPEC", "",
                      "arm a deterministic fault schedule, e.g. "
                      "'seed=7,serve.read=1/11,cache.save=1/1' "
-                     "(overrides $MIRAGE_FAULTS; chaos testing only)");
+                     "(chaos testing only)");
     parser.parse(args);
     if (parser.helpRequested()) {
         out << parser.helpText();
@@ -949,21 +947,6 @@ run(const std::vector<std::string> &args, std::ostream &out,
     }
     const std::string &command = args[0];
     const std::vector<std::string> rest(args.begin() + 1, args.end());
-
-    // MIRAGE_FAULTS arms the deterministic fault schedule for any
-    // command (a --faults flag, where offered, re-arms over this).
-    if (const char *spec = std::getenv("MIRAGE_FAULTS");
-        spec && *spec && !fault::armed()) {
-        try {
-            fault::arm(spec);
-            err << "mirage: FAULT INJECTION armed from MIRAGE_FAULTS: '"
-                << spec << "'\n";
-        } catch (const std::invalid_argument &e) {
-            err << "mirage: bad MIRAGE_FAULTS spec: " << e.what()
-                << "\n";
-            return kExitUsage;
-        }
-    }
 
     try {
         if (command == "help" || command == "--help" || command == "-h") {

@@ -50,9 +50,8 @@ struct SweepKnobs
     int suiteLimit = -1;    ///< first N suite entries / widths (-1 = all)
     std::string cacheDir;   ///< equivalence-library cache dir ("" = off)
     /**
-     * Committed fit catalog: "" auto-discovers ($MIRAGE_FIT_CATALOG,
-     * then ./FIT_CATALOG.bin), "none" disables, anything else is an
-     * explicit path. Lowering experiments (table3, mirror-*,
+     * Committed fit catalog: "" auto-discovers ./FIT_CATALOG.bin,
+     * "none" disables, anything else is an explicit path. Lowering experiments (table3, mirror-*,
      * bench-lowering) warm-start their equivalence library from it.
      */
     std::string catalogPath;

@@ -9,8 +9,8 @@
  *     if (fault::shouldFail("catalog.load")) { ... degrade ... }
  *     fault::maybeThrow("fit.converge");  // throws fault::Injected
  *
- * Points are inert until a schedule is armed (via the MIRAGE_FAULTS
- * environment variable or the --faults CLI flag). When disarmed the
+ * Points are inert until a schedule is armed (by `mirage serve
+ * --faults`, or fault::arm in a test). When disarmed the
  * check is a single relaxed atomic load, so the hooks cost nothing on
  * the happy path and stay compiled into release builds.
  *

@@ -37,24 +37,24 @@ class LruCache
         auto it = map_.find(key);
         if (it == map_.end())
             return std::nullopt;
-        order_.splice(order_.begin(), order_, it->second);
-        return it->second->second;
+        order_.splice(order_.begin(), order_, it->second.second);
+        return it->second.first;
     }
 
     /** Insert or overwrite a key. */
     void
     put(const Key &key, const Value &value)
     {
-        auto it = map_.find(key);
-        if (it != map_.end()) {
-            it->second->second = value;
-            order_.splice(order_.begin(), order_, it->second);
+        auto [it, inserted] = map_.try_emplace(key);
+        it->second.first = value;
+        if (!inserted) {
+            order_.splice(order_.begin(), order_, it->second.second);
             return;
         }
-        order_.emplace_front(key, value);
-        map_[key] = order_.begin();
+        order_.push_front(&it->first);
+        it->second.second = order_.begin();
         if (map_.size() > capacity_) {
-            map_.erase(order_.back().first);
+            map_.erase(map_.find(*order_.back()));
             order_.pop_back();
         }
     }
@@ -70,9 +70,16 @@ class LruCache
 
   private:
     size_t capacity_;
-    std::list<std::pair<Key, Value>> order_;
-    std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,
-                       Hash> map_;
+    /**
+     * Recency order, most recent first. It points at the map's keys
+     * (element addresses survive a rehash), so each key is stored once:
+     * a serve memo key is a whole circuit.
+     */
+    std::list<const Key *> order_;
+    std::unordered_map<
+        Key, std::pair<Value, typename std::list<const Key *>::iterator>,
+        Hash>
+        map_;
 };
 
 } // namespace mirage

@@ -6,7 +6,6 @@
 
 #include "decomp/catalog.hh"
 
-#include <cstdlib>
 #include <filesystem>
 
 namespace mirage::decomp {
@@ -28,12 +27,6 @@ resolveCatalogPath(const std::string &knob)
         return "";
     if (!knob.empty())
         return knob;
-    if (const char *env = std::getenv("MIRAGE_FIT_CATALOG")) {
-        if (std::string(env) == kCatalogDisabled)
-            return "";
-        if (env[0] != '\0')
-            return env;
-    }
     std::error_code ec;
     if (std::filesystem::exists(kCatalogFileName, ec))
         return kCatalogFileName;

@@ -38,7 +38,7 @@ namespace mirage::decomp {
 /** File name of the committed catalog at the repository root. */
 inline constexpr const char *kCatalogFileName = "FIT_CATALOG.bin";
 
-/** Knob/env value that explicitly disables catalog loading. */
+/** Knob value that explicitly disables catalog loading. */
 inline constexpr const char *kCatalogDisabled = "none";
 
 /** The basis the committed catalog is fitted for: sqrt(iSWAP). */
@@ -50,9 +50,7 @@ inline constexpr int kCatalogRootDegree = 2;
  *  - knob nonempty           -> knob verbatim (even if missing, so a
  *                               typo surfaces as Unreadable, not a
  *                               silent cold start)
- *  - knob empty (auto)       -> $MIRAGE_FIT_CATALOG if set (its value
- *                               may also be "none"), else
- *                               ./FIT_CATALOG.bin when that file
+ *  - knob empty (auto)       -> ./FIT_CATALOG.bin when that file
  *                               exists, else "" (cold start).
  */
 std::string resolveCatalogPath(const std::string &knob = "");

@@ -1,10 +1,10 @@
 /**
  * @file
  * Session equivalence library: seeded standard-gate rules, fitted
- * decompositions cached by quantized unitary behind a mutex (fits run
- * outside the lock from per-target deterministic seeds), chained
- * collision-verified entries, hexfloat cache persistence, and
- * translate() lowering to the root-iSWAP basis.
+ * decompositions in an ordered map keyed by quantized unitary behind a
+ * mutex (fits run outside the lock from per-target deterministic
+ * seeds), hexfloat cache persistence, and translate() lowering to the
+ * root-iSWAP basis.
  */
 
 #include "decomp/equivalence.hh"
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/atomic_file.hh"
 #include "common/fault.hh"
@@ -26,6 +27,7 @@ namespace mirage::decomp {
 using circuit::Circuit;
 using circuit::Gate;
 using linalg::Mat4;
+using linalg::QuantizedMat;
 
 namespace {
 
@@ -47,46 +49,6 @@ constexpr int kMaxRetryRounds = 3;
 /** Largest credible pulse count in a cache entry (sanity bound). */
 constexpr int kMaxCachedK = 64;
 
-EquivalenceLibrary::QuantizedMat
-quantize(const Mat4 &m)
-{
-    EquivalenceLibrary::QuantizedMat q;
-    for (size_t i = 0; i < m.a.size(); ++i) {
-        q[2 * i] = int64_t(std::llround(m.a[i].real() * 1e9));
-        q[2 * i + 1] = int64_t(std::llround(m.a[i].imag() * 1e9));
-    }
-    return q;
-}
-
-/**
- * The representative unitary of a quantization cell. Fits target THIS
- * matrix, not the caller's: two full-precision unitaries that agree to
- * the quantization step share one cache entry, so the stored
- * decomposition must be a function of the cell alone -- independent of
- * which of them arrives first (the bit-identical sharing guarantee).
- * The representative deviates from the true unitary by < 1e-9 per
- * entry, far below the 1e-6 infidelity bar.
- */
-Mat4
-dequantize(const EquivalenceLibrary::QuantizedMat &q)
-{
-    Mat4 m;
-    for (size_t i = 0; i < m.a.size(); ++i)
-        m.a[i] = linalg::Complex(double(q[2 * i]) * 1e-9,
-                                 double(q[2 * i + 1]) * 1e-9);
-    return m;
-}
-
-uint64_t
-fnvOver(const EquivalenceLibrary::QuantizedMat &q, uint64_t h)
-{
-    for (int64_t v : q) {
-        h ^= uint64_t(v);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 } // namespace
 
 EquivalenceLibrary::EquivalenceLibrary(int root_degree, bool preseed)
@@ -104,27 +66,6 @@ EquivalenceLibrary::EquivalenceLibrary(int root_degree, bool preseed)
     (void)lookup(weyl::gateISWAP());
 }
 
-uint64_t
-EquivalenceLibrary::keyOf(const QuantizedMat &qm) const
-{
-    if (forceKeyCollisions_)
-        return 0;
-    return fnvOver(qm, 0xcbf29ce484222325ULL);
-}
-
-const EquivalenceLibrary::CacheEntry *
-EquivalenceLibrary::findEntryLocked(uint64_t key, const QuantizedMat &qm) const
-{
-    auto it = cache_.find(key);
-    if (it == cache_.end())
-        return nullptr;
-    for (const auto &entry : it->second) {
-        if (entry->qmat == qm)
-            return entry.get();
-    }
-    return nullptr;
-}
-
 Decomposition
 EquivalenceLibrary::fitFor(const Mat4 &u, const QuantizedMat &qm,
                            const Deadline &deadline) const
@@ -140,7 +81,7 @@ EquivalenceLibrary::fitFor(const Mat4 &u, const QuantizedMat &qm,
     // warm-cache bit-identical guarantees.
     weyl::Coord coords = weyl::weylCoordinates(u);
     int k = costModel_.kFor(coords);
-    uint64_t fit_seed = fnvOver(qm, kFitSeedDomain);
+    uint64_t fit_seed = linalg::hashQuantized(qm, kFitSeedDomain);
 
     FitOptions opts;
     opts.restarts = 4;
@@ -186,42 +127,38 @@ const Decomposition &
 EquivalenceLibrary::lookupEntry(const Mat4 &u, bool *fitted,
                                 const Deadline &deadline)
 {
-    QuantizedMat qm = quantize(u);
-    uint64_t key = keyOf(qm);
+    const QuantizedMat qm = linalg::quantize(u);
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (const CacheEntry *e = findEntryLocked(key, qm)) {
+        if (auto it = cache_.find(qm); it != cache_.end()) {
             ++hits_;
             *fitted = false;
-            return e->decomp;
+            return it->second;
         }
-        if (cache_.count(key))
-            ++collisions_; // key taken by a different quantized matrix
     }
 
     // Fit outside the lock, against the quantization-cell
-    // representative -- deterministic per quantized target, so a
-    // concurrent fit of the same unitary produces the same entry.
-    Decomposition d = fitFor(dequantize(qm), qm, deadline);
+    // representative: two unitaries in one cell share an entry, so the
+    // fit must be a function of the cell alone, whichever arrives first
+    // (the representative is within 1e-9 per entry, far below the 1e-6
+    // infidelity bar). Deterministic per cell, so a concurrent fit of
+    // the same unitary produces the same entry.
+    Decomposition d = fitFor(linalg::dequantize(qm), qm, deadline);
 
     std::lock_guard<std::mutex> lock(mutex_);
-    if (const CacheEntry *e = findEntryLocked(key, qm)) {
+    auto [it, inserted] = cache_.try_emplace(qm);
+    if (!inserted) {
         // Another thread inserted while we fitted; its result is
         // bit-identical, keep it.
         ++hits_;
         *fitted = false;
-        return e->decomp;
+        return it->second;
     }
     ++fits_;
-    ++entries_;
     fitEvaluations_ += d.evaluations;
     *fitted = true;
-    auto entry = std::make_unique<CacheEntry>();
-    entry->qmat = qm;
-    entry->decomp = std::move(d);
-    auto &chain = cache_[key];
-    chain.push_back(std::move(entry));
-    return chain.back()->decomp;
+    it->second = std::move(d);
+    return it->second;
 }
 
 const Decomposition &
@@ -269,7 +206,7 @@ size_t
 EquivalenceLibrary::cacheSize() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return entries_;
+    return cache_.size();
 }
 
 uint64_t
@@ -287,13 +224,6 @@ EquivalenceLibrary::hitCount() const
 }
 
 uint64_t
-EquivalenceLibrary::collisionCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return collisions_;
-}
-
-uint64_t
 EquivalenceLibrary::fitEvaluations() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -305,41 +235,27 @@ EquivalenceLibrary::kHistogram() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     std::map<int, size_t> hist;
-    for (const auto &[key, chain] : cache_)
-        for (const auto &e : chain)
-            ++hist[e->decomp.k];
+    for (const auto &[qm, d] : cache_)
+        ++hist[d.k];
     return hist;
 }
 
 void
 EquivalenceLibrary::saveCache(std::ostream &out) const
 {
-    // Deterministic order: sort entries by quantized matrix so the file
-    // does not depend on hash-table iteration or insertion order.
-    std::vector<const CacheEntry *> entries;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        entries.reserve(entries_);
-        for (const auto &[key, chain] : cache_)
-            for (const auto &e : chain)
-                entries.push_back(e.get());
-    }
-    std::sort(entries.begin(), entries.end(),
-              [](const CacheEntry *a, const CacheEntry *b) {
-                  return a->qmat < b->qmat;
-              });
-
+    // The map's order (quantized matrix, lexicographic) makes the file
+    // independent of insertion order.
+    std::lock_guard<std::mutex> lock(mutex_);
     out << "mirage-eqlib " << kCacheFormatVersion << " root " << rootDegree_
-        << " entries " << entries.size() << "\n";
-    for (const CacheEntry *e : entries) {
-        out << "entry " << e->decomp.k << " "
-            << serial::encodeDouble(e->decomp.fidelity) << " "
-            << e->decomp.params.size() << "\n";
-        for (size_t i = 0; i < e->qmat.size(); ++i)
-            out << e->qmat[i] << (i + 1 < e->qmat.size() ? ' ' : '\n');
-        for (size_t i = 0; i < e->decomp.params.size(); ++i)
-            out << serial::encodeDouble(e->decomp.params[i])
-                << (i + 1 < e->decomp.params.size() ? ' ' : '\n');
+        << " entries " << cache_.size() << "\n";
+    for (const auto &[qm, d] : cache_) {
+        out << "entry " << d.k << " " << serial::encodeDouble(d.fidelity)
+            << " " << d.params.size() << "\n";
+        for (size_t i = 0; i < qm.size(); ++i)
+            out << qm[i] << (i + 1 < qm.size() ? ' ' : '\n');
+        for (size_t i = 0; i < d.params.size(); ++i)
+            out << serial::encodeDouble(d.params[i])
+                << (i + 1 < d.params.size() ? ' ' : '\n');
     }
     out << "end\n";
 }
@@ -379,13 +295,13 @@ EquivalenceLibrary::loadCache(std::istream &in, std::string *error)
     // leaves the library unchanged. The header count is untrusted:
     // clamp the reserve (a lying count then just fails at the first
     // missing entry instead of attempting a huge allocation).
-    std::vector<std::unique_ptr<CacheEntry>> loaded;
+    std::vector<std::pair<QuantizedMat, Decomposition>> loaded;
     loaded.reserve(size_t(std::min<int64_t>(count, 4096)));
     for (int64_t i = 0; i < count; ++i) {
         r.expect("entry");
-        auto e = std::make_unique<CacheEntry>();
+        auto &[qm, d] = loaded.emplace_back();
         int64_t k = r.i64();
-        e->decomp.fidelity = r.f64();
+        d.fidelity = r.f64();
         int64_t nparams = r.i64();
         // Bound k before any allocation: a corrupt/crafted file must
         // fail cleanly, not via a multi-gigabyte resize or int
@@ -394,29 +310,24 @@ EquivalenceLibrary::loadCache(std::istream &in, std::string *error)
             nparams != ansatzParamCount(int(k)))
             return fail("malformed entry " + std::to_string(i) +
                         " (bad k or parameter count)");
-        e->decomp.k = int(k);
-        for (auto &q : e->qmat)
+        d.k = int(k);
+        for (auto &q : qm)
             q = r.i64();
-        e->decomp.params.resize(size_t(nparams));
-        for (auto &p : e->decomp.params)
+        d.params.resize(size_t(nparams));
+        for (auto &p : d.params)
             p = r.f64();
         if (!r.ok())
             return fail("truncated or corrupt entry " + std::to_string(i) +
                         " of " + std::to_string(count));
-        loaded.push_back(std::move(e));
     }
     r.expect("end");
     if (!r.ok())
         return fail("missing end marker (truncated file)");
 
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &e : loaded) {
-        uint64_t key = keyOf(e->qmat);
-        if (findEntryLocked(key, e->qmat))
-            continue; // already fitted locally (identical by construction)
-        ++entries_;
-        cache_[key].push_back(std::move(e));
-    }
+    // An entry already fitted locally is identical by construction.
+    for (auto &[qm, d] : loaded)
+        cache_.try_emplace(qm, std::move(d));
     return true;
 }
 

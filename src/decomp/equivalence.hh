@@ -15,10 +15,9 @@
  * representative with randomness from a counter-based stream keyed by
  * the quantized target, so the cached decomposition is a pure function
  * of the quantized unitary -- identical no matter which thread fits it
- * first or in what order requests arrive. Cache entries store the quantized matrix alongside
- * the fit and verify it on every hit, so a 64-bit key collision falls
- * back to a fresh chained fit instead of silently returning the wrong
- * decomposition. saveCache/loadCache persist the fitted entries with
+ * first or in what order requests arrive. The cache is an ordered map
+ * keyed by the quantized matrix itself, so two distinct cells can never
+ * share an entry. saveCache/loadCache persist the fitted entries with
  * exact (hexfloat) parameters, so a warm-started process reproduces
  * bit-identical output with zero new fits.
  */
@@ -26,14 +25,10 @@
 #ifndef MIRAGE_DECOMP_EQUIVALENCE_HH
 #define MIRAGE_DECOMP_EQUIVALENCE_HH
 
-#include <array>
 #include <iosfwd>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "circuit/circuit.hh"
 #include "common/deadline.hh"
@@ -70,9 +65,6 @@ struct TranslateStats
 class EquivalenceLibrary
 {
   public:
-    /** A 4x4 unitary quantized entrywise to 1e-9 (re/im interleaved). */
-    using QuantizedMat = std::array<int64_t, 32>;
-
     /**
      * Build for the n-th root of iSWAP. When `preseed` is true the
      * standard rules the paper installs (CNOT, CNS, SWAP, iSWAP) are
@@ -165,47 +157,23 @@ class EquivalenceLibrary
     uint64_t fitEvaluations() const;
     /** Cached-entry count per pulse count k (for `mirage catalog stats`). */
     std::map<int, size_t> kHistogram() const;
-    /**
-     * Lookups whose 64-bit key matched an existing entry with a
-     * DIFFERENT quantized matrix (a real key collision, resolved by
-     * chaining instead of returning the wrong decomposition).
-     */
-    uint64_t collisionCount() const;
-
-    /**
-     * TEST HOOK: collapse every cache key to 0 so all entries collide,
-     * forcing the quantized-matrix verification path. Not for
-     * production use.
-     */
-    void forceKeyCollisionsForTest() { forceKeyCollisions_ = true; }
 
   private:
-    struct CacheEntry
-    {
-        QuantizedMat qmat;
-        Decomposition decomp;
-    };
-
-    uint64_t keyOf(const QuantizedMat &qm) const;
-    const CacheEntry *findEntryLocked(uint64_t key,
-                                      const QuantizedMat &qm) const;
     const Decomposition &lookupEntry(const linalg::Mat4 &u, bool *fitted,
                                      const Deadline &deadline = {});
-    Decomposition fitFor(const linalg::Mat4 &u, const QuantizedMat &qm,
+    Decomposition fitFor(const linalg::Mat4 &u,
+                         const linalg::QuantizedMat &qm,
                          const Deadline &deadline) const;
 
     int rootDegree_;
     linalg::Mat4 basisMatrix_;
     monodromy::CostModel costModel_;
-    bool forceKeyCollisions_ = false;
 
     mutable std::mutex mutex_; ///< guards cache_ and the counters below
-    std::unordered_map<uint64_t, std::vector<std::unique_ptr<CacheEntry>>>
-        cache_;
-    size_t entries_ = 0;
+    /** Node-based, so lookup() references stay valid across inserts. */
+    std::map<linalg::QuantizedMat, Decomposition> cache_;
     uint64_t fits_ = 0;
     uint64_t hits_ = 0;
-    uint64_t collisions_ = 0;
     uint64_t fitEvaluations_ = 0;
 };
 

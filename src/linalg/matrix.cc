@@ -1,7 +1,8 @@
 /**
  * @file
  * Fixed-size complex matrix/vector operations: products, adjoints,
- * determinants, norms, and Kronecker products for the 2x2/4x4 types.
+ * determinants, norms, and Kronecker products for the 2x2/4x4 types,
+ * plus the 1e-9 quantization cell that keys the unitary caches.
  *
  * The product/adjoint/Kronecker kernels are hand-unrolled over raw
  * doubles (std::complex guarantees array-of-double layout) so the
@@ -507,6 +508,38 @@ factorTensorProduct(const Mat4 &m, Mat2 *x, Mat2 *y, double *error)
     }
     *x = xhat;
     *y = yhat;
+}
+
+QuantizedMat
+quantize(const Mat4 &m)
+{
+    QuantizedMat q;
+    for (size_t i = 0; i < m.a.size(); ++i) {
+        q[2 * i] = int64_t(std::llround(m.a[i].real() * 1e9));
+        q[2 * i + 1] = int64_t(std::llround(m.a[i].imag() * 1e9));
+    }
+    return q;
+}
+
+Mat4
+dequantize(const QuantizedMat &q)
+{
+    Mat4 m;
+    for (size_t i = 0; i < m.a.size(); ++i)
+        m.a[i] = Complex(double(q[2 * i]) * 1e-9,
+                         double(q[2 * i + 1]) * 1e-9);
+    return m;
+}
+
+uint64_t
+hashQuantized(const QuantizedMat &q, uint64_t basis)
+{
+    uint64_t h = basis;
+    for (int64_t v : q) {
+        h ^= uint64_t(v);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
 }
 
 } // namespace mirage::linalg

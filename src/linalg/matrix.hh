@@ -12,6 +12,7 @@
 
 #include <array>
 #include <complex>
+#include <cstdint>
 #include <string>
 
 namespace mirage::linalg {
@@ -118,6 +119,32 @@ double averageGateFidelity(const Mat4 &a, const Mat4 &b);
  */
 void factorTensorProduct(const Mat4 &m, Mat2 *a, Mat2 *b,
                          double *error = nullptr);
+
+/**
+ * A Mat4 rounded entrywise to a 1e-9 cell, re/im interleaved: the key of
+ * every unitary cache (consolidation's coordinate LRU, the equivalence
+ * library's fits). Two unitaries that agree to the cell share a key;
+ * std::array's lexicographic `<` orders keys for std::map.
+ */
+using QuantizedMat = std::array<int64_t, 32>;
+
+/** Round each entry to the nearest multiple of 1e-9. */
+QuantizedMat quantize(const Mat4 &m);
+/** The cell's representative: within 1e-9 of every member per entry. */
+Mat4 dequantize(const QuantizedMat &q);
+
+/** FNV-1a over the 32 cells from `basis` (the offset basis by default). */
+uint64_t hashQuantized(const QuantizedMat &q,
+                       uint64_t basis = 0xcbf29ce484222325ULL);
+
+/** hashQuantized as the hash of an unordered container. */
+struct QuantizedMatHash
+{
+    size_t operator()(const QuantizedMat &q) const
+    {
+        return size_t(hashQuantized(q));
+    }
+};
 
 } // namespace mirage::linalg
 

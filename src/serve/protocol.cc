@@ -1,8 +1,8 @@
 /**
  * @file
  * Serve protocol implementation: request parsing/validation, the
- * circuit/options fingerprints keying the result memo cache, and the
- * transpile report builder shared with the one-shot CLI path.
+ * content key of the result memo cache, and the transpile report
+ * builder shared with the one-shot CLI path.
  */
 
 #include "serve/protocol.hh"
@@ -15,40 +15,35 @@ namespace mirage::serve {
 
 namespace {
 
-/** FNV-1a over a byte range. */
-uint64_t
-fnv1a(uint64_t h, const void *data, size_t n)
+/** LEB128: short for the small counts and indices a circuit holds, and
+ * prefix-free, so the key's circuit part parses back one way only. */
+void
+appendVarint(std::string &out, uint64_t v)
 {
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001B3ULL;
+    for (; v >= 0x80; v >>= 7)
+        out += char(v | 0x80);
+    out += char(v);
+}
+
+/** The exact bit pattern of a double (no -0.0/0.0 folding: the memo
+ * must never serve a result for a circuit it was not computed from, so
+ * "bit-identical in, bit-identical out" is the contract). */
+void
+appendDouble(std::string &out, double v)
+{
+    char bits[sizeof v];
+    std::memcpy(bits, &v, sizeof v);
+    out.append(bits, sizeof v);
+}
+
+template <typename Mat>
+void
+appendMatrix(std::string &out, const Mat &m)
+{
+    for (const linalg::Complex &e : m.a) {
+        appendDouble(out, e.real());
+        appendDouble(out, e.imag());
     }
-    return h;
-}
-
-uint64_t
-fnvInt(uint64_t h, int64_t v)
-{
-    return fnv1a(h, &v, sizeof v);
-}
-
-/** Hash the exact bit pattern of a double (no -0.0/0.0 folding: the
- * memo must never serve a result for a circuit it was not computed
- * from, so "bit-identical in, bit-identical out" is the contract). */
-uint64_t
-fnvDouble(uint64_t h, double v)
-{
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    return fnv1a(h, &bits, sizeof bits);
-}
-
-uint64_t
-fnvComplex(uint64_t h, const linalg::Complex &c)
-{
-    h = fnvDouble(h, c.real());
-    return fnvDouble(h, c.imag());
 }
 
 } // namespace
@@ -204,44 +199,33 @@ parseTranspileRequest(const json::Value &doc)
     return req;
 }
 
-uint64_t
-circuitFingerprint(const circuit::Circuit &c)
-{
-    uint64_t h = 0xCBF29CE484222325ULL; // FNV offset basis
-    h = fnvInt(h, c.numQubits());
-    h = fnvInt(h, int64_t(c.size()));
-    for (const circuit::Gate &g : c.gates()) {
-        h = fnvInt(h, int64_t(g.kind));
-        h = fnvInt(h, g.numQubits());
-        for (int q : g.qubits)
-            h = fnvInt(h, q);
-        h = fnvInt(h, int64_t(g.params.size()));
-        for (double p : g.params)
-            h = fnvDouble(h, p);
-        h = fnvInt(h, g.mirrored ? 1 : 0);
-        if (g.mat2) {
-            h = fnvInt(h, 2);
-            for (const auto &e : g.mat2->a)
-                h = fnvComplex(h, e);
-        }
-        if (g.mat4) {
-            h = fnvInt(h, 4);
-            for (const auto &e : g.mat4->a)
-                h = fnvComplex(h, e);
-        }
-    }
-    return h;
-}
-
 std::string
-resultCacheKey(uint64_t circuit_fingerprint,
-               const std::string &topology_name,
+resultCacheKey(const circuit::Circuit &c, const std::string &topology_name,
                const mirage_pass::TranspileOptions &o,
                const std::string &format)
 {
+    // The circuit's exact content comes first, prefix-free (counts
+    // before lists, a flag byte before the optional matrices), so it
+    // ends unambiguously before the options.
     std::string key;
-    key.reserve(96);
-    key += std::to_string(circuit_fingerprint);
+    key.reserve(96 + 8 * c.size());
+    appendVarint(key, uint64_t(c.numQubits()));
+    appendVarint(key, c.size());
+    for (const circuit::Gate &g : c.gates()) {
+        appendVarint(key, uint64_t(g.kind));
+        appendVarint(key, g.qubits.size());
+        for (int q : g.qubits)
+            appendVarint(key, uint64_t(q));
+        appendVarint(key, g.params.size());
+        for (double p : g.params)
+            appendDouble(key, p);
+        key += char((g.mirrored ? 1 : 0) | (g.mat2 ? 2 : 0) |
+                    (g.mat4 ? 4 : 0));
+        if (g.mat2)
+            appendMatrix(key, *g.mat2);
+        if (g.mat4)
+            appendMatrix(key, *g.mat4);
+    }
     key += "|topo=";
     key += topology_name;
     key += "|flow=";

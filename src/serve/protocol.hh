@@ -36,6 +36,14 @@ namespace mirage::serve {
 inline constexpr int kProtocolVersion = 1;
 
 /**
+ * Longest request line, newline excluded, that either transport reads.
+ * A longer line gets a "request" error and its connection closes; the
+ * rest of it is never buffered, so one client cannot grow the server's
+ * memory without limit.
+ */
+inline constexpr size_t kMaxRequestLineBytes = size_t(16) << 20;
+
+/**
  * Schema violation in an otherwise well-formed JSON request: unknown
  * op, missing/ill-typed field, or an option value outside its valid
  * range. Maps to a structured {code, message} error response.
@@ -119,21 +127,17 @@ mirage_pass::Flow parseFlow(const std::string &name); ///< throws RequestError
 const char *flowName(mirage_pass::Flow flow);
 
 /**
- * 64-bit structural fingerprint of a circuit: FNV-1a over qubit count
- * and every gate's kind, operands, exact parameter bits, and explicit
- * matrices. Collisions are as unlikely as a 64-bit hash allows; the
- * memo cache uses this (not gate-list equality) as its key component.
+ * Canonical cache key for (circuit, topology, options, format): the
+ * circuit's exact content (qubit count and every gate's kind, operands,
+ * parameter bits, mirror flag and explicit matrices), so two different
+ * circuits never share a memo entry. Uses the RESOLVED topology name
+ * (so "auto" keys by the grid it chose) and excludes
+ * `threads`/`pool` -- output is bit-identical across thread counts by
+ * the trial engine's guarantee, so they must not fragment the cache.
+ * The request's `name` is not part of it either: a hit answers with
+ * its own name.
  */
-uint64_t circuitFingerprint(const circuit::Circuit &circuit);
-
-/**
- * Canonical cache-key string for (circuit, topology, options, format).
- * Uses the RESOLVED topology name (so "auto" keys by the grid it chose)
- * and excludes `threads`/`pool` -- output is bit-identical across
- * thread counts by the trial engine's guarantee, so they must not
- * fragment the cache.
- */
-std::string resultCacheKey(uint64_t circuit_fingerprint,
+std::string resultCacheKey(const circuit::Circuit &circuit,
                            const std::string &topology_name,
                            const mirage_pass::TranspileOptions &options,
                            const std::string &format);

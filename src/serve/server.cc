@@ -227,12 +227,11 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
                                " qubits but the circuit needs " +
                                std::to_string(input.numQubits()));
 
-    const uint64_t fp = circuitFingerprint(input);
     const std::string key =
-        resultCacheKey(fp, topo->name(), req.options, req.format);
+        resultCacheKey(input, topo->name(), req.options, req.format);
 
-    auto respond = [this, &id](const EntryPtr &entry, bool hit,
-                               bool coalesced) {
+    auto respond = [this, &id, &req](const EntryPtr &entry, bool hit,
+                                     bool coalesced) {
         json::Value v = okEnvelope(id);
         v.set("kind", "transpile");
         json::Value c = json::Value::object();
@@ -244,10 +243,17 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
             c.set("misses", counters_.cacheMisses);
         }
         v.set("cache", std::move(c));
-        if (entry->format == "qasm")
+        if (entry->format == "qasm") {
             v.set("qasm", entry->qasm);
-        else
-            v.set("report", entry->report);
+            return v;
+        }
+        // The memo key is name-free, so an entry may have been computed
+        // for another request: echo this request's own name.
+        json::Value report = entry->report;
+        json::Value in = report["input"];
+        in.set("file", req.name);
+        report.set("input", std::move(in));
+        v.set("report", std::move(report));
         return v;
     };
 
@@ -471,25 +477,65 @@ Engine::handle(const std::string &line)
     try {
         doc = json::parse(line);
     } catch (const json::ParseError &e) {
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        ++counters_.requests;
-        ++counters_.errors;
-        return errorResponse(json::Value(), "parse", e.what()).dump(0);
+        return lineError("parse", e.what());
     }
     return handleValue(doc).dump(0);
 }
 
+std::string
+Engine::rejectOversizedLine()
+{
+    return lineError("request", "request line exceeds " +
+                                    std::to_string(kMaxRequestLineBytes) +
+                                    " bytes");
+}
+
+std::string
+Engine::lineError(const std::string &code, const std::string &message)
+{
+    std::lock_guard<std::mutex> lock(countersMutex_);
+    ++counters_.requests;
+    ++counters_.errors;
+    return errorResponse(json::Value(), code, message).dump(0);
+}
+
 // --- stdio transport --------------------------------------------------------
+
+namespace {
+
+/**
+ * std::getline that stops after kMaxRequestLineBytes + 1 bytes, so an
+ * over-cap line is recognized without being buffered whole.
+ */
+bool
+getBoundedLine(std::istream &in, std::string &line)
+{
+    line.clear();
+    std::streambuf *buf = in.rdbuf();
+    for (int c = buf->sbumpc(); c != std::char_traits<char>::eof();
+         c = buf->sbumpc()) {
+        if (c == '\n')
+            return true;
+        line += char(c);
+        if (line.size() > kMaxRequestLineBytes)
+            return true;
+    }
+    return !line.empty();
+}
+
+} // namespace
 
 uint64_t
 serveStdio(Engine &engine, std::istream &in, std::ostream &out)
 {
     uint64_t handled = 0;
     std::string line;
-    while (std::getline(in, line)) {
+    while (getBoundedLine(in, line)) {
         if (line.empty())
             continue;
-        out << engine.handle(line) << "\n" << std::flush;
+        const bool over_cap = line.size() > kMaxRequestLineBytes;
+        out << (over_cap ? engine.rejectOversizedLine() : engine.handle(line))
+            << "\n" << std::flush;
         ++handled;
         if (!out) {
             // Downstream pipe gone (SIGPIPE is ignored in cmdServe, so
@@ -498,7 +544,8 @@ serveStdio(Engine &engine, std::istream &in, std::ostream &out)
             engine.countDroppedResponse();
             break;
         }
-        if (engine.shuttingDown())
+        // An over-cap line ends the session: the rest of it is never read.
+        if (over_cap || engine.shuttingDown())
             break;
     }
     return handled;
@@ -598,6 +645,7 @@ void
 SocketServer::connectionLoop(Connection *conn)
 {
     std::string buffer;
+    size_t scanned = 0; ///< buffer[0, scanned) holds no newline
     char chunk[4096];
     bool open = true;
     while (open) {
@@ -612,13 +660,25 @@ SocketServer::connectionLoop(Connection *conn)
         if (fault::shouldFail("serve.read"))
             break;
         buffer.append(chunk, size_t(n));
-        size_t pos;
-        while ((pos = buffer.find('\n')) != std::string::npos) {
-            std::string line = buffer.substr(0, pos);
-            buffer.erase(0, pos + 1);
-            if (line.empty())
-                continue;
-            std::string response = engine_.handle(line);
+        for (;;) {
+            // Scan only the new bytes: a long line must not cost a
+            // rescan of its prefix per chunk.
+            const size_t pos = buffer.find('\n', scanned);
+            scanned = pos == std::string::npos ? buffer.size() : pos;
+            const bool over_cap = scanned > kMaxRequestLineBytes;
+            if (pos == std::string::npos && !over_cap)
+                break;
+            std::string response;
+            if (over_cap) {
+                response = engine_.rejectOversizedLine();
+            } else {
+                std::string line = buffer.substr(0, pos);
+                buffer.erase(0, pos + 1);
+                scanned = 0;
+                if (line.empty())
+                    continue;
+                response = engine_.handle(line);
+            }
             response += '\n';
             // A failed send means the client vanished mid-response
             // (EPIPE/ECONNRESET -- sendAll uses MSG_NOSIGNAL, and
@@ -632,9 +692,10 @@ SocketServer::connectionLoop(Connection *conn)
                 open = false;
                 break;
             }
-            if (engine_.shuttingDown()) {
-                // The shutdown response has been delivered; stop
-                // reading so run() can drain and exit.
+            if (over_cap || engine_.shuttingDown()) {
+                // An over-cap line closes the connection (the rest of it
+                // is never read). After a delivered shutdown response,
+                // stop reading so run() can drain and exit.
                 open = false;
                 break;
             }

@@ -5,7 +5,7 @@
  * Engine is the transport-independent core: it owns ONE warm trial-grid
  * thread pool, ONE persistent equivalence library per basis root, a
  * topology cache, and a thread-safe LRU memo of full transpile results
- * keyed by (circuit fingerprint, topology, options, format). handle()
+ * keyed by (exact circuit, topology, options, format). handle()
  * is safe to call from any number of connection threads concurrently;
  * each miss is transpiled on the thread that called handle(), with its
  * trial grid fanned out on the shared pool (concurrent misses share the
@@ -67,8 +67,8 @@ struct EngineOptions
     std::string cacheDir;
     /**
      * Committed fit catalog warm-starting the root-2 library at
-     * construction: "" auto-discovers ($MIRAGE_FIT_CATALOG, then
-     * ./FIT_CATALOG.bin), "none" disables, else an explicit path.
+     * construction: "" auto-discovers ./FIT_CATALOG.bin, "none"
+     * disables, else an explicit path.
      * The load outcome (including the unreadable-vs-malformed split)
      * is reported via Engine::catalogLoad() so the transport can log
      * which failure happened at startup.
@@ -139,6 +139,13 @@ class Engine
     std::string handle(const std::string &line);
 
     /**
+     * The response to a line longer than kMaxRequestLineBytes, which a
+     * transport stops reading at the cap: a "request" error, counted
+     * like any other. The transport then closes the connection.
+     */
+    std::string rejectOversizedLine();
+
+    /**
      * Stop accepting transpile work: subsequent transpile requests get
      * a "shutdown" error response while stats/ping keep answering.
      * Requests already accepted still complete on their own threads.
@@ -181,6 +188,9 @@ class Engine
 
     /** handle() on the parsed request line. */
     json::Value handleValue(const json::Value &request);
+    /** A counted error response to a line that is not a request. */
+    std::string lineError(const std::string &code,
+                          const std::string &message);
     json::Value handleTranspile(const json::Value &doc,
                                 const json::Value &id);
     json::Value statsResponse(const json::Value &id) const;
@@ -236,8 +246,8 @@ class Engine
 };
 
 /**
- * Serve newline-delimited requests from `in` to `out` until EOF or a
- * shutdown request. Sequential (one request at a time); used by
+ * Serve newline-delimited requests from `in` to `out` until EOF, a
+ * shutdown request, or a line longer than kMaxRequestLineBytes. Sequential (one request at a time); used by
  * `mirage serve --stdio` and tests. Returns the number of requests.
  */
 uint64_t serveStdio(Engine &engine, std::istream &in, std::ostream &out);

@@ -420,7 +420,7 @@ TEST_F(ChaosTest, SweepWarnsWhenCacheSaveFails)
         << "a failed save must be reported, not dropped: " << log;
 }
 
-// --- serve over a socket under MIRAGE_FAULTS-style arming -------------------
+// --- serve over a socket under an armed fault schedule ---------------------
 
 TEST_F(ChaosTest, StatsOpPublishesInjectionCensusWhenArmed)
 {

@@ -161,8 +161,9 @@ TEST(Equivalence, TranslatePreservesFunction)
     EXPECT_LT(stats.worstInfidelity, 1e-6);
     // Only RootISWAP two-qubit gates remain.
     for (const auto &g : lowered.gates()) {
-        if (g.isTwoQubit())
+        if (g.isTwoQubit()) {
             EXPECT_EQ(g.kind, circuit::GateKind::RootISWAP);
+        }
     }
 
     Rng rng(11);
@@ -185,40 +186,34 @@ TEST(Equivalence, TranslationPulseBudgetMatchesCostModel)
     EXPECT_NEAR(stats.totalPulses, 9.0, 1e-12);
 }
 
-TEST(Equivalence, KeyCollisionFallsBackToFreshFit)
+TEST(Equivalence, DistinctUnitariesNeverShareAnEntry)
 {
-    // Regression: the cache used to trust the 64-bit key of the
-    // quantized unitary, so a hash collision silently returned the
-    // WRONG decomposition. Force every key to collide and check that
-    // the stored quantized matrix disambiguates.
+    // Regression: a cache keyed by a 64-bit hash of the quantized
+    // unitary once returned the WRONG decomposition on a collision. The
+    // key is now the quantized matrix itself, so CX (k=2) and SWAP (k=3)
+    // each get their own entry.
     EquivalenceLibrary lib(2, /*preseed=*/false);
-    lib.forceKeyCollisionsForTest();
-
     const Decomposition &cx = lib.lookup(weyl::gateCX());
     EXPECT_EQ(cx.k, 2);
-    EXPECT_EQ(lib.collisionCount(), 0u);
-
-    // Same 64-bit key as CX now, different unitary: the buggy code
-    // returned the k=2 CX entry here.
     const Decomposition &swap = lib.lookup(weyl::gateSWAP());
     EXPECT_EQ(swap.k, 3);
     EXPECT_GT(swap.fidelity, 1.0 - 1e-6);
-    EXPECT_EQ(lib.collisionCount(), 1u);
     EXPECT_EQ(lib.cacheSize(), 2u);
 
-    // Chained entries are still cached: repeat lookups hit, not refit.
-    uint64_t fits = lib.fitCount();
-    const Decomposition &swap_again = lib.lookup(weyl::gateSWAP());
-    EXPECT_EQ(&swap, &swap_again);
+    // Repeat lookups hit the same entry instead of refitting.
+    const uint64_t fits = lib.fitCount();
+    EXPECT_EQ(&lib.lookup(weyl::gateSWAP()), &swap);
+    EXPECT_EQ(&lib.lookup(weyl::gateCX()), &cx);
     EXPECT_EQ(lib.fitCount(), fits);
+    EXPECT_EQ(lib.hitCount(), 2u);
 
-    // And the collided entries survive a save/load round trip.
+    // And both entries survive a save/load round trip.
     std::stringstream cache;
     lib.saveCache(cache);
     EquivalenceLibrary fresh(2, /*preseed=*/false);
-    fresh.forceKeyCollisionsForTest();
     ASSERT_TRUE(fresh.loadCache(cache));
     EXPECT_EQ(fresh.cacheSize(), 2u);
+    EXPECT_EQ(fresh.lookup(weyl::gateCX()).k, 2);
     EXPECT_EQ(fresh.lookup(weyl::gateSWAP()).k, 3);
     EXPECT_EQ(fresh.fitCount(), 0u);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the `mirage serve` persistent transpilation service: the
- * protocol layer (request validation, fingerprints, cache keys), the
+ * protocol layer (request validation, content cache keys), the
  * engine (memoization, single-flight coalescing, structured errors,
  * shutdown draining), concurrent-client bit-identity against one-shot
  * `mirage transpile` output, concurrent distinct misses on one pool,
@@ -145,16 +145,20 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
     EXPECT_EQ(req.options.seed, 11u);
 }
 
-TEST(ServeProtocol, FingerprintSeparatesCircuitsAndParams)
+TEST(ServeProtocol, CacheKeySeparatesCircuitsAndParams)
 {
+    mirage_pass::TranspileOptions o;
+    auto key = [&o](const circuit::Circuit &c) {
+        return serve::resultCacheKey(c, "grid-2x2", o, "json");
+    };
     circuit::Circuit a = circuit::fromQasm(kQasm);
     circuit::Circuit b = circuit::fromQasm(kQasm);
-    EXPECT_EQ(serve::circuitFingerprint(a), serve::circuitFingerprint(b));
+    EXPECT_EQ(key(a), key(b));
 
     circuit::Circuit c = circuit::fromQasm(
         "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\n"
         "h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\ncx q[1],q[0];\n");
-    EXPECT_NE(serve::circuitFingerprint(a), serve::circuitFingerprint(c));
+    EXPECT_NE(key(a), key(c));
 
     circuit::Circuit d = circuit::fromQasm(
         "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
@@ -162,23 +166,37 @@ TEST(ServeProtocol, FingerprintSeparatesCircuitsAndParams)
     circuit::Circuit e = circuit::fromQasm(
         "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
         "rz(0.25) q[0];\n");
-    EXPECT_NE(serve::circuitFingerprint(d), serve::circuitFingerprint(e));
+    EXPECT_NE(key(d), key(e));
+
+    // Explicit matrices and the mirror flag are content too.
+    circuit::Circuit f(2, "f"), g(2, "g");
+    linalg::Mat4 m = linalg::Mat4::identity();
+    f.append(circuit::makeUnitary2(0, 1, m));
+    m(3, 3) = linalg::Complex(-1);
+    g.append(circuit::makeUnitary2(0, 1, m));
+    EXPECT_NE(key(f), key(g));
+    circuit::Gate mirrored = circuit::makeUnitary2(0, 1, m);
+    mirrored.mirrored = true;
+    circuit::Circuit h(2, "h");
+    h.append(mirrored);
+    EXPECT_NE(key(g), key(h));
 }
 
 TEST(ServeProtocol, CacheKeyIgnoresThreadsButNotSeed)
 {
+    const circuit::Circuit c = circuit::fromQasm(kQasm);
     mirage_pass::TranspileOptions a, b;
     a.threads = 1;
     b.threads = 8;
-    EXPECT_EQ(serve::resultCacheKey(1, "grid-2x2", a, "json"),
-              serve::resultCacheKey(1, "grid-2x2", b, "json"));
+    EXPECT_EQ(serve::resultCacheKey(c, "grid-2x2", a, "json"),
+              serve::resultCacheKey(c, "grid-2x2", b, "json"));
     b.seed = a.seed + 1;
-    EXPECT_NE(serve::resultCacheKey(1, "grid-2x2", a, "json"),
-              serve::resultCacheKey(1, "grid-2x2", b, "json"));
-    EXPECT_NE(serve::resultCacheKey(1, "grid-2x2", a, "json"),
-              serve::resultCacheKey(1, "grid-2x2", a, "qasm"));
-    EXPECT_NE(serve::resultCacheKey(1, "grid-2x2", a, "json"),
-              serve::resultCacheKey(2, "grid-2x2", a, "json"));
+    EXPECT_NE(serve::resultCacheKey(c, "grid-2x2", a, "json"),
+              serve::resultCacheKey(c, "grid-2x2", b, "json"));
+    EXPECT_NE(serve::resultCacheKey(c, "grid-2x2", a, "json"),
+              serve::resultCacheKey(c, "grid-2x2", a, "qasm"));
+    EXPECT_NE(serve::resultCacheKey(c, "grid-2x2", a, "json"),
+              serve::resultCacheKey(c, "line4", a, "json"));
 }
 
 // --- engine: memoization ----------------------------------------------------
@@ -214,6 +232,58 @@ TEST(ServeEngine, RepeatRequestHitsTheMemoWithObservableCounters)
     EXPECT_EQ(c.cacheHits, 1u);
     EXPECT_EQ(c.cacheMisses, 2u);
     EXPECT_EQ(c.errors, 0u);
+}
+
+TEST(ServeEngine, MemoEvictsTheLeastRecentlyUsedEntry)
+{
+    serve::EngineOptions opts;
+    opts.cacheEntries = 2;
+    serve::Engine engine(opts);
+    auto hit = [&engine](int seed) {
+        json::Value resp = handleParsed(
+            engine, requestLine(seed, kQasm,
+                                "{\"trials\":2,\"swapTrials\":1,\"seed\":" +
+                                    std::to_string(seed) + "}"));
+        EXPECT_TRUE(resp["ok"].asBool());
+        return resp["cache"]["hit"].asBool();
+    };
+    EXPECT_FALSE(hit(1));
+    EXPECT_FALSE(hit(2));
+    EXPECT_TRUE(hit(1)); // refreshes 1, so 2 is now the oldest
+    EXPECT_FALSE(hit(3)); // evicts 2
+    EXPECT_TRUE(hit(1));
+    EXPECT_TRUE(hit(3));
+    EXPECT_FALSE(hit(2));
+    EXPECT_EQ(engine.counters().transpiles, 4u);
+}
+
+TEST(ServeEngine, MemoHitAnswersWithItsOwnRequestName)
+{
+    // Regression: the memoized report carried the first requester's
+    // name, so a hit leaked one client's label to another.
+    serve::Engine engine;
+    auto named = [](int id, const char *name) {
+        json::Value doc = json::parse(requestLine(id));
+        doc.set("name", name);
+        return doc.dump(0);
+    };
+    json::Value alpha = handleParsed(engine, named(1, "alpha"));
+    ASSERT_TRUE(alpha["ok"].asBool());
+    EXPECT_FALSE(alpha["cache"]["hit"].asBool());
+    EXPECT_EQ(alpha["report"]["input"]["file"].asString(), "alpha");
+
+    json::Value beta = handleParsed(engine, named(2, "beta"));
+    ASSERT_TRUE(beta["ok"].asBool());
+    // The name is not part of the key: still a hit...
+    EXPECT_TRUE(beta["cache"]["hit"].asBool());
+    EXPECT_EQ(engine.counters().transpiles, 1u);
+    // ...answered with its own name, and otherwise the same report.
+    EXPECT_EQ(beta["report"]["input"]["file"].asString(), "beta");
+    json::Value relabeled = json::parse(beta["report"].dump(0));
+    json::Value in = relabeled["input"];
+    in.set("file", "alpha");
+    relabeled.set("input", std::move(in));
+    EXPECT_EQ(relabeled.dump(0), alpha["report"].dump(0));
 }
 
 TEST(ServeEngine, QasmFormatReturnsCircuitText)
@@ -410,6 +480,36 @@ TEST(ServeEngine, StdioTransportStopsAfterShutdownRequest)
     // The line after shutdown is never read.
     EXPECT_EQ(handled, 2u);
     EXPECT_NE(out.str().find("\"draining\":true"), std::string::npos);
+}
+
+TEST(ServeEngine, StdioTransportRejectsAnOverCapLineAndStops)
+{
+    serve::Engine engine;
+    std::istringstream in(requestLine(1) + "\n" +
+                          std::string(serve::kMaxRequestLineBytes + 1, 'x') +
+                          "\n" + requestLine(2) + "\n");
+    std::ostringstream out;
+    const uint64_t handled = serve::serveStdio(engine, in, out);
+    // The line after the over-cap one is never read.
+    EXPECT_EQ(handled, 2u);
+    std::istringstream lines(out.str());
+    std::string first, second;
+    ASSERT_TRUE(std::getline(lines, first));
+    ASSERT_TRUE(std::getline(lines, second));
+    EXPECT_TRUE(json::parse(first)["ok"].asBool());
+    json::Value rejected = json::parse(second);
+    EXPECT_FALSE(rejected["ok"].asBool());
+    EXPECT_EQ(rejected["error"]["code"].asString(), "request");
+    EXPECT_NE(rejected["error"]["message"].asString().find("exceeds"),
+              std::string::npos);
+    EXPECT_EQ(engine.counters().errors, 1u);
+    // A line of exactly the cap is read whole (a parse error, not a
+    // "request" one).
+    std::istringstream at_cap(std::string(serve::kMaxRequestLineBytes, 'x'));
+    std::ostringstream at_cap_out;
+    EXPECT_EQ(serve::serveStdio(engine, at_cap, at_cap_out), 1u);
+    EXPECT_NE(at_cap_out.str().find("\"code\":\"parse\""),
+              std::string::npos);
 }
 
 // --- engine: concurrency ----------------------------------------------------
@@ -653,6 +753,32 @@ TEST(ServeSocket, EightConcurrentClientsOverTheSocket)
     EXPECT_TRUE(bye["ok"].asBool());
     serverThread.join();
     EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(ServeSocket, OverCapLineGetsARequestErrorAndClosesTheConnection)
+{
+    const std::string path = tempPath("mirage_serve_cap.sock");
+    std::filesystem::remove(path);
+
+    serve::Engine engine;
+    serve::SocketServer server(engine, path);
+    server.start();
+    std::thread serverThread([&server] { server.run(); });
+
+    serve::SocketClient client(path);
+    json::Value rejected = json::parse(
+        client.roundTrip(std::string(serve::kMaxRequestLineBytes + 1, 'x')));
+    EXPECT_FALSE(rejected["ok"].asBool());
+    EXPECT_EQ(rejected["error"]["code"].asString(), "request");
+    // The server closed this connection instead of reading on.
+    EXPECT_THROW(client.roundTrip(requestLine(2)), serve::ServeError);
+
+    // Other clients are still served.
+    serve::SocketClient next(path);
+    EXPECT_TRUE(json::parse(next.roundTrip(requestLine(3)))["ok"].asBool());
+
+    server.stop();
+    serverThread.join();
 }
 
 TEST(ServeSocket, SecondServerRefusesALivePath)
