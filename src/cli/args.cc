@@ -7,12 +7,10 @@
 
 #include "cli/args.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cstdlib>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace mirage::cli {
@@ -148,28 +146,6 @@ ArgumentParser::intOption(const std::string &name) const
         throw UsageError("option '" + name + "' is out of range, got '" +
                          v + "'");
     return int(parsed);
-}
-
-uint64_t
-ArgumentParser::seedOption(const std::string &name) const
-{
-    const std::string &v = option(name);
-    char *end = nullptr;
-    errno = 0;
-    // strtoull would accept a sign (and wrap "-1"), so require a digit.
-    unsigned long long parsed =
-        v.empty() || !std::isdigit(static_cast<unsigned char>(v[0]))
-            ? 0
-            : std::strtoull(v.c_str(), &end, 0);
-    if (!end || *end != '\0')
-        throw UsageError("option '" + name +
-                         "' expects a non-negative integer, got '" + v +
-                         "'");
-    if (errno == ERANGE || parsed > json::kMaxExactInteger)
-        throw UsageError("option '" + name + "' must be at most 2^53 "
-                         "(reports carry it as a JSON number), got '" +
-                         v + "'");
-    return uint64_t(parsed);
 }
 
 std::string

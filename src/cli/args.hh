@@ -14,7 +14,6 @@
 #ifndef MIRAGE_CLI_ARGS_HH
 #define MIRAGE_CLI_ARGS_HH
 
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -40,9 +39,9 @@ class ArgumentParser
     /** `command` and `synopsis` seed the --help page. */
     ArgumentParser(std::string command, std::string synopsis);
 
-    /** Declare a boolean flag, e.g. addFlag("--lower", "..."). */
+    /** Declare a boolean flag, e.g. addFlag("--csv", "..."). */
     void addFlag(const std::string &name, const std::string &help);
-    /** Declare a value option, e.g. addOption("--seed", "N", "42", "..."). */
+    /** Declare a value option, e.g. addOption("--out", "DIR", ".", "..."). */
     void addOption(const std::string &name, const std::string &valueName,
                    const std::string &defaultValue, const std::string &help);
 
@@ -63,12 +62,6 @@ class ArgumentParser
     bool optionSeen(const std::string &name) const;
     /** option() parsed as an int; UsageError on garbage or overflow. */
     int intOption(const std::string &name) const;
-    /**
-     * option() parsed as a seed in [0, json::kMaxExactInteger]
-     * (decimal, or 0x hex), so a JSON report reproduces it exactly;
-     * UsageError on garbage, a sign, or a larger value.
-     */
-    uint64_t seedOption(const std::string &name) const;
 
     /** Operands left after option parsing, in order. */
     const std::vector<std::string> &positionals() const

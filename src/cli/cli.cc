@@ -51,29 +51,6 @@ class CliError : public std::runtime_error
     }
 };
 
-/** Parse "grid3x3" / "line4" / ... ; `min_qubits` sizes "auto".
- * (Thin wrapper over the shared topology-module parser that maps its
- * invalid_argument to a usage error, exit code 2.) */
-topology::CouplingMap
-parseTopology(const std::string &spec, int min_qubits)
-{
-    try {
-        return topology::CouplingMap::parseSpec(spec, min_qubits);
-    } catch (const std::invalid_argument &e) {
-        throw UsageError(e.what());
-    }
-}
-
-mirage_pass::Flow
-parseFlow(const std::string &name)
-{
-    try {
-        return serve::parseFlow(name);
-    } catch (const serve::RequestError &e) {
-        throw UsageError(e.what());
-    }
-}
-
 /**
  * Validate a --cache DIR value up front: create it if absent, and
  * reject a path that cannot be a writable directory with a clear
@@ -146,29 +123,22 @@ int
 cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
              std::ostream &err)
 {
+    // The request options come from the serve protocol's table, so their
+    // flags, ranges and defaults are the ones a served request gets.
     ArgumentParser parser("transpile", "<input.qasm | ->");
-    parser.addOption("--topology", "SPEC", "auto",
-                     "device coupling map: grid<R>x<C>, line<N>, "
-                     "ring<N>, heavyhex57, heavyhex433, heavyhex1121, "
-                     "alltoall<N>, auto");
-    parser.addOption("--flow", "NAME", "mirage",
-                     "pipeline flow: sabre, mirage-swaps, mirage");
-    parser.addOption("--trials", "N", "8", "independent layout trials");
-    parser.addOption("--swap-trials", "N", "4",
-                     "routing repeats per layout");
-    parser.addOption("--fwd-bwd", "N", "2", "layout refinement rounds");
+    const serve::TranspileRequest defaults;
+    for (const serve::RequestOption &row : serve::requestOptions()) {
+        const json::Value d = serve::optionValue(defaults, row);
+        if (d.isBool())
+            parser.addFlag(row.flag, row.help);
+        else
+            parser.addOption(row.flag, row.valueName,
+                             d.isString() ? d.asString() : d.dump(0),
+                             row.help);
+    }
     parser.addOption("--threads", "N", "1",
                      "trial-grid worker threads (0 = all cores); output "
                      "is bit-identical for every value");
-    parser.addOption("--seed", "N", "20240229", "root RNG seed");
-    parser.addOption("--aggression", "N", "-1",
-                     "fixed mirror aggression 0-3 (-1 = 5/45/45/5 mix)");
-    parser.addOption("--root", "N", "2",
-                     "basis gate: the N-th root of iSWAP");
-    parser.addFlag("--no-vf2", "skip the VF2 SWAP-free layout check");
-    parser.addFlag("--lower",
-                   "lower the routed circuit to RootISWAP pulses and "
-                   "measure pulse metrics");
     parser.addOption("--cache", "DIR", "",
                      "equivalence-library cache directory (load before, "
                      "save after; implies faster --lower reruns)");
@@ -176,11 +146,6 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
                      "fit catalog warm-starting --lower ('none' "
                      "disables; default: ./FIT_CATALOG.bin when "
                      "present)");
-    parser.addOption("--deadline-ms", "N", "0",
-                     "abort with exit 1 if the pipeline exceeds this "
-                     "compute budget (0 = none)");
-    parser.addOption("--format", "FMT", "json",
-                     "output format: json (report) or qasm (circuit)");
     parser.addOption("--output", "FILE", "",
                      "write output here instead of stdout");
     parser.parse(args);
@@ -193,59 +158,27 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
                          "(or '-' for stdin); see 'mirage transpile "
                          "--help'");
 
-    const std::string &path = parser.positionals()[0];
-    const std::string format = parser.option("--format");
-    if (format != "json" && format != "qasm")
-        throw UsageError("unknown --format '" + format +
-                         "' (expected json or qasm)");
-
-    const std::string text = readInput(path);
-    circuit::Circuit input;
-    try {
-        input = circuit::fromQasm(text);
-    } catch (const circuit::QasmError &e) {
-        err << "mirage: " << (path == "-" ? "<stdin>" : path) << ":"
-            << e.line() << ":" << e.column() << ": " << e.message()
-            << "\n";
-        return kExitFailure;
-    }
-    if (input.numQubits() == 0)
-        throw CliError("'" + path + "' declares no qubits");
-
-    mirage_pass::TranspileOptions opts;
-    opts.flow = parseFlow(parser.option("--flow"));
-    opts.rootDegree = parser.intOption("--root");
-    opts.layoutTrials = parser.intOption("--trials");
-    opts.swapTrials = parser.intOption("--swap-trials");
-    opts.forwardBackwardPasses = parser.intOption("--fwd-bwd");
+    // A bad value is a "request" error, which run() maps to exit 2.
+    serve::TranspileRequest req;
+    for (const serve::RequestOption &row : serve::requestOptions())
+        if (parser.optionSeen(row.flag))
+            serve::applyFlag(req, row, parser.option(row.flag));
+    mirage_pass::TranspileOptions &opts = req.options;
     opts.threads = parser.intOption("--threads");
-    opts.seed = parser.seedOption("--seed");
-    opts.fixedAggression = parser.intOption("--aggression");
-    opts.tryVf2 = !parser.flag("--no-vf2");
-    opts.lowerToBasis = parser.flag("--lower");
-    if (opts.layoutTrials < 1 || opts.swapTrials < 1)
-        throw UsageError("--trials and --swap-trials must be >= 1");
-    if (opts.forwardBackwardPasses < 0)
-        throw UsageError("--fwd-bwd must be >= 0");
     if (opts.threads < 0)
         throw UsageError("--threads must be >= 0 (0 = all cores)");
-    if (opts.rootDegree < 2)
-        throw UsageError("--root must be >= 2");
-    if (opts.fixedAggression < -1 || opts.fixedAggression > 3)
-        throw UsageError("--aggression must be in [-1, 3] (-1 = mixed)");
-    const int deadlineMs = parser.intOption("--deadline-ms");
-    if (deadlineMs < 0)
-        throw UsageError("--deadline-ms must be >= 0 (0 = none)");
-    if (deadlineMs > 0)
-        opts.deadline = Deadline::afterMs(deadlineMs);
+
+    const std::string &path = parser.positionals()[0];
+    req.name = path == "-" ? "<stdin>" : path;
+    const circuit::Circuit input =
+        serve::parseRequestCircuit(readInput(path), req.name,
+                                   "'" + path + "'");
+    if (req.deadlineMs > 0)
+        opts.deadline = Deadline::afterMs(req.deadlineMs);
 
     const topology::CouplingMap topo =
-        parseTopology(parser.option("--topology"), input.numQubits());
-    if (topo.numQubits() < input.numQubits())
-        throw CliError("topology '" + parser.option("--topology") +
-                       "' has " + std::to_string(topo.numQubits()) +
-                       " qubits but the circuit needs " +
-                       std::to_string(input.numQubits()));
+        serve::parseTopology(req.topology, input.numQubits());
+    serve::checkTopologyFits(input, topo, req.topology);
 
     // Constructing the library preseeds standard-gate fits, so build
     // it only when the lowering stage will actually run.
@@ -271,7 +204,7 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
         res = mirage_pass::transpile(input, topo, opts);
     } catch (const DeadlineError &e) {
         err << "mirage: deadline: " << e.what() << " (budget "
-            << deadlineMs << " ms)\n";
+            << int64_t(req.deadlineMs) << " ms)\n";
         return kExitFailure;
     }
 
@@ -281,20 +214,12 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
             err << "mirage: warning: " << failure << "\n";
     }
 
-    if (format == "qasm") {
-        const circuit::Circuit &emitted =
-            res.loweredToBasis ? res.lowered : res.routed;
-        writeOutput(parser.option("--output"), circuit::toQasm(emitted),
-                    out);
-        return kExitSuccess;
-    }
-
-    // The report document is built by the serve module's shared
-    // builder, so a `mirage serve` response is bit-identical to this
-    // one-shot path by construction.
-    json::Value doc = serve::transpileReportJson(
-        path == "-" ? "<stdin>" : path, input, topo, opts, res);
-    writeOutput(parser.option("--output"), doc.dump(2), out);
+    // The serve module's shared builder: a `mirage serve` response is
+    // bit-identical to this one-shot path by construction.
+    const json::Value output = serve::transpileOutput(req, input, topo, res);
+    writeOutput(parser.option("--output"),
+                output.isString() ? output.asString() : output.dump(2),
+                out);
     return kExitSuccess;
 }
 
@@ -312,11 +237,14 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     parser.addOption("--seeds", "N", "",
                      "independent instances averaged (experiment "
                      "default when omitted)");
-    parser.addOption("--trials", "N", "", "layout trials (default: "
-                     "experiment)");
-    parser.addOption("--swap-trials", "N", "",
+    // Same flag names as `mirage transpile`; here they override the
+    // experiment's own trial grid.
+    auto flagOf = [](serve::Option o) { return serve::requestOption(o).flag; };
+    parser.addOption(flagOf(serve::Option::Trials), "N", "",
+                     "layout trials (default: experiment)");
+    parser.addOption(flagOf(serve::Option::SwapTrials), "N", "",
                      "routing repeats per layout (default: experiment)");
-    parser.addOption("--fwd-bwd", "N", "",
+    parser.addOption(flagOf(serve::Option::FwdBwd), "N", "",
                      "layout refinement rounds (default: experiment)");
     parser.addOption("--threads", "N", "1",
                      "trial-grid worker threads (0 = all cores)");
@@ -379,9 +307,9 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
         *slot = v;
     };
     knob("--seeds", &knobs.seeds);
-    knob("--trials", &knobs.layoutTrials);
-    knob("--swap-trials", &knobs.swapTrials);
-    knob("--fwd-bwd", &knobs.fwdBwd);
+    knob(flagOf(serve::Option::Trials), &knobs.layoutTrials);
+    knob(flagOf(serve::Option::SwapTrials), &knobs.swapTrials);
+    knob(flagOf(serve::Option::FwdBwd), &knobs.fwdBwd);
     knob("--mc-iters", &knobs.mcIterations);
     knob("--limit", &knobs.suiteLimit);
     knobs.threads = parser.intOption("--threads");
@@ -508,7 +436,10 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
                      "admission bound: shed misses with 'overloaded' "
                      "+ retryAfterMs once this many are in flight (0 = "
                      "unbounded)");
-    parser.addOption("--deadline-ms", "N", "0",
+    // The request option's flag and check, as a server-wide cap.
+    const serve::RequestOption &deadline =
+        serve::requestOption(serve::Option::DeadlineMs);
+    parser.addOption(deadline.flag, "N", "0",
                      "server-wide per-request compute budget; caps any "
                      "client deadlineMs (0 = none)");
     parser.addOption("--max-qubits", "N", "0",
@@ -548,10 +479,9 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
     eopts.maxQueue = parser.intOption("--max-queue");
     if (eopts.maxQueue < 0)
         throw UsageError("--max-queue must be >= 0 (0 = unbounded)");
-    const int deadlineMs = parser.intOption("--deadline-ms");
-    if (deadlineMs < 0)
-        throw UsageError("--deadline-ms must be >= 0 (0 = none)");
-    eopts.deadlineMs = deadlineMs;
+    serve::TranspileRequest cap;
+    serve::applyFlag(cap, deadline, parser.option(deadline.flag));
+    eopts.deadlineMs = cap.deadlineMs;
     eopts.maxQubits = parser.intOption("--max-qubits");
     eopts.maxGates = parser.intOption("--max-gates");
     if (eopts.maxQubits < 0 || eopts.maxGates < 0)
@@ -574,44 +504,38 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
     // (counted as a dropped response), not kill the server.
     std::signal(SIGPIPE, SIG_IGN);
 
-    try {
-        serve::Engine engine(eopts);
-        if (!engine.catalogPath().empty()) {
-            const auto &load = engine.catalogLoad();
-            if (load.status ==
-                decomp::EquivalenceLibrary::CacheLoadStatus::Ok)
-                err << "mirage: serve: fit catalog '"
-                    << engine.catalogPath() << "' loaded ("
-                    << load.entriesLoaded << " entries)\n";
-            else
-                err << "mirage: serve: warning: fit catalog "
-                    << decomp::loadStatusName(load.status) << ": "
-                    << load.message << "; lowering cold\n";
-        }
-        if (stdio) {
-            const uint64_t n = serve::serveStdio(engine, std::cin, out);
-            err << "mirage: serve: handled " << n << " request(s)\n";
-            return kExitSuccess;
-        }
-        serve::SocketServer server(engine, socketPath);
-        server.start();
-        err << "mirage: serving on " << server.path() << " ("
-            << engine.poolThreads() << " worker thread(s))\n";
-        g_signalServer.store(&server);
-        std::signal(SIGINT, serveSignalHandler);
-        std::signal(SIGTERM, serveSignalHandler);
-        server.run();
-        g_signalServer.store(nullptr);
-        std::signal(SIGINT, SIG_DFL);
-        std::signal(SIGTERM, SIG_DFL);
-        const serve::EngineCounters c = engine.counters();
-        err << "mirage: serve: drained after " << c.requests
-            << " request(s) (" << c.cacheHits << " cache hit(s), "
-            << c.transpiles << " transpile(s))\n";
-        return kExitSuccess;
-    } catch (const serve::ServeError &e) {
-        throw CliError(e.what());
+    serve::Engine engine(eopts);
+    if (!engine.catalogPath().empty()) {
+        const auto &load = engine.catalogLoad();
+        if (load.status == decomp::EquivalenceLibrary::CacheLoadStatus::Ok)
+            err << "mirage: serve: fit catalog '" << engine.catalogPath()
+                << "' loaded (" << load.entriesLoaded << " entries)\n";
+        else
+            err << "mirage: serve: warning: fit catalog "
+                << decomp::loadStatusName(load.status) << ": "
+                << load.message << "; lowering cold\n";
     }
+    if (stdio) {
+        const uint64_t n = serve::serveStdio(engine, std::cin, out);
+        err << "mirage: serve: handled " << n << " request(s)\n";
+        return kExitSuccess;
+    }
+    serve::SocketServer server(engine, socketPath);
+    server.start();
+    err << "mirage: serving on " << server.path() << " ("
+        << engine.poolThreads() << " worker thread(s))\n";
+    g_signalServer.store(&server);
+    std::signal(SIGINT, serveSignalHandler);
+    std::signal(SIGTERM, serveSignalHandler);
+    server.run();
+    g_signalServer.store(nullptr);
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+    const serve::EngineCounters c = engine.counters();
+    err << "mirage: serve: drained after " << c.requests
+        << " request(s) (" << c.cacheHits << " cache hit(s), "
+        << c.transpiles << " transpile(s))\n";
+    return kExitSuccess;
 }
 
 // --- serve-bench ------------------------------------------------------------
@@ -669,12 +593,7 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
         // must surface as a reconnect, not a fatal SIGPIPE.
         std::signal(SIGPIPE, SIG_IGN);
 
-        json::Value artifact;
-        try {
-            artifact = serve::runChaos(copts, err);
-        } catch (const serve::ServeError &e) {
-            throw CliError(e.what());
-        }
+        const json::Value artifact = serve::runChaos(copts, err);
         // Never clobber the committed throughput baseline with a
         // chaos artifact by default.
         std::string path = parser.option("--out");
@@ -700,12 +619,8 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
     const json::Value baseline =
         baselinePath.empty() ? json::Value() : readJson(baselinePath);
 
-    json::Value artifact;
-    try {
-        artifact = serve::runTraffic(parser.option("--socket"), err);
-    } catch (const serve::ServeError &e) {
-        throw CliError(e.what());
-    }
+    const json::Value artifact =
+        serve::runTraffic(parser.option("--socket"), err);
 
     const std::string path = parser.option("--out");
     writeOutput(path, artifact.dump(2), out);
@@ -977,9 +892,11 @@ run(const std::vector<std::string> &args, std::ostream &out,
     } catch (const UsageError &e) {
         err << "mirage: " << e.what() << "\n";
         return kExitUsage;
-    } catch (const CliError &e) {
+    } catch (const serve::RequestError &e) {
+        // The request path shared with serve: a bad option is a usage
+        // error; a bad circuit ("qasm") or misfit ("input") is not.
         err << "mirage: " << e.what() << "\n";
-        return kExitFailure;
+        return e.code() == "request" ? kExitUsage : kExitFailure;
     } catch (const std::exception &e) {
         err << "mirage: " << e.what() << "\n";
         return kExitFailure;

@@ -82,7 +82,7 @@ struct TranspileOptions
      * content of a completed result (it feeds no randomness), so serve
      * excludes it from the result-cache key.
      */
-    Deadline deadline;
+    Deadline deadline{};
 };
 
 /** Pipeline result. */

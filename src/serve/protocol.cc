@@ -1,15 +1,21 @@
 /**
  * @file
- * Serve protocol implementation: request parsing/validation, the
- * content key of the result memo cache, and the transpile report
- * builder shared with the one-shot CLI path.
+ * Serve protocol implementation: the request-option table and the
+ * request path shared with the one-shot CLI (option checks, circuit
+ * parsing, input checks, output), the content key of the result memo
+ * cache, and the transpile report builder.
  */
 
 #include "serve/protocol.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
+
+#include "circuit/qasm.hh"
 
 namespace mirage::serve {
 
@@ -46,31 +52,147 @@ appendMatrix(std::string &out, const Mat &m)
     }
 }
 
-} // namespace
+using mirage_pass::TranspileOptions;
 
-mirage_pass::Flow
-parseFlow(const std::string &name)
+/** Flow names, in Flow order. */
+constexpr const char *kFlowNames[] = {"sabre", "mirage-swaps", "mirage"};
+
+/** The request-option table, in Option order. */
+const RequestOption kRequestOptions[] = {
+    {"topology", "--topology", "SPEC",
+     "device coupling map: grid<R>x<C>, line<N>, ring<N>, heavyhex57, "
+     "heavyhex433, heavyhex1121, alltoall<N>, auto",
+     0, 0, &TranspileRequest::topology},
+    {"format", "--format", "FMT", "output format: json (report) or qasm "
+     "(circuit)", 0, 0, &TranspileRequest::format},
+    {"flow", "--flow", "NAME", "pipeline flow: sabre, mirage-swaps, mirage",
+     0, 0, &TranspileOptions::flow},
+    {"trials", "--trials", "N", "independent layout trials", 1, INT_MAX,
+     &TranspileOptions::layoutTrials},
+    {"swapTrials", "--swap-trials", "N", "routing repeats per layout", 1,
+     INT_MAX, &TranspileOptions::swapTrials},
+    {"fwdBwd", "--fwd-bwd", "N", "layout refinement rounds", 0, INT_MAX,
+     &TranspileOptions::forwardBackwardPasses},
+    // At most 2^53, so a JSON report reproduces the seed exactly.
+    {"seed", "--seed", "N", "root RNG seed (decimal, 0 to 2^53)", 0,
+     double(json::kMaxExactInteger), &TranspileOptions::seed},
+    {"aggression", "--aggression", "N", "fixed mirror aggression 0-3 (-1 "
+     "= 5/45/45/5 mix)", -1, 3, &TranspileOptions::fixedAggression},
+    {"root", "--root", "N", "basis gate: the N-th root of iSWAP", 2,
+     INT_MAX, &TranspileOptions::rootDegree},
+    {"lower", "--lower", "", "lower the routed circuit to RootISWAP "
+     "pulses and measure pulse metrics", 0, 0,
+     &TranspileOptions::lowerToBasis},
+    {"vf2", "--no-vf2", "", "skip the VF2 SWAP-free layout check", 0, 0,
+     &TranspileOptions::tryVf2},
+    // More would overflow the clock-tick conversion in Deadline::afterMs.
+    {"deadlineMs", "--deadline-ms", "N", "abort with exit 1 if the "
+     "pipeline exceeds this compute budget (0 = none)", 1, INT_MAX,
+     &TranspileRequest::deadlineMs},
+};
+static_assert(std::size(kRequestOptions) == size_t(Option::DeadlineMs) + 1);
+
+/** The field `member` names in `req` or in its pipeline options. */
+template <typename Req, typename Owner, typename T>
+auto &
+fieldOf(Req &req, T Owner::*member)
 {
-    if (name == "sabre")
-        return mirage_pass::Flow::SabreBaseline;
-    if (name == "mirage-swaps")
-        return mirage_pass::Flow::MirageSwaps;
-    if (name == "mirage" || name == "mirage-depth")
-        return mirage_pass::Flow::MirageDepth;
-    throw RequestError("request",
-                       "unknown flow '" + name +
-                           "' (expected sabre, mirage-swaps, or mirage)");
+    if constexpr (std::is_same_v<Owner, TranspileRequest>)
+        return req.*member;
+    else
+        return req.options.*member;
 }
+
+/** Check `value` against `row` (a number against [lo, row.hi]), then set
+ * its field; errors name `name`. */
+void
+setChecked(TranspileRequest &req, const RequestOption &row,
+           const json::Value &value, const std::string &name, double lo)
+{
+    auto fail = [&name](const std::string &what) {
+        throw RequestError("request", "option '" + name + "' " + what);
+    };
+    std::visit(
+        [&](auto member) {
+            auto &field = fieldOf(req, member);
+            using T = std::remove_reference_t<decltype(field)>;
+            if constexpr (std::is_same_v<T, bool>) {
+                if (!value.isBool())
+                    fail("must be a boolean");
+                field = value.asBool();
+            } else if constexpr (std::is_arithmetic_v<T>) {
+                if (!value.isNumber())
+                    fail("must be a number");
+                const double d = value.asNumber();
+                if (std::is_integral_v<T> && d != std::floor(d))
+                    fail("must be an integer");
+                // Checked on the double, so the conversion is always
+                // defined and no value is silently truncated into an int.
+                if (!(d >= lo && d <= row.hi))
+                    fail("must be in [" + json::formatNumber(lo) + ", " +
+                         json::formatNumber(row.hi) + "]");
+                field = T(d);
+            } else {
+                if (!value.isString())
+                    fail("must be a string");
+                const std::string &s = value.asString();
+                auto unknown = [&](const char *expected) {
+                    throw RequestError("request", "unknown " + name +
+                                                      " '" + s + "' " +
+                                                      expected);
+                };
+                if constexpr (std::is_same_v<T, mirage_pass::Flow>) {
+                    const auto *it = std::ranges::find(
+                        kFlowNames, s == "mirage-depth" ? "mirage" : s);
+                    if (it == std::end(kFlowNames))
+                        unknown("(expected sabre, mirage-swaps, or mirage)");
+                    field = T(it - std::begin(kFlowNames));
+                } else {
+                    if (&field == &req.format && s != "json" && s != "qasm")
+                        unknown("(expected json or qasm)");
+                    field = s;
+                }
+            }
+        },
+        row.field);
+}
+
+/** A flag's decimal integer text as a JSON number; beyond +-2^53, where
+ * a double could round it into range, +-infinity. */
+json::Value
+decimalValue(const std::string &flag, const std::string &text)
+{
+    int64_t v = 0;
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, v);
+    if (ec == std::errc::invalid_argument || end != last)
+        throw RequestError("request", "option '" + flag +
+                                          "' expects a decimal integer, "
+                                          "got '" + text + "'");
+    const auto limit = int64_t(json::kMaxExactInteger);
+    if (ec != std::errc() || v > limit || v < -limit)
+        return text[0] == '-' ? -HUGE_VAL : HUGE_VAL;
+    return double(v);
+}
+
+} // namespace
 
 const char *
 flowName(mirage_pass::Flow flow)
 {
-    switch (flow) {
-      case mirage_pass::Flow::SabreBaseline: return "sabre";
-      case mirage_pass::Flow::MirageSwaps: return "mirage-swaps";
-      case mirage_pass::Flow::MirageDepth: return "mirage";
-    }
-    return "?";
+    return kFlowNames[size_t(flow)];
+}
+
+std::span<const RequestOption>
+requestOptions()
+{
+    return kRequestOptions;
+}
+
+const RequestOption &
+requestOption(Option row)
+{
+    return kRequestOptions[size_t(row)];
 }
 
 TranspileRequest
@@ -79,30 +201,21 @@ parseTranspileRequest(const json::Value &doc)
     TranspileRequest req;
     if (!doc.isObject())
         throw RequestError("request", "request must be a JSON object");
-    if (const json::Value *id = doc.find("id"))
-        req.id = *id;
-
-    auto stringField = [](const json::Value &v, const char *key) {
-        if (!v.isString())
-            throw RequestError("request", std::string("field '") + key +
-                                              "' must be a string");
-        return v.asString();
-    };
-
     bool sawQasm = false;
     for (const auto &[key, value] : doc.members()) {
-        if (key == "id" || key == "op")
-            continue;
-        if (key == "qasm") {
-            req.qasm = stringField(value, "qasm");
-            sawQasm = true;
-        } else if (key == "name") {
-            req.name = stringField(value, "name");
+        if (key == "id") {
+            req.id = value;
+        } else if (key == "qasm" || key == "name") {
+            if (!value.isString())
+                throw RequestError("request",
+                                   "field '" + key + "' must be a string");
+            (key == "qasm" ? req.qasm : req.name) = value.asString();
+            sawQasm = sawQasm || key == "qasm";
         } else if (key == "options") {
             if (!value.isObject())
                 throw RequestError("request",
                                    "field 'options' must be an object");
-        } else {
+        } else if (key != "op") {
             throw RequestError("request", "unknown request field '" + key +
                                               "'");
         }
@@ -114,90 +227,117 @@ parseTranspileRequest(const json::Value &doc)
     const json::Value *options = doc.find("options");
     if (!options)
         return req;
-
-    // The range is checked on the double, so the int64_t conversion is
-    // always defined and no value is silently truncated into an int.
-    auto intField = [](const json::Value &v, const std::string &key,
-                       int64_t lo, int64_t hi) {
-        if (!v.isNumber())
-            throw RequestError("request", "option '" + key +
-                                              "' must be a number");
-        double d = v.asNumber();
-        if (d != std::floor(d))
-            throw RequestError("request", "option '" + key +
-                                              "' must be an integer");
-        if (!(d >= double(lo) && d <= double(hi)))
-            throw RequestError("request", "option '" + key +
-                                              "' must be in [" +
-                                              std::to_string(lo) + ", " +
-                                              std::to_string(hi) + "]");
-        return int64_t(d);
-    };
-    auto boolField = [](const json::Value &v, const std::string &key) {
-        if (!v.isBool())
-            throw RequestError("request", "option '" + key +
-                                              "' must be a boolean");
-        return v.asBool();
-    };
-
-    mirage_pass::TranspileOptions &o = req.options;
     for (const auto &[key, value] : options->members()) {
-        if (key == "topology") {
-            if (!value.isString())
-                throw RequestError("request",
-                                   "option 'topology' must be a string");
-            req.topology = value.asString();
-        } else if (key == "format") {
-            if (!value.isString())
-                throw RequestError("request",
-                                   "option 'format' must be a string");
-            req.format = value.asString();
-            if (req.format != "json" && req.format != "qasm")
-                throw RequestError("request", "unknown format '" +
-                                                  req.format +
-                                                  "' (expected json or "
-                                                  "qasm)");
-        } else if (key == "flow") {
-            if (!value.isString())
-                throw RequestError("request",
-                                   "option 'flow' must be a string");
-            o.flow = parseFlow(value.asString());
-        } else if (key == "trials") {
-            o.layoutTrials = int(intField(value, key, 1, INT_MAX));
-        } else if (key == "swapTrials") {
-            o.swapTrials = int(intField(value, key, 1, INT_MAX));
-        } else if (key == "fwdBwd") {
-            o.forwardBackwardPasses = int(intField(value, key, 0, INT_MAX));
-        } else if (key == "seed") {
-            o.seed = uint64_t(
-                intField(value, key, 0, int64_t(json::kMaxExactInteger)));
-        } else if (key == "aggression") {
-            o.fixedAggression = int(intField(value, key, -1, 3));
-        } else if (key == "root") {
-            o.rootDegree = int(intField(value, key, 2, INT_MAX));
-        } else if (key == "lower") {
-            o.lowerToBasis = boolField(value, key);
-        } else if (key == "vf2") {
-            o.tryVf2 = boolField(value, key);
-        } else if (key == "deadlineMs") {
-            if (!value.isNumber())
-                throw RequestError("request",
-                                   "option 'deadlineMs' must be a number");
-            // The CLI's --deadline-ms range; a larger budget would
-            // overflow the clock-tick conversion in Deadline::afterMs.
-            double v = value.asNumber();
-            if (!(v >= 1 && v <= INT_MAX))
-                throw RequestError("request",
-                                   "option 'deadlineMs' must be in [1, "
-                                   "2147483647]");
-            req.deadlineMs = v;
-        } else {
-            throw RequestError("request",
-                               "unknown option '" + key + "'");
-        }
+        const auto row =
+            std::ranges::find(kRequestOptions, key, &RequestOption::key);
+        if (row == std::end(kRequestOptions))
+            throw RequestError("request", "unknown option '" + key + "'");
+        setChecked(req, *row, value, key, row->lo);
     }
     return req;
 }
+
+json::Value
+optionValue(const TranspileRequest &req, const RequestOption &row)
+{
+    return std::visit(
+        [&req](auto member) {
+            const auto &field = fieldOf(req, member);
+            if constexpr (std::is_same_v<std::decay_t<decltype(field)>,
+                                         mirage_pass::Flow>)
+                return json::Value(flowName(field));
+            else
+                return json::Value(field);
+        },
+        row.field);
+}
+
+void
+applyFlag(TranspileRequest &req, const RequestOption &row,
+          const std::string &text)
+{
+    static const TranspileRequest defaults;
+    const json::Value d = optionValue(defaults, row);
+    if (d.isBool())
+        return setChecked(req, row, !d.asBool(), row.flag, row.lo);
+    if (d.isString())
+        return setChecked(req, row, text, row.flag, row.lo);
+    setChecked(req, row, decimalValue(row.flag, text), row.flag,
+               std::min(row.lo, d.asNumber()));
+}
+
+circuit::Circuit
+parseRequestCircuit(const std::string &qasm, const std::string &where,
+                    const std::string &subject)
+{
+    circuit::Circuit c;
+    try {
+        c = circuit::fromQasm(qasm);
+    } catch (const circuit::QasmError &e) {
+        throw RequestError("qasm", where + ":" + std::to_string(e.line()) +
+                                       ":" + std::to_string(e.column()) +
+                                       ": " + e.message());
+    }
+    if (c.numQubits() == 0)
+        throw RequestError("input", subject + " declares no qubits");
+    return c;
+}
+
+topology::CouplingMap
+parseTopology(const std::string &spec, int min_qubits)
+{
+    try {
+        return topology::CouplingMap::parseSpec(spec, min_qubits);
+    } catch (const std::invalid_argument &e) {
+        throw RequestError("request", e.what());
+    }
+}
+
+void
+checkTopologyFits(const circuit::Circuit &input,
+                  const topology::CouplingMap &topo, const std::string &spec)
+{
+    if (topo.numQubits() < input.numQubits())
+        throw RequestError("input", "topology '" + spec + "' has " +
+                                        std::to_string(topo.numQubits()) +
+                                        " qubits but the circuit needs " +
+                                        std::to_string(input.numQubits()));
+}
+
+namespace {
+
+/** The report's `options` block, and so the options part of the memo
+ * key: every request option that can change the result. */
+json::Value
+optionsJson(const mirage_pass::TranspileOptions &opts)
+{
+    json::Value o = json::Value::object();
+    o.set("flow", flowName(opts.flow));
+    o.set("rootDegree", opts.rootDegree);
+    o.set("layoutTrials", opts.layoutTrials);
+    o.set("swapTrials", opts.swapTrials);
+    o.set("forwardBackwardPasses", opts.forwardBackwardPasses);
+    o.set("seed", opts.seed);
+    o.set("fixedAggression", opts.fixedAggression);
+    o.set("tryVf2", opts.tryVf2);
+    o.set("lowerToBasis", opts.lowerToBasis);
+    return o;
+}
+
+json::Value
+metricsJson(const mirage_pass::CircuitMetrics &m)
+{
+    json::Value v = json::Value::object();
+    v.set("depth", m.depth);
+    v.set("totalCost", m.totalCost);
+    v.set("depthPulses", m.depthPulses);
+    v.set("totalPulses", m.totalPulses);
+    v.set("swapGates", m.swapGates);
+    v.set("twoQubitGates", m.twoQubitGates);
+    return v;
+}
+
+} // namespace
 
 std::string
 resultCacheKey(const circuit::Circuit &c, const std::string &topology_name,
@@ -228,36 +368,12 @@ resultCacheKey(const circuit::Circuit &c, const std::string &topology_name,
     }
     key += "|topo=";
     key += topology_name;
-    key += "|flow=";
-    key += flowName(o.flow);
-    key += "|root=" + std::to_string(o.rootDegree);
-    key += "|trials=" + std::to_string(o.layoutTrials);
-    key += "|swap=" + std::to_string(o.swapTrials);
-    key += "|fb=" + std::to_string(o.forwardBackwardPasses);
-    key += "|seed=" + std::to_string(o.seed);
-    key += "|agg=" + std::to_string(o.fixedAggression);
-    key += "|vf2=" + std::to_string(o.tryVf2 ? 1 : 0);
-    key += "|lower=" + std::to_string(o.lowerToBasis ? 1 : 0);
-    key += "|fmt=" + format;
+    key += "|fmt=";
+    key += format;
+    key += '|';
+    key += optionsJson(o).dump(0);
     return key;
 }
-
-namespace {
-
-json::Value
-metricsJson(const mirage_pass::CircuitMetrics &m)
-{
-    json::Value v = json::Value::object();
-    v.set("depth", m.depth);
-    v.set("totalCost", m.totalCost);
-    v.set("depthPulses", m.depthPulses);
-    v.set("totalPulses", m.totalPulses);
-    v.set("swapGates", m.swapGates);
-    v.set("twoQubitGates", m.twoQubitGates);
-    return v;
-}
-
-} // namespace
 
 json::Value
 transpileReportJson(const std::string &file_label,
@@ -284,20 +400,7 @@ transpileReportJson(const std::string &file_label,
         t.set("edges", int(topo.edges().size()));
         doc.set("topology", std::move(t));
     }
-    {
-        json::Value o = json::Value::object();
-        o.set("flow", flowName(opts.flow));
-        o.set("rootDegree", opts.rootDegree);
-        o.set("layoutTrials", opts.layoutTrials);
-        o.set("swapTrials", opts.swapTrials);
-        o.set("forwardBackwardPasses", opts.forwardBackwardPasses);
-        o.set("threads", opts.threads);
-        o.set("seed", opts.seed);
-        o.set("fixedAggression", opts.fixedAggression);
-        o.set("tryVf2", opts.tryVf2);
-        o.set("lowerToBasis", opts.lowerToBasis);
-        doc.set("options", std::move(o));
-    }
+    doc.set("options", optionsJson(opts));
     {
         json::Value r = json::Value::object();
         r.set("metrics", metricsJson(res.metrics));
@@ -335,24 +438,21 @@ transpileReportJson(const std::string &file_label,
 }
 
 json::Value
+transpileOutput(const TranspileRequest &req, const circuit::Circuit &input,
+                const topology::CouplingMap &topo,
+                const mirage_pass::TranspileResult &res)
+{
+    if (req.format == "qasm")
+        return circuit::toQasm(res.loweredToBasis ? res.lowered : res.routed);
+    return transpileReportJson(req.name, input, topo, req.options, res);
+}
+
+json::Value
 okEnvelope(const json::Value &id)
 {
     json::Value v = json::Value::object();
     v.set("id", id);
     v.set("ok", true);
-    return v;
-}
-
-json::Value
-errorResponse(const json::Value &id, const std::string &code,
-              const std::string &message)
-{
-    json::Value v = okEnvelope(id);
-    v.set("ok", false);
-    json::Value e = json::Value::object();
-    e.set("code", code);
-    e.set("message", message);
-    v.set("error", std::move(e));
     return v;
 }
 
@@ -365,7 +465,8 @@ errorResponse(const json::Value &id, const std::string &code,
     json::Value e = json::Value::object();
     e.set("code", code);
     e.set("message", message);
-    e.set("retryAfterMs", retry_after_ms);
+    if (retry_after_ms >= 0)
+        e.set("retryAfterMs", retry_after_ms);
     v.set("error", std::move(e));
     return v;
 }

@@ -22,7 +22,6 @@
 #include <optional>
 #include <ostream>
 
-#include "circuit/qasm.hh"
 #include "common/deadline.hh"
 #include "common/fault.hh"
 #include "common/logging.hh"
@@ -111,13 +110,8 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     // Build outside the lock (heavyhex1121 construction does real BFS
     // work); a racing duplicate build is harmless -- last writer wins
     // and both maps are identical.
-    std::shared_ptr<const topology::CouplingMap> built;
-    try {
-        built = std::make_shared<const topology::CouplingMap>(
-            topology::CouplingMap::parseSpec(key, min_qubits));
-    } catch (const std::invalid_argument &e) {
-        throw RequestError("request", e.what());
-    }
+    auto built = std::make_shared<const topology::CouplingMap>(
+        parseTopology(key, min_qubits));
     std::lock_guard<std::mutex> lock(topoMutex_);
     topologies_[key] = built;
     return built;
@@ -136,7 +130,8 @@ Engine::compute(const circuit::Circuit &input,
         if (fault::shouldFail("queue.admit") ||
             (opts_.maxQueue > 0 && inflightMisses_ >= opts_.maxQueue)) {
             ++counters_.shed;
-            throw OverloadedError(
+            throw RequestError(
+                "overloaded",
                 "admission full (" + std::to_string(inflightMisses_) +
                     " misses in flight); retry later",
                 avgJobMs_ * double(inflightMisses_ + 1));
@@ -177,16 +172,8 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
         throw RequestError("shutdown", "server is shutting down");
 
     TranspileRequest req = parseTranspileRequest(doc);
-    circuit::Circuit input;
-    try {
-        input = circuit::fromQasm(req.qasm);
-    } catch (const circuit::QasmError &e) {
-        throw RequestError("qasm", "qasm:" + std::to_string(e.line()) +
-                                       ":" + std::to_string(e.column()) +
-                                       ": " + e.message());
-    }
-    if (input.numQubits() == 0)
-        throw RequestError("input", "circuit declares no qubits");
+    const circuit::Circuit input =
+        parseRequestCircuit(req.qasm, "qasm", "circuit");
 
     // Per-request size caps: a single huge circuit must not be able to
     // monopolize the worker pool of a shared server.
@@ -220,12 +207,7 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
         deadline = Deadline::afterMs(deadline_ms);
 
     auto topo = resolveTopology(req.topology, input.numQubits());
-    if (topo->numQubits() < input.numQubits())
-        throw RequestError("input",
-                           "topology '" + req.topology + "' has " +
-                               std::to_string(topo->numQubits()) +
-                               " qubits but the circuit needs " +
-                               std::to_string(input.numQubits()));
+    checkTopologyFits(input, *topo, req.topology);
 
     const std::string key =
         resultCacheKey(input, topo->name(), req.options, req.format);
@@ -243,13 +225,13 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
             c.set("misses", counters_.cacheMisses);
         }
         v.set("cache", std::move(c));
-        if (entry->format == "qasm") {
-            v.set("qasm", entry->qasm);
+        if (entry->isString()) {
+            v.set("qasm", *entry);
             return v;
         }
         // The memo key is name-free, so an entry may have been computed
         // for another request: echo this request's own name.
-        json::Value report = entry->report;
+        json::Value report = *entry;
         json::Value in = report["input"];
         in.set("file", req.name);
         report.set("input", std::move(in));
@@ -301,17 +283,8 @@ Engine::handleTranspile(const json::Value &doc, const json::Value &id)
         options.deadline = deadline;
         mirage_pass::TranspileResult result =
             compute(input, *topo, std::move(options));
-        auto entry = std::make_shared<CachedEntry>();
-        entry->format = req.format;
-        if (req.format == "qasm") {
-            const circuit::Circuit &emitted =
-                result.loweredToBasis ? result.lowered : result.routed;
-            entry->qasm = circuit::toQasm(emitted);
-        } else {
-            entry->report = transpileReportJson(req.name, input, *topo,
-                                                req.options, result);
-        }
-        shared = std::move(entry);
+        shared = std::make_shared<const json::Value>(
+            transpileOutput(req, input, *topo, result));
     } catch (...) {
         // Drop the rendezvous so a retry computes fresh, then release
         // the waiters empty-handed: each computes for itself.
@@ -414,10 +387,11 @@ Engine::handleValue(const json::Value &request)
             id = *found;
 
     auto fail = [this, &id](const std::string &code,
-                            const std::string &message) {
+                            const std::string &message,
+                            double retry_after_ms = -1) {
         std::lock_guard<std::mutex> lock(countersMutex_);
         ++counters_.errors;
-        return errorResponse(id, code, message);
+        return errorResponse(id, code, message, retry_after_ms);
     };
 
     try {
@@ -449,14 +423,8 @@ Engine::handleValue(const json::Value &request)
         throw RequestError("request", "unknown op '" + op +
                                           "' (expected transpile, stats, "
                                           "ping, or shutdown)");
-    } catch (const OverloadedError &e) {
-        {
-            std::lock_guard<std::mutex> lock(countersMutex_);
-            ++counters_.errors;
-        }
-        return errorResponse(id, e.code(), e.what(), e.retryAfterMs());
     } catch (const RequestError &e) {
-        return fail(e.code(), e.what());
+        return fail(e.code(), e.what(), e.retryAfterMs());
     } catch (const DeadlineError &e) {
         {
             std::lock_guard<std::mutex> lock(countersMutex_);

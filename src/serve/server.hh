@@ -177,14 +177,9 @@ class Engine
     }
 
   private:
-    /** One memoized result: the report (json) or circuit (qasm). */
-    struct CachedEntry
-    {
-        std::string format; ///< "json" or "qasm"
-        json::Value report; ///< format == "json"
-        std::string qasm;   ///< format == "qasm"
-    };
-    using EntryPtr = std::shared_ptr<const CachedEntry>;
+    /** One memoized transpileOutput(): the report (an object) or the
+     * circuit's QASM text (a string). */
+    using EntryPtr = std::shared_ptr<const json::Value>;
 
     /** handle() on the parsed request line. */
     json::Value handleValue(const json::Value &request);
@@ -204,8 +199,8 @@ class Engine
 
     /**
      * Admit one miss and transpile it on the calling thread against the
-     * shared pool. Throws OverloadedError when `maxQueue` misses are
-     * already in flight; counts the transpile before returning.
+     * shared pool. Throws an "overloaded" RequestError when `maxQueue`
+     * misses are already in flight; counts the transpile before returning.
      */
     mirage_pass::TranspileResult
     compute(const circuit::Circuit &input,

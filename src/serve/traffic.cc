@@ -114,15 +114,10 @@ struct Workload
         req.set("name", name + std::to_string(index));
         req.set("qasm", qasm);
         json::Value opts = json::Value::object();
-        opts.set("topology", topology);
-        opts.set("trials", trials);
-        opts.set("swapTrials", swapTrials);
-        opts.set("fwdBwd", fwdBwd);
-        opts.set("seed", kSeed);
-        opts.set("aggression", kAggression);
-        opts.set("lower", lower);
+        describeOptions(opts);
+        opts.set(requestOption(Option::Lower).key, lower);
         if (deadline_ms > 0)
-            opts.set("deadlineMs", deadline_ms);
+            opts.set(requestOption(Option::DeadlineMs).key, deadline_ms);
         req.set("options", std::move(opts));
         return req.dump(0);
     }
@@ -133,12 +128,18 @@ struct Workload
         p.set("distinctCircuits", distinct);
         p.set("width", width);
         p.set("twoQubitGates", twoQubitGates);
-        p.set("topology", topology);
-        p.set("trials", trials);
-        p.set("swapTrials", swapTrials);
-        p.set("fwdBwd", fwdBwd);
-        p.set("seed", kSeed);
-        p.set("aggression", kAggression);
+        describeOptions(p);
+    }
+
+    /** The options every request of the mix carries, keyed as in one. */
+    void describeOptions(json::Value &p) const
+    {
+        p.set(requestOption(Option::Topology).key, topology);
+        p.set(requestOption(Option::Trials).key, trials);
+        p.set(requestOption(Option::SwapTrials).key, swapTrials);
+        p.set(requestOption(Option::FwdBwd).key, fwdBwd);
+        p.set(requestOption(Option::Seed).key, kSeed);
+        p.set(requestOption(Option::Aggression).key, kAggression);
     }
 };
 
@@ -285,7 +286,7 @@ runTraffic(const std::string &socket_path, std::ostream &log)
         p.set("clients", kClients);
         p.set("requestsPerClient", kRequestsPerClient);
         w.describe(p);
-        p.set("lower", false);
+        p.set(requestOption(Option::Lower).key, false);
         doc.set("parameters", std::move(p));
     }
     {
@@ -581,7 +582,7 @@ runChaos(const ChaosOptions &o, std::ostream &log)
         w.describe(p);
         p.set("lowerEvery", kLowerEvery);
         p.set("deadlineEvery", kDeadlineEvery);
-        p.set("deadlineMs", kDeadlineMs);
+        p.set(requestOption(Option::DeadlineMs).key, kDeadlineMs);
         p.set("requireFaultKinds", kRequireFaultKinds);
         p.set("faults", external ? "<server-side>" : kDefaultChaosFaults);
         p.set("transport", external ? "socket" : "in-process");

@@ -24,6 +24,7 @@
 #include "cli/cli.hh"
 #include "cli/experiments.hh"
 #include "common/json.hh"
+#include "serve/protocol.hh"
 #include "topology/coupling.hh"
 
 using namespace mirage;
@@ -125,7 +126,6 @@ TEST(ArgumentParser, ErrorsAreUsageErrors)
     s.addOption("--seed", "N", "42", "seed");
     s.parse({"--seed", "banana"});
     EXPECT_THROW(s.intOption("--seed"), cli::UsageError);
-    EXPECT_THROW(s.seedOption("--seed"), cli::UsageError);
 
     // Values that used to be truncated or wrapped silently.
     auto parsed = [](const std::string &value) {
@@ -139,13 +139,30 @@ TEST(ArgumentParser, ErrorsAreUsageErrors)
     for (const char *v : {"4294967297", "2147483648", "-2147483649",
                           "99999999999999999999"})
         EXPECT_THROW(parsed(v).intOption("--n"), cli::UsageError) << v;
+}
 
-    EXPECT_EQ(parsed("9007199254740992").seedOption("--n"),
-              uint64_t(1) << 53);
-    EXPECT_EQ(parsed("0x10").seedOption("--n"), 16u);
-    for (const char *v : {"-1", "+1", " 1", "9007199254740993",
-                          "18446744073709551615", "18446744073709551616"})
-        EXPECT_THROW(parsed(v).seedOption("--n"), cli::UsageError) << v;
+TEST(ArgumentParser, SeedFlagIsCheckedThroughTheOptionTable)
+{
+    // `mirage transpile` reads --seed through the request-option table:
+    // decimal only, 0 to 2^53 so a JSON report reproduces it exactly.
+    const serve::RequestOption &row =
+        serve::requestOption(serve::Option::Seed);
+    serve::TranspileRequest req;
+    serve::applyFlag(req, row, "9007199254740992");
+    EXPECT_EQ(req.options.seed, uint64_t(1) << 53);
+    for (const char *v :
+         {"banana", "0x10", "-1", "+1", " 1", "9007199254740993",
+          "18446744073709551615", "18446744073709551616"}) {
+        try {
+            serve::applyFlag(req, row, v);
+            ADD_FAILURE() << "accepted --seed " << v;
+        } catch (const serve::RequestError &e) {
+            EXPECT_EQ(e.code(), "request") << v;
+            EXPECT_NE(std::string(e.what()).find("--seed"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 // --- json layer -------------------------------------------------------------
@@ -288,11 +305,13 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
 {
     // Every rejection must be exit code 2 (usage) with a message that
     // names the offending flag -- never a crash, a hang, or a silent
-    // fallback to a default.
+    // fallback to a default. Every request option has a case here
+    // (checked below); ServeProtocol.ParseRequestRejectsUnknownFields-
+    // AndBadRanges holds the same for their JSON keys.
     const struct
     {
         std::vector<std::string> extra;
-        const char *needle;
+        std::string needle;
     } cases[] = {
         {{"--trials", "0"}, "--trials"},
         {{"--trials", "-3"}, "--trials"},
@@ -307,15 +326,54 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         {{"--seed", "-1"}, "--seed"},
         {{"--seed", "18446744073709551616"}, "--seed"},
         {{"--seed", "9007199254740993"}, "--seed"},
+        {{"--seed", "0x10"}, "--seed"},
+        {{"--format", "xml"}, "--format"},
+        {{"--flow", "fast"}, "--flow"},
+        {{"--deadline-ms", "-1"}, "--deadline-ms"},
+        {{"--deadline-ms", "2147483648"}, "--deadline-ms"},
+        {{"--lower=yes"}, "--lower"},
+        {{"--no-vf2=no"}, "--no-vf2"},
     };
+    std::set<std::string> covered;
     for (const auto &c : cases) {
         std::vector<std::string> args = {"transpile", qft4Path()};
         args.insert(args.end(), c.extra.begin(), c.extra.end());
         auto r = runCli(args);
-        EXPECT_EQ(r.code, cli::kExitUsage)
-            << c.extra[0] << " " << c.extra[1];
+        EXPECT_EQ(r.code, cli::kExitUsage) << c.extra[0];
         EXPECT_NE(r.err.find(c.needle), std::string::npos) << r.err;
+        covered.insert(c.extra[0].substr(0, c.extra[0].find('=')));
     }
+    // An unknown --topology is checked against the device catalog once
+    // the circuit's width is known (UnknownTopologyIsUsageError).
+    for (const serve::RequestOption &row : serve::requestOptions()) {
+        if (std::string(row.flag) == "--topology")
+            continue;
+        EXPECT_TRUE(covered.count(row.flag)) << row.flag;
+    }
+}
+
+TEST(CliTranspile, SeedIsDecimal)
+{
+    // A leading zero once made --seed octal (010 ran seed 8), unlike
+    // every other integer flag and the JSON `seed`.
+    auto r = runCli({"transpile", qft4Path(), "--topology", "line4",
+                     "--trials", "1", "--seed", "010"});
+    ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
+    EXPECT_EQ(json::parse(r.out)["options"]["seed"].asInt(), 10);
+}
+
+TEST(CliTranspile, ReportIsByteIdenticalAcrossThreadCounts)
+{
+    // The report once echoed `options.threads`, the only line that
+    // differed between thread counts.
+    std::vector<std::string> args = {"transpile", qft4Path(), "--topology",
+                                     "line4", "--threads", "1"};
+    auto one = runCli(args);
+    args.back() = "2";
+    auto two = runCli(args);
+    ASSERT_EQ(one.code, cli::kExitSuccess) << one.err;
+    ASSERT_EQ(two.code, cli::kExitSuccess) << two.err;
+    EXPECT_EQ(one.out, two.out);
 }
 
 TEST(CliTranspile, UncreatableCacheDirIsUsageError)
@@ -453,7 +511,8 @@ TEST(CliTranspile, JsonReportSchemaAndDeterminism)
     EXPECT_EQ(first.out, second.out);
 
     // The determinism guarantee: thread count never changes the
-    // transpile result (the echoed options block differs by design).
+    // transpile result (nor the report: ReportIsByteIdenticalAcross-
+    // ThreadCounts).
     args.push_back("--threads");
     args.push_back("4");
     auto threaded = runCli(args);

@@ -19,6 +19,8 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
+#include <set>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -98,34 +100,60 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
                  serve::RequestError);
     EXPECT_THROW(parse("{}"), serve::RequestError); // no qasm
     EXPECT_THROW(parse("{\"qasm\":1}"), serve::RequestError);
-    EXPECT_THROW(parse("{\"qasm\":\"x\",\"options\":{\"trials\":0}}"),
-                 serve::RequestError);
-    EXPECT_THROW(parse("{\"qasm\":\"x\",\"options\":{\"swapTrials\":-1}}"),
-                 serve::RequestError);
-    EXPECT_THROW(parse("{\"qasm\":\"x\",\"options\":{\"aggression\":4}}"),
-                 serve::RequestError);
-    EXPECT_THROW(parse("{\"qasm\":\"x\",\"options\":{\"root\":1}}"),
-                 serve::RequestError);
-    EXPECT_THROW(parse("{\"qasm\":\"x\",\"options\":{\"fwdBwd\":-1}}"),
-                 serve::RequestError);
-    EXPECT_THROW(parse("{\"qasm\":\"x\",\"options\":{\"nope\":1}}"),
-                 serve::RequestError);
-    EXPECT_THROW(
-        parse("{\"qasm\":\"x\",\"options\":{\"flow\":\"sobre\"}}"),
-        serve::RequestError);
-    // Integers past an int (or, for the seed, past 2^53, the largest a
-    // report reproduces exactly) used to be truncated silently.
-    for (const char *opts :
-         {"{\"trials\":4294967297}", "{\"swapTrials\":2147483648}",
-          "{\"fwdBwd\":1e300}", "{\"root\":4294967298}",
-          "{\"aggression\":-1e300}", "{\"seed\":-1}",
-          "{\"seed\":1152921504606846976}", "{\"seed\":1e300}",
-          // A deadline past the CLI's 2^31-1 ms overflowed the clock.
-          "{\"deadlineMs\":1e300}", "{\"deadlineMs\":2147483648}"})
-        EXPECT_THROW(parse(std::string("{\"qasm\":\"x\",\"options\":") +
-                           opts + "}"),
-                     serve::RequestError)
-            << opts;
+
+    // Each option case must fail with code "request" and a message that
+    // names the key. Every request option has a case here (checked
+    // below); CliTranspile.NumericFlagsOutOfRangeAreUsageErrors holds
+    // the same for their flags.
+    const struct
+    {
+        const char *options;
+        const char *key;
+    } cases[] = {
+        {"{\"trials\":0}", "trials"},
+        {"{\"swapTrials\":-1}", "swapTrials"},
+        {"{\"aggression\":4}", "aggression"},
+        {"{\"root\":1}", "root"},
+        {"{\"fwdBwd\":-1}", "fwdBwd"},
+        {"{\"nope\":1}", "nope"},
+        {"{\"flow\":\"sobre\"}", "flow"},
+        {"{\"format\":\"xml\"}", "format"},
+        {"{\"topology\":9}", "topology"},
+        {"{\"lower\":\"yes\"}", "lower"},
+        {"{\"vf2\":1}", "vf2"},
+        {"{\"seed\":1.5}", "seed"},
+        // Integers past an int (or, for the seed, past 2^53, the
+        // largest a report reproduces exactly) used to be truncated
+        // silently.
+        {"{\"trials\":4294967297}", "trials"},
+        {"{\"swapTrials\":2147483648}", "swapTrials"},
+        {"{\"fwdBwd\":1e300}", "fwdBwd"},
+        {"{\"root\":4294967298}", "root"},
+        {"{\"aggression\":-1e300}", "aggression"},
+        {"{\"seed\":-1}", "seed"},
+        {"{\"seed\":1152921504606846976}", "seed"},
+        {"{\"seed\":1e300}", "seed"},
+        // A deadline past the CLI's 2^31-1 ms overflowed the clock.
+        {"{\"deadlineMs\":1e300}", "deadlineMs"},
+        {"{\"deadlineMs\":2147483648}", "deadlineMs"},
+        {"{\"deadlineMs\":0}", "deadlineMs"},
+    };
+    std::set<std::string> covered;
+    for (const auto &c : cases) {
+        try {
+            parse(std::string("{\"qasm\":\"x\",\"options\":") +
+                  c.options + "}");
+            ADD_FAILURE() << "accepted " << c.options;
+        } catch (const serve::RequestError &e) {
+            EXPECT_EQ(e.code(), "request") << c.options;
+            EXPECT_NE(std::string(e.what()).find(c.key), std::string::npos)
+                << e.what();
+        }
+        covered.insert(c.key);
+    }
+    for (const serve::RequestOption &row : serve::requestOptions())
+        EXPECT_TRUE(covered.count(row.key)) << row.key;
+
     EXPECT_EQ(parse("{\"qasm\":\"x\",\"options\":{\"seed\":"
                     "9007199254740992}}")
                   .options.seed,
@@ -143,6 +171,48 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
     EXPECT_EQ(req.topology, "line4");
     EXPECT_EQ(req.format, "qasm");
     EXPECT_EQ(req.options.seed, 11u);
+}
+
+TEST(ServeProtocol, FlagAndKeyOfEachOptionSetTheSameField)
+{
+    // One in-range value per row, as `mirage transpile` flag text and
+    // as a JSON value; each must move its field off the default.
+    const std::map<std::string, std::pair<std::string, std::string>>
+        samples = {
+            {"topology", {"line4", "\"line4\""}},
+            {"format", {"qasm", "\"qasm\""}},
+            {"flow", {"sabre", "\"sabre\""}},
+            {"trials", {"3", "3"}},
+            {"swapTrials", {"2", "2"}},
+            {"fwdBwd", {"0", "0"}},
+            {"seed", {"010", "10"}},
+            {"aggression", {"2", "2"}},
+            {"root", {"3", "3"}},
+            {"lower", {"", "true"}},
+            {"vf2", {"", "false"}},
+            {"deadlineMs", {"500", "500"}},
+        };
+    const serve::TranspileRequest defaults;
+    for (const serve::RequestOption &row : serve::requestOptions()) {
+        auto it = samples.find(row.key);
+        ASSERT_NE(it, samples.end()) << "no sample for " << row.key;
+        serve::TranspileRequest fromFlag;
+        serve::applyFlag(fromFlag, row, it->second.first);
+        const serve::TranspileRequest fromKey =
+            serve::parseTranspileRequest(json::parse(
+                std::string("{\"qasm\":\"x\",\"options\":{\"") +
+                row.key + "\":" + it->second.second + "}}"));
+        EXPECT_EQ(serve::optionValue(fromFlag, row).dump(0), serve::optionValue(fromKey, row).dump(0))
+            << row.flag << " vs " << row.key;
+        EXPECT_NE(serve::optionValue(fromKey, row).dump(0), serve::optionValue(defaults, row).dump(0))
+            << row.key;
+    }
+    // The named rows are the rows they name.
+    EXPECT_STREQ(serve::requestOption(serve::Option::SwapTrials).flag,
+                 "--swap-trials");
+    EXPECT_STREQ(serve::requestOption(serve::Option::FwdBwd).key, "fwdBwd");
+    EXPECT_STREQ(serve::requestOption(serve::Option::DeadlineMs).key,
+                 "deadlineMs");
 }
 
 TEST(ServeProtocol, CacheKeySeparatesCircuitsAndParams)
@@ -565,6 +635,35 @@ TEST(ServeEngine, ConcurrentClientsAreBitIdenticalToOneShotTranspile)
     EXPECT_EQ(c.cacheMisses, 1u);
     EXPECT_EQ(c.cacheHits + c.coalesced + c.cacheMisses,
               uint64_t(kClients));
+}
+
+TEST(ServeEngine, DefaultOptionsMatchOneShotTranspile)
+{
+    // A request that sets only its topology gets the CLI's defaults:
+    // serve once routed it with 4 layout trials where `mirage
+    // transpile` uses 8.
+    const std::string qasmPath = tempPath("serve_defaults.qasm");
+    {
+        std::ofstream f(qasmPath);
+        ASSERT_TRUE(f.is_open());
+        f << kQasm;
+    }
+    std::ostringstream cliOut, cliErr;
+    ASSERT_EQ(cli::run({"transpile", qasmPath, "--topology", "grid2x2"},
+                       cliOut, cliErr),
+              0)
+        << cliErr.str();
+
+    json::Value doc = json::Value::object();
+    doc.set("qasm", kQasm);
+    doc.set("name", qasmPath);
+    json::Value opts = json::Value::object();
+    opts.set("topology", "grid2x2");
+    doc.set("options", std::move(opts));
+    serve::Engine engine;
+    json::Value resp = handleParsed(engine, doc.dump(0));
+    ASSERT_TRUE(resp["ok"].asBool()) << resp.dump(0);
+    EXPECT_EQ(resp["report"].dump(2), cliOut.str());
 }
 
 TEST(ServeEngine, MixedConcurrentRequestsEachComputeOnce)
