@@ -247,8 +247,7 @@ BM_LoweringWarmStart(benchmark::State &state)
     }
     for (auto _ : state) {
         decomp::EquivalenceLibrary lib(2, /*preseed=*/false);
-        std::istringstream in(saved);
-        bool ok = lib.loadCache(in);
+        bool ok = lib.loadCache(saved);
         auto lowered = lib.translate(circ);
         benchmark::DoNotOptimize(ok);
         benchmark::DoNotOptimize(lowered.size());

@@ -148,25 +148,6 @@ StateVector::inner(const StateVector &o) const
     return s;
 }
 
-double
-StateVector::overlapWithPermutation(const StateVector &o,
-                                    const std::vector<int> &perm) const
-{
-    MIRAGE_ASSERT(int(perm.size()) == numQubits_, "bad permutation size");
-    Complex s(0);
-    const size_t n = amps_.size();
-    for (size_t i = 0; i < n; ++i) {
-        // Build the relabeled index: bit q of i goes to bit perm[q].
-        size_t j = 0;
-        for (int q = 0; q < numQubits_; ++q) {
-            if (i & (size_t(1) << q))
-                j |= size_t(1) << perm[size_t(q)];
-        }
-        s += std::conj(amps_[j]) * o.amps_[i];
-    }
-    return std::abs(s);
-}
-
 StateVector
 StateVector::permuted(const std::vector<int> &perm) const
 {
@@ -194,7 +175,7 @@ circuitOverlap(const Circuit &a, const Circuit &b,
     sb = sa;
     sa.applyCircuit(a);
     sb.applyCircuit(b);
-    return sa.overlapWithPermutation(sb, perm);
+    return std::abs(sa.inner(sb.permuted(perm)));
 }
 
 } // namespace mirage::circuit

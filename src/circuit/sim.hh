@@ -48,14 +48,6 @@ class StateVector
     Complex inner(const StateVector &o) const;
 
     /**
-     * |<this| P |o>| where P relabels qubits: amplitude of o indexed by
-     * bits b is compared against this indexed with bit q of o moved to
-     * bit perm[q]. Returns overlap magnitude in [0, 1].
-     */
-    double overlapWithPermutation(const StateVector &o,
-                                  const std::vector<int> &perm) const;
-
-    /**
      * Relabeled copy: qubit q of this state becomes qubit perm[q] of the
      * result (perm must be a bijection on [0, n)).
      */

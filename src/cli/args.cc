@@ -7,11 +7,10 @@
 
 #include "cli/args.hh"
 
-#include <cerrno>
 #include <climits>
-#include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/serial.hh"
 
 namespace mirage::cli {
 
@@ -136,13 +135,12 @@ int
 ArgumentParser::intOption(const std::string &name) const
 {
     const std::string &v = option(name);
-    char *end = nullptr;
-    errno = 0;
-    long parsed = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || *end != '\0')
+    int64_t parsed = 0;
+    const std::errc ec = serial::parseInt(v, parsed);
+    if (ec == std::errc::invalid_argument)
         throw UsageError("option '" + name + "' expects an integer, got '" +
                          v + "'");
-    if (errno == ERANGE || parsed < INT_MIN || parsed > INT_MAX)
+    if (ec != std::errc() || parsed < INT_MIN || parsed > INT_MAX)
         throw UsageError("option '" + name + "' is out of range, got '" +
                          v + "'");
     return int(parsed);

@@ -176,8 +176,9 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
     if (req.deadlineMs > 0)
         opts.deadline = Deadline::afterMs(req.deadlineMs);
 
-    const topology::CouplingMap topo =
-        serve::parseTopology(req.topology, input.numQubits());
+    const topology::CouplingMap topo = serve::parseTopology(
+        req.topology, input.numQubits(),
+        serve::requestOption(serve::Option::Topology).flag);
     serve::checkTopologyFits(input, topo, req.topology);
 
     // Constructing the library preseeds standard-gate fits, so build

@@ -1,15 +1,14 @@
 /**
  * @file
- * Hexfloat encode/decode and the sticky-failure token reader backing
- * the equivalence-library cache files.
+ * Hexfloat encoding, the decimal-integer grammar, and the sticky-failure
+ * buffer cursor backing the equivalence-library cache files.
  */
 
 #include "common/serial.hh"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace mirage::serial {
 
@@ -21,68 +20,74 @@ encodeDouble(double v)
     return buf;
 }
 
-bool
-decodeDouble(const std::string &token, double *out)
+std::errc
+parseInt(std::string_view text, int64_t &out)
 {
-    if (token.empty())
-        return false;
-    const char *begin = token.c_str();
-    char *end = nullptr;
-    double v = std::strtod(begin, &end);
-    // Reject partial parses and non-finite values: an overflowing
-    // hexfloat ("0x1p+99999" -> inf) or a literal "inf"/"nan" token is
-    // corruption, not data (no cache field is legitimately non-finite).
-    if (end != begin + token.size() || !std::isfinite(v))
-        return false;
-    *out = v;
-    return true;
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, out);
+    return end == last ? ec : std::errc::invalid_argument;
 }
 
-std::string
-TokenReader::token()
+std::string_view
+Cursor::token()
 {
-    if (!ok_)
-        return "";
-    std::string t;
-    if (!(in_ >> t)) {
+    // C-locale isspace, without the locale lookup.
+    auto isSpace = [](char c) {
+        return c == ' ' || (c >= '\t' && c <= '\r');
+    };
+    size_t begin = 0;
+    while (begin < rest_.size() && isSpace(rest_[begin]))
+        ++begin;
+    size_t end = begin;
+    while (end < rest_.size() && !isSpace(rest_[end]))
+        ++end;
+    if (!ok_ || begin == end) {
         ok_ = false;
-        return "";
+        return {};
     }
+    const std::string_view t = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
     return t;
 }
 
 int64_t
-TokenReader::i64()
+Cursor::i64()
 {
-    std::string t = token();
-    if (!ok_)
-        return 0;
-    char *end = nullptr;
-    errno = 0;
-    long long v = std::strtoll(t.c_str(), &end, 10);
-    if (errno != 0 || end != t.c_str() + t.size()) {
-        ok_ = false;
-        return 0;
-    }
-    return int64_t(v);
-}
-
-double
-TokenReader::f64()
-{
-    std::string t = token();
-    double v = 0;
-    if (!ok_)
-        return 0;
-    if (!decodeDouble(t, &v)) {
+    int64_t v = 0;
+    if (parseInt(token(), v) != std::errc()) {
         ok_ = false;
         return 0;
     }
     return v;
 }
 
+double
+Cursor::f64()
+{
+    // from_chars takes a hexfloat without its "0x" and a decimal as is;
+    // the sign goes back on afterwards (so -0x0p+0 keeps its sign bit).
+    const std::string_view t = token();
+    const bool negative = t.starts_with('-');
+    const bool hex = t.substr(negative).starts_with("0x");
+    const std::string_view digits = hex ? t.substr(negative + 2) : t;
+    const char *last = digits.data() + digits.size();
+    double v = 0;
+    const auto [end, ec] = std::from_chars(
+        digits.data(), last, v,
+        hex ? std::chars_format::hex : std::chars_format::general);
+    // Reject partial parses, a second sign, and non-finite values: an
+    // overflowing hexfloat ("0x1p+99999") or a literal "inf"/"nan"
+    // token is corruption, not data (no cache field is non-finite).
+    if (ec != std::errc() || end != last || (hex && digits.starts_with('-')) ||
+        !std::isfinite(v)) {
+        ok_ = false;
+        return 0;
+    }
+    return hex && negative ? -v : v;
+}
+
 void
-TokenReader::expect(const std::string &expected)
+Cursor::expect(std::string_view expected)
 {
     if (token() != expected)
         ok_ = false;

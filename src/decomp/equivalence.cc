@@ -10,10 +10,15 @@
 #include "decomp/equivalence.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
-#include <fstream>
+#include <cstring>
 #include <sstream>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/atomic_file.hh"
 #include "common/fault.hh"
@@ -48,6 +53,34 @@ constexpr int kMaxRetryRounds = 3;
 
 /** Largest credible pulse count in a cache entry (sanity bound). */
 constexpr int kMaxCachedK = 64;
+
+/** No cache file is larger (FIT_CATALOG.bin is 445 KB), so a read of,
+ * say, /dev/zero stops here instead of when memory runs out. */
+constexpr size_t kMaxCacheFileBytes = size_t(64) << 20;
+
+/** All of `fd` into `text`, by one read() for a regular file (sized by
+ * fstat): 0, the read's errno, or EFBIG past kMaxCacheFileBytes. */
+int
+readAll(int fd, std::string &text)
+{
+    struct stat st;
+    const bool sized = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    text.resize(std::min(sized ? size_t(st.st_size) : 4095,
+                         kMaxCacheFileBytes) + 1);
+    size_t used = 0;
+    while (const ssize_t n =
+               ::read(fd, text.data() + used, text.size() - used)) {
+        if (n < 0 && errno != EINTR)
+            return errno;
+        used += size_t(std::max<ssize_t>(n, 0)); // 0 after EINTR: retry
+        if (used == text.size() && used > kMaxCacheFileBytes)
+            return EFBIG;
+        if (used == text.size())
+            text.resize(std::min(2 * used, kMaxCacheFileBytes + 1));
+    }
+    text.resize(used);
+    return 0;
+}
 
 } // namespace
 
@@ -261,7 +294,7 @@ EquivalenceLibrary::saveCache(std::ostream &out) const
 }
 
 bool
-EquivalenceLibrary::loadCache(std::istream &in, std::string *error)
+EquivalenceLibrary::loadCache(std::string_view text, std::string *error)
 {
     auto fail = [&](const std::string &msg) {
         if (error)
@@ -269,7 +302,7 @@ EquivalenceLibrary::loadCache(std::istream &in, std::string *error)
         return false;
     };
 
-    serial::TokenReader r(in);
+    serial::Cursor r(text);
     r.expect("mirage-eqlib");
     if (!r.ok())
         return fail("not a mirage-eqlib cache (bad magic)");
@@ -350,26 +383,34 @@ EquivalenceLibrary::CacheLoadResult
 EquivalenceLibrary::loadCacheFileDetailed(const std::string &path)
 {
     CacheLoadResult result;
-    std::ifstream in(path);
-    if (!in) {
-        result.status = CacheLoadStatus::Unreadable;
-        result.message = "cannot open '" + path + "' for reading";
+    auto fail = [&](CacheLoadStatus status, const std::string &message) {
+        result.status = status;
+        result.message = message;
         return result;
-    }
+    };
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return fail(CacheLoadStatus::Unreadable,
+                    "cannot open '" + path + "' for reading");
+    std::string text;
+    const int err = readAll(fd, text);
+    ::close(fd);
+    if (err == EFBIG)
+        return fail(CacheLoadStatus::Malformed,
+                    "'" + path + "': larger than 64 MiB (not a cache)");
+    if (err != 0)
+        return fail(CacheLoadStatus::Unreadable, "cannot read '" + path +
+                                                     "': " +
+                                                     std::strerror(err));
     // Chaos hook: a readable-but-corrupt cache, reported exactly like a
     // real parse failure so callers exercise their degrade paths.
-    if (fault::shouldFail("catalog.load")) {
-        result.status = CacheLoadStatus::Malformed;
-        result.message = "'" + path + "': injected fault (catalog.load)";
-        return result;
-    }
+    if (fault::shouldFail("catalog.load"))
+        return fail(CacheLoadStatus::Malformed,
+                    "'" + path + "': injected fault (catalog.load)");
     size_t before = cacheSize();
     std::string error;
-    if (!loadCache(in, &error)) {
-        result.status = CacheLoadStatus::Malformed;
-        result.message = "'" + path + "': " + error;
-        return result;
-    }
+    if (!loadCache(text, &error))
+        return fail(CacheLoadStatus::Malformed, "'" + path + "': " + error);
     result.entriesLoaded = cacheSize() - before;
     return result;
 }

@@ -29,6 +29,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "circuit/circuit.hh"
 #include "common/deadline.hh"
@@ -105,12 +106,13 @@ class EquivalenceLibrary
     /** Write every cached entry (deterministic order). */
     void saveCache(std::ostream &out) const;
     /**
-     * Merge a saved cache into this library. Returns false (library
-     * unchanged) on version/basis mismatch or a malformed stream; when
-     * `error` is non-null it receives a one-line diagnostic saying what
-     * was wrong (bad magic, version/root mismatch, truncated entry...).
+     * Merge a saved cache (the whole file's text) into this library.
+     * Returns false (library unchanged) on version/basis mismatch or
+     * malformed text; when `error` is non-null it receives a one-line
+     * diagnostic saying what was wrong (bad magic, version/root
+     * mismatch, truncated entry...).
      */
-    bool loadCache(std::istream &in, std::string *error = nullptr);
+    bool loadCache(std::string_view text, std::string *error = nullptr);
     /** saveCache to a file; returns false if the file cannot be written. */
     bool saveCacheFile(const std::string &path) const;
 
@@ -137,7 +139,10 @@ class EquivalenceLibrary
 
     /**
      * loadCache from a file, with the unreadable/malformed outcomes
-     * split and a diagnostic message.
+     * split and a diagnostic message. The file is read into one buffer
+     * (freed on return) with a single bounded read: past 64 MiB it is
+     * Malformed, and an OS read error (say, on a directory) is
+     * Unreadable.
      */
     CacheLoadResult loadCacheFileDetailed(const std::string &path);
 

@@ -6,8 +6,6 @@
 
 #include "linalg/expm.hh"
 
-#include <cmath>
-
 namespace mirage::linalg {
 
 Mat4
@@ -33,15 +31,6 @@ expm(const Mat4 &m)
     for (int s = 0; s < squarings; ++s)
         sum = sum * sum;
     return sum;
-}
-
-Mat2
-expiPauli(const Mat2 &h, double theta)
-{
-    // exp(i theta h) = cos(theta) I + i sin(theta) h for h^2 == I.
-    Mat2 r = Mat2::identity() * Complex(std::cos(theta), 0);
-    Mat2 s = h * Complex(0, std::sin(theta));
-    return r + s;
 }
 
 } // namespace mirage::linalg

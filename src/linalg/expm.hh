@@ -18,9 +18,6 @@ namespace mirage::linalg {
 /** exp(m) via scaling and squaring with a degree-16 Taylor core. */
 Mat4 expm(const Mat4 &m);
 
-/** exp(i * theta * h) for 2x2 h; closed form when h*h == I (Paulis). */
-Mat2 expiPauli(const Mat2 &h, double theta);
-
 } // namespace mirage::linalg
 
 #endif // MIRAGE_LINALG_EXPM_HH

@@ -429,12 +429,6 @@ pauliYY()
     return kron(pauliY(), pauliY());
 }
 
-Mat4
-pauliZZ()
-{
-    return kron(pauliZ(), pauliZ());
-}
-
 double
 processFidelity(const Mat4 &a, const Mat4 &b)
 {

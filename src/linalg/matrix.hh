@@ -95,10 +95,9 @@ Mat2 pauliY();
 Mat2 pauliZ();
 Mat2 hadamard();
 
-/** XX, YY, ZZ two-qubit Pauli products. */
+/** XX, YY two-qubit Pauli products. */
 Mat4 pauliXX();
 Mat4 pauliYY();
-Mat4 pauliZZ();
 
 /**
  * Process fidelity between two 4x4 unitaries, insensitive to global phase:

@@ -9,13 +9,13 @@
 #include "serve/protocol.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <cmath>
 #include <cstring>
 #include <type_traits>
 
 #include "circuit/qasm.hh"
+#include "common/serial.hh"
 
 namespace mirage::serve {
 
@@ -163,9 +163,8 @@ json::Value
 decimalValue(const std::string &flag, const std::string &text)
 {
     int64_t v = 0;
-    const char *last = text.data() + text.size();
-    const auto [end, ec] = std::from_chars(text.data(), last, v);
-    if (ec == std::errc::invalid_argument || end != last)
+    const std::errc ec = serial::parseInt(text, v);
+    if (ec == std::errc::invalid_argument)
         throw RequestError("request", "option '" + flag +
                                           "' expects a decimal integer, "
                                           "got '" + text + "'");
@@ -284,12 +283,13 @@ parseRequestCircuit(const std::string &qasm, const std::string &where,
 }
 
 topology::CouplingMap
-parseTopology(const std::string &spec, int min_qubits)
+parseTopology(const std::string &spec, int min_qubits,
+              const std::string &name)
 {
     try {
         return topology::CouplingMap::parseSpec(spec, min_qubits);
     } catch (const std::invalid_argument &e) {
-        throw RequestError("request", e.what());
+        throw RequestError("request", "option '" + name + "': " + e.what());
     }
 }
 

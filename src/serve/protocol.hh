@@ -157,8 +157,10 @@ circuit::Circuit parseRequestCircuit(const std::string &qasm,
                                      const std::string &where,
                                      const std::string &subject);
 
-/** topology::CouplingMap::parseSpec; a bad spec is a "request" error. */
-topology::CouplingMap parseTopology(const std::string &spec, int min_qubits);
+/** topology::CouplingMap::parseSpec; a bad spec is a "request" error
+ * that names `name`, the option the spec came from. */
+topology::CouplingMap parseTopology(const std::string &spec, int min_qubits,
+                                    const std::string &name);
 
 /** "input" RequestError unless `topology` (from `spec`) fits `input`. */
 void checkTopologyFits(const circuit::Circuit &input,

@@ -95,11 +95,12 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     // Resolve "auto" to the concrete grid it would pick BEFORE keying
     // the cache: two different-width circuits under "auto" may need
     // different grids, and must not alias each other's entry.
+    const std::string name = requestOption(Option::Topology).key;
     std::string key;
     try {
         key = topology::CouplingMap::resolveAutoSpec(spec, min_qubits);
     } catch (const std::invalid_argument &e) {
-        throw RequestError("request", e.what());
+        throw RequestError("request", "option '" + name + "': " + e.what());
     }
     {
         std::lock_guard<std::mutex> lock(topoMutex_);
@@ -111,7 +112,7 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     // work); a racing duplicate build is harmless -- last writer wins
     // and both maps are identical.
     auto built = std::make_shared<const topology::CouplingMap>(
-        parseTopology(key, min_qubits));
+        parseTopology(key, min_qubits, name));
     std::lock_guard<std::mutex> lock(topoMutex_);
     topologies_[key] = built;
     return built;

@@ -52,12 +52,6 @@ Coord::toString() const
     return buf;
 }
 
-std::array<double, 3>
-Coord::inQuarterPiUnits() const
-{
-    return {a / kPi4, b / kPi4, c / kPi4};
-}
-
 Coord
 canonicalize(double a, double b, double c)
 {

@@ -34,9 +34,6 @@ struct Coord
 
     bool closeTo(const Coord &o, double tol = 1e-8) const;
     std::string toString() const;
-
-    /** Coordinates scaled so CNOT = (1,0,0) (units of pi/4). */
-    std::array<double, 3> inQuarterPiUnits() const;
 };
 
 /**

@@ -318,6 +318,10 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         {{"--swap-trials", "0"}, "--swap-trials"},
         {{"--fwd-bwd", "-1"}, "--fwd-bwd"},
         {{"--threads", "-1"}, "--threads"},
+        // One decimal grammar for every integer flag: no '+', no blanks.
+        {{"--threads", "+2"}, "--threads"},
+        {{"--threads", " 2"}, "--threads"},
+        {{"--trials", "+2"}, "--trials"},
         {{"--root", "1"}, "--root"},
         {{"--aggression", "4"}, "--aggression"},
         {{"--aggression", "-2"}, "--aggression"},
@@ -333,6 +337,7 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         {{"--deadline-ms", "2147483648"}, "--deadline-ms"},
         {{"--lower=yes"}, "--lower"},
         {{"--no-vf2=no"}, "--no-vf2"},
+        {{"--topology", "torus9"}, "--topology"},
     };
     std::set<std::string> covered;
     for (const auto &c : cases) {
@@ -343,13 +348,8 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         EXPECT_NE(r.err.find(c.needle), std::string::npos) << r.err;
         covered.insert(c.extra[0].substr(0, c.extra[0].find('=')));
     }
-    // An unknown --topology is checked against the device catalog once
-    // the circuit's width is known (UnknownTopologyIsUsageError).
-    for (const serve::RequestOption &row : serve::requestOptions()) {
-        if (std::string(row.flag) == "--topology")
-            continue;
+    for (const serve::RequestOption &row : serve::requestOptions())
         EXPECT_TRUE(covered.count(row.flag)) << row.flag;
-    }
 }
 
 TEST(CliTranspile, SeedIsDecimal)
@@ -467,9 +467,12 @@ TEST(CliServe, TransportAndNumericFlagValidation)
     EXPECT_EQ(badEntries.code, cli::kExitUsage);
     EXPECT_NE(badEntries.err.find("--cache-entries"), std::string::npos);
 
-    auto badQueue = runCli({"serve", "--stdio", "--max-queue", "-1"});
-    EXPECT_EQ(badQueue.code, cli::kExitUsage);
-    EXPECT_NE(badQueue.err.find("--max-queue"), std::string::npos);
+    for (const char *queue : {"-1", "+1"}) {
+        auto badQueue = runCli({"serve", "--stdio", "--max-queue", queue});
+        EXPECT_EQ(badQueue.code, cli::kExitUsage) << queue;
+        EXPECT_NE(badQueue.err.find("--max-queue"), std::string::npos)
+            << badQueue.err;
+    }
 }
 
 TEST(CliServeBench, NumericFlagValidation)

@@ -211,7 +211,7 @@ TEST(Equivalence, DistinctUnitariesNeverShareAnEntry)
     std::stringstream cache;
     lib.saveCache(cache);
     EquivalenceLibrary fresh(2, /*preseed=*/false);
-    ASSERT_TRUE(fresh.loadCache(cache));
+    ASSERT_TRUE(fresh.loadCache(cache.str()));
     EXPECT_EQ(fresh.cacheSize(), 2u);
     EXPECT_EQ(fresh.lookup(weyl::gateCX()).k, 2);
     EXPECT_EQ(fresh.lookup(weyl::gateSWAP()).k, 3);
@@ -225,7 +225,7 @@ TEST(Equivalence, SaveLoadRoundTripIsExact)
     lib.saveCache(cache);
 
     EquivalenceLibrary fresh(2, /*preseed=*/false);
-    ASSERT_TRUE(fresh.loadCache(cache));
+    ASSERT_TRUE(fresh.loadCache(cache.str()));
     EXPECT_EQ(fresh.cacheSize(), lib.cacheSize());
 
     // Looking up a preseeded gate must be a pure cache hit with

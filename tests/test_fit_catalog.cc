@@ -11,8 +11,9 @@
  *    bit-identical lowered QASM versus the cold fit -- at threads 1
  *    and 4 (the catalog must not perturb the thread-invariance
  *    guarantee).
- * 3. Rejection: truncated, corrupted, version-bumped, wrong-basis, and
- *    unreadable catalogs are refused with a diagnostic, and the
+ * 3. Rejection: truncated, corrupted, version-bumped, wrong-basis,
+ *    hostile-token, oversized and unreadable catalogs are refused with
+ *    a diagnostic and leave the library unchanged, and the
  *    unreadable-vs-malformed split of loadCacheFileDetailed is pinned
  *    so `mirage catalog check` and serve startup can report which
  *    failure happened.
@@ -22,6 +23,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -114,9 +116,8 @@ TEST(FitCatalog, SaveLoadSaveIsByteIdentical)
     ASSERT_FALSE(cold.catalog.empty());
 
     EquivalenceLibrary loaded(2, /*preseed=*/false);
-    std::istringstream in(cold.catalog);
     std::string error;
-    ASSERT_TRUE(loaded.loadCache(in, &error)) << error;
+    ASSERT_TRUE(loaded.loadCache(cold.catalog, &error)) << error;
 
     std::ostringstream again;
     loaded.saveCache(again);
@@ -129,8 +130,7 @@ TEST(FitCatalog, WarmLoweringIsFitFreeAndBitIdentical)
     for (int threads : {1, 4}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         EquivalenceLibrary warm(2, /*preseed=*/false);
-        std::istringstream in(cold.catalog);
-        ASSERT_TRUE(warm.loadCache(in));
+        ASSERT_TRUE(warm.loadCache(cold.catalog));
 
         auto opts = loweringOptions(threads);
         opts.equivalenceLibrary = &warm;
@@ -148,9 +148,8 @@ TEST(FitCatalog, TruncatedCatalogRejectedWithDiagnostic)
     // Cut mid-entry: parsing must fail without mutating the library.
     const std::string truncated = bytes.substr(0, bytes.size() * 3 / 5);
     EquivalenceLibrary lib(2, /*preseed=*/false);
-    std::istringstream in(truncated);
     std::string error;
-    EXPECT_FALSE(lib.loadCache(in, &error));
+    EXPECT_FALSE(lib.loadCache(truncated, &error));
     EXPECT_FALSE(error.empty());
     EXPECT_EQ(lib.cacheSize(), 0u)
         << "a rejected catalog must not leave partial entries behind";
@@ -163,9 +162,8 @@ TEST(FitCatalog, MissingEndMarkerRejected)
     ASSERT_NE(end, std::string::npos);
     bytes.resize(end);
     EquivalenceLibrary lib(2, /*preseed=*/false);
-    std::istringstream in(bytes);
     std::string error;
-    EXPECT_FALSE(lib.loadCache(in, &error));
+    EXPECT_FALSE(lib.loadCache(bytes, &error));
     EXPECT_NE(error.find("missing end marker"), std::string::npos)
         << error;
 }
@@ -178,9 +176,8 @@ TEST(FitCatalog, CorruptedEntryRejected)
     ASSERT_NE(pos, std::string::npos);
     bytes.replace(pos, 2, "!!");
     EquivalenceLibrary lib(2, /*preseed=*/false);
-    std::istringstream in(bytes);
     std::string error;
-    EXPECT_FALSE(lib.loadCache(in, &error));
+    EXPECT_FALSE(lib.loadCache(bytes, &error));
     EXPECT_FALSE(error.empty());
     EXPECT_EQ(lib.cacheSize(), 0u);
 }
@@ -193,9 +190,8 @@ TEST(FitCatalog, VersionBumpRejected)
     ASSERT_EQ(pos, 0u);
     bytes[magic.size() - 1] = '2';
     EquivalenceLibrary lib(2, /*preseed=*/false);
-    std::istringstream in(bytes);
     std::string error;
-    EXPECT_FALSE(lib.loadCache(in, &error));
+    EXPECT_FALSE(lib.loadCache(bytes, &error));
     EXPECT_NE(error.find("unsupported cache format version 2"),
               std::string::npos)
         << error;
@@ -204,9 +200,8 @@ TEST(FitCatalog, VersionBumpRejected)
 TEST(FitCatalog, BasisMismatchRejected)
 {
     EquivalenceLibrary lib(3, /*preseed=*/false);
-    std::istringstream in(coldFit().catalog);
     std::string error;
-    EXPECT_FALSE(lib.loadCache(in, &error));
+    EXPECT_FALSE(lib.loadCache(coldFit().catalog, &error));
     EXPECT_NE(error.find("basis mismatch"), std::string::npos) << error;
 }
 
@@ -234,6 +229,23 @@ TEST(FitCatalog, DetailedLoadSplitsUnreadableFromMalformed)
     EXPECT_NE(malformed.message.find("bad magic"), std::string::npos)
         << malformed.message;
 
+    // Unreadable: a directory opens but cannot be read.
+    auto directory = lib.loadCacheFileDetailed(::testing::TempDir());
+    EXPECT_EQ(directory.status, Status::Unreadable) << directory.message;
+    EXPECT_NE(directory.message.find("cannot read"), std::string::npos)
+        << directory.message;
+
+    // Malformed: an endless file is cut off at the read cap, promptly,
+    // instead of growing one token until memory runs out.
+    const auto start = std::chrono::steady_clock::now();
+    auto endless = lib.loadCacheFileDetailed("/dev/zero");
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(10));
+    EXPECT_EQ(endless.status, Status::Malformed);
+    EXPECT_NE(endless.message.find("larger than 64 MiB"), std::string::npos)
+        << endless.message;
+    EXPECT_EQ(lib.cacheSize(), 0u);
+
     // A good file round-trips through the same API.
     const std::string good =
         writeTempCatalog("good-catalog.bin", coldFit().catalog);
@@ -242,6 +254,79 @@ TEST(FitCatalog, DetailedLoadSplitsUnreadableFromMalformed)
     EXPECT_TRUE(ok.message.empty());
     EXPECT_EQ(ok.entriesLoaded, lib.cacheSize());
     EXPECT_GT(ok.entriesLoaded, 0u);
+}
+
+/** A one-entry k=0 catalog whose first parameter is `param` and whose
+ * first key cell is `cell`. */
+std::string
+oneEntryCatalog(const std::string &param, const std::string &cell = "0")
+{
+    std::string text = "mirage-eqlib 1 root 2 entries 1\nentry 0 0x1p+0 6\n" +
+                       cell;
+    for (int i = 1; i < 32; ++i)
+        text += " 0";
+    text += "\n" + param + " 0x1p+0 0x1p+0 0x1p+0 0x1p+0 0x1p+0\nend\n";
+    return text;
+}
+
+TEST(FitCatalog, HostileTokensLeaveLibraryUnchanged)
+{
+    const std::string good = oneEntryCatalog("0x1.8p+0");
+    const struct
+    {
+        const char *what;
+        std::string text;
+    } rejected[] = {
+        {"leading +", oneEntryCatalog("+0x1p+0")},
+        {"bare 0x", oneEntryCatalog("0x")},
+        {"bare sign", oneEntryCatalog("-")},
+        {"exponent without digits", oneEntryCatalog("0x1p")},
+        {"nan", oneEntryCatalog("nan")},
+        {"inf", oneEntryCatalog("inf")},
+        {"overflowing hexfloat", oneEntryCatalog("0x1p+99999")},
+        {"underflowing hexfloat", oneEntryCatalog("0x1p-99999")},
+        {"second sign", oneEntryCatalog("-0x-1p+0")},
+        {"key cell past int64", oneEntryCatalog("0x1p+0",
+                                                "9223372036854775808")},
+        {"embedded NUL", oneEntryCatalog(std::string("0x1p+0\0", 7))},
+        {"cut mid-token, no final newline",
+         good.substr(0, good.size() - 2)},
+    };
+    for (const auto &c : rejected) {
+        EquivalenceLibrary lib(2, /*preseed=*/false);
+        std::string error;
+        EXPECT_FALSE(lib.loadCache(c.text, &error)) << c.what;
+        EXPECT_FALSE(error.empty()) << c.what;
+        EXPECT_EQ(lib.cacheSize(), 0u) << c.what;
+    }
+
+    // Accepted, each read back as the exact value its first parameter
+    // saves as.
+    std::string crlf;
+    for (char ch : good)
+        crlf += ch == '\n' ? std::string("\r\n") : std::string(1, ch);
+    const struct
+    {
+        const char *what;
+        std::string text;
+        const char *saved;
+    } accepted[] = {
+        {"LF", good, "\n0x1.8p+0 "},
+        {"CRLF", crlf, "\n0x1.8p+0 "},
+        {"no newline after end", good.substr(0, good.size() - 1),
+         "\n0x1.8p+0 "},
+        {"decimal", oneEntryCatalog("0.5"), "\n0x1p-1 "},
+        {"negative zero", oneEntryCatalog("-0x0p+0"), "\n-0x0p+0 "},
+    };
+    for (const auto &c : accepted) {
+        EquivalenceLibrary lib(2, /*preseed=*/false);
+        std::string error;
+        ASSERT_TRUE(lib.loadCache(c.text, &error)) << c.what << ": " << error;
+        std::ostringstream saved;
+        lib.saveCache(saved);
+        EXPECT_NE(saved.str().find(c.saved), std::string::npos)
+            << c.what << ": " << saved.str();
+    }
 }
 
 } // namespace

@@ -196,7 +196,7 @@ TEST(LoweringConcurrency, CacheRoundTripIsBitIdenticalWithZeroNewFits)
     // Fresh library, no preseed fits: everything must come from the
     // loaded cache.
     EquivalenceLibrary reloaded(2, /*preseed=*/false);
-    ASSERT_TRUE(reloaded.loadCache(cache));
+    ASSERT_TRUE(reloaded.loadCache(cache.str()));
     EXPECT_EQ(reloaded.cacheSize(), warm.cacheSize());
 
     uint64_t fits_before = reloaded.fitCount();
@@ -225,42 +225,39 @@ TEST(LoweringConcurrency, LoadCacheRejectsMismatchedBasisAndGarbage)
 
     // Basis mismatch: a root-3 library must refuse a root-2 cache.
     EquivalenceLibrary root3(3, /*preseed=*/false);
-    EXPECT_FALSE(root3.loadCache(cache));
+    const std::string text = cache.str();
+    EXPECT_FALSE(root3.loadCache(text));
     EXPECT_EQ(root3.cacheSize(), 0u);
 
-    // Truncated stream: library unchanged.
-    std::string text = cache.str();
-    std::stringstream truncated(text.substr(0, text.size() / 2));
+    // Truncated text: library unchanged.
     EquivalenceLibrary fresh(2, /*preseed=*/false);
-    EXPECT_FALSE(fresh.loadCache(truncated));
+    EXPECT_FALSE(fresh.loadCache(text.substr(0, text.size() / 2)));
     EXPECT_EQ(fresh.cacheSize(), 0u);
 
-    std::stringstream garbage("not a cache file at all");
-    EXPECT_FALSE(fresh.loadCache(garbage));
+    EXPECT_FALSE(fresh.loadCache("not a cache file at all"));
     EXPECT_EQ(fresh.cacheSize(), 0u);
 
     // Absurd pulse count: rejected by the sanity bound before the
     // parser allocates a matching params vector.
-    std::stringstream huge("mirage-eqlib 1 root 2 entries 1\n"
+    const std::string huge("mirage-eqlib 1 root 2 entries 1\n"
                            "entry 100000000 0x0p+0 600000006\n");
     EXPECT_FALSE(fresh.loadCache(huge));
     EXPECT_EQ(fresh.cacheSize(), 0u);
 
     // Lying header count: must fail at the missing entries, not
     // attempt an enormous reserve.
-    std::stringstream lying(
+    const std::string lying(
         "mirage-eqlib 1 root 2 entries 999999999999999999\nend\n");
     EXPECT_FALSE(fresh.loadCache(lying));
     EXPECT_EQ(fresh.cacheSize(), 0u);
 
     // Non-finite parameter (overflowing hexfloat): corruption, not data.
-    std::stringstream inf_param("mirage-eqlib 1 root 2 entries 1\n"
+    const std::string inf_param("mirage-eqlib 1 root 2 entries 1\n"
                                 "entry 0 0x1p+99999 6\n");
     EXPECT_FALSE(fresh.loadCache(inf_param));
     EXPECT_EQ(fresh.cacheSize(), 0u);
 
-    // The intact stream still loads.
-    std::stringstream again(text);
-    EXPECT_TRUE(fresh.loadCache(again));
+    // The intact text still loads.
+    EXPECT_TRUE(fresh.loadCache(text));
     EXPECT_EQ(fresh.cacheSize(), root2.cacheSize());
 }
