@@ -106,29 +106,6 @@ Circuit::reversed() const
     return r;
 }
 
-std::string
-Circuit::toString() const
-{
-    std::string out = name_ + " (" + std::to_string(numQubits_) + " qubits, " +
-                      std::to_string(gates_.size()) + " gates)\n";
-    for (const auto &g : gates_) {
-        out += "  " + g.name();
-        for (int q : g.qubits)
-            out += " q" + std::to_string(q);
-        if (!g.params.empty()) {
-            out += " (";
-            for (size_t i = 0; i < g.params.size(); ++i) {
-                if (i)
-                    out += ", ";
-                out += std::to_string(g.params[i]);
-            }
-            out += ")";
-        }
-        out += "\n";
-    }
-    return out;
-}
-
 bool
 Circuit::bitIdentical(const Circuit &a, const Circuit &b)
 {

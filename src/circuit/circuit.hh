@@ -136,9 +136,6 @@ class Circuit
      */
     Circuit reversed() const;
 
-    /** Human-readable one-line-per-gate dump. */
-    std::string toString() const;
-
     /**
      * Bit-exact structural equality: same wire count and gate list,
      * with every numeric field (params, matrices, coords) compared

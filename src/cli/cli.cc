@@ -10,11 +10,14 @@
 
 #include "cli/cli.hh"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <csignal>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -25,6 +28,7 @@
 #include "cli/experiments.hh"
 #include "circuit/qasm.hh"
 #include "common/atomic_file.hh"
+#include "common/exec.hh"
 #include "common/fault.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -74,20 +78,39 @@ validateCacheDir(const std::string &dir)
     return dir;
 }
 
+/** A whole input file, or stdin for "-", through the bounded readAll. */
 std::string
 readInput(const std::string &path)
 {
-    if (path == "-") {
-        std::ostringstream buf;
-        buf << std::cin.rdbuf();
-        return buf.str();
-    }
-    std::ifstream in(path);
-    if (!in)
+    const bool fromStdin = path == "-";
+    const int fd =
+        fromStdin ? STDIN_FILENO : ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         throw CliError("cannot open '" + path + "'");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
+    std::string text;
+    const int error = readAll(fd, text);
+    if (!fromStdin)
+        ::close(fd);
+    if (error == EFBIG)
+        throw CliError("'" + path + "' is larger than 64 MiB");
+    if (error != 0)
+        throw CliError("cannot read '" + path + "': " +
+                       std::strerror(error));
+    return text;
+}
+
+/** --threads, range-checked by exec::resolveThreads before any thread
+ * starts; a bad value is a usage error that names the flag. */
+int
+threadsOption(const ArgumentParser &parser)
+{
+    const int threads = parser.intOption("--threads");
+    try {
+        exec::resolveThreads(threads);
+    } catch (const std::invalid_argument &e) {
+        throw UsageError(std::string("option '--threads': ") + e.what());
+    }
+    return threads;
 }
 
 /** Parse a JSON file; a syntax error is a CliError at file:line:col. */
@@ -164,9 +187,7 @@ cmdTranspile(const std::vector<std::string> &args, std::ostream &out,
         if (parser.optionSeen(row.flag))
             serve::applyFlag(req, row, parser.option(row.flag));
     mirage_pass::TranspileOptions &opts = req.options;
-    opts.threads = parser.intOption("--threads");
-    if (opts.threads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
+    opts.threads = threadsOption(parser);
 
     const std::string &path = parser.positionals()[0];
     req.name = path == "-" ? "<stdin>" : path;
@@ -313,9 +334,7 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out,
     knob(flagOf(serve::Option::FwdBwd), &knobs.fwdBwd);
     knob("--mc-iters", &knobs.mcIterations);
     knob("--limit", &knobs.suiteLimit);
-    knobs.threads = parser.intOption("--threads");
-    if (knobs.threads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
+    knobs.threads = threadsOption(parser);
     knobs.cacheDir = validateCacheDir(parser.option("--cache"));
     knobs.catalogPath = parser.option("--catalog");
 
@@ -468,9 +487,7 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
                          "--socket <path> or --stdio");
 
     serve::EngineOptions eopts;
-    eopts.threads = parser.intOption("--threads");
-    if (eopts.threads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
+    eopts.threads = threadsOption(parser);
     const int entries = parser.intOption("--cache-entries");
     if (entries < 1)
         throw UsageError("--cache-entries must be >= 1");
@@ -730,9 +747,7 @@ cmdCatalog(const std::vector<std::string> &args, std::ostream &out,
                          "check, or stats; see 'mirage catalog --help'");
     const std::string action = parser.positionals()[0];
     const std::string path = parser.option("--path");
-    const int threads = parser.intOption("--threads");
-    if (threads < 0)
-        throw UsageError("--threads must be >= 0 (0 = all cores)");
+    const int threads = threadsOption(parser);
 
     using Status = decomp::EquivalenceLibrary::CacheLoadStatus;
 

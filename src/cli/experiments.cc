@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <optional>
 
@@ -21,11 +22,14 @@
 #include "circuit/consolidate.hh"
 #include "common/exec.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "decomp/catalog.hh"
 #include "decomp/equivalence.hh"
+#include "layout/layout.hh"
 #include "mirage/pipeline.hh"
 #include "monodromy/cost_model.hh"
 #include "monodromy/scores.hh"
+#include "router/sabre.hh"
 #include "topology/coupling.hh"
 #include "weyl/catalog.hh"
 
@@ -1029,6 +1033,113 @@ runBenchRouting(const SweepKnobs &userKnobs)
 }
 
 /**
+ * Fig. 13 runtime scaling and its caching ablation: QFT(n) on an 8x8
+ * grid, consolidated and routed by one pass from a fixed random layout
+ * as plain SABRE, as MIRAGE, and as MIRAGE with consolidation's
+ * coordinate cache off. The cache is cleared before each variant, so
+ * its hit/miss counters are deterministic, and it must not change the
+ * routed circuit (`cachedEqualsUncached`). Wall times are informational.
+ */
+json::Value
+runFig13Scaling(const SweepKnobs &userKnobs)
+{
+    static constexpr int kSizes[] = {16, 24, 32, 48, 64};
+    const size_t sizes = limited(userKnobs, std::size(kSizes));
+    const topology::CouplingMap grid = topology::CouplingMap::grid(8, 8);
+    const monodromy::CostModel cost = monodromy::makeRootIswapCostModel(2);
+
+    struct Variant
+    {
+        double ms;
+        circuit::ConsolidateStats consolidate;
+        router::RouteResult route;
+    };
+    auto run = [&](const circuit::Circuit &circ,
+                   router::Aggression aggression, bool cached) {
+        circuit::clearCoordinateCache();
+        Variant v;
+        const auto t0 = std::chrono::steady_clock::now();
+        circuit::ConsolidateOptions copts;
+        copts.useCoordinateCache = cached;
+        const circuit::Circuit blocks =
+            circuit::consolidateBlocks(circ, copts, &v.consolidate);
+        router::PassOptions opts;
+        opts.aggression = aggression;
+        opts.costModel = &cost;
+        opts.seed = 42;
+        Rng rng(7);
+        v.route = router::routePass(
+            blocks, grid, layout::Layout::random(grid.numQubits(), rng),
+            opts);
+        v.ms = millisSince(t0);
+        return v;
+    };
+
+    json::Value rows = json::Value::array();
+    json::Value qubits = json::Value::array();
+    bool identical = true;
+    double sabre_ms = 0, mirage_ms = 0, uncached_ms = 0;
+    for (size_t i = 0; i < sizes; ++i) {
+        const circuit::Circuit circ = bench::qft(kSizes[i], true);
+        const Variant sabre = run(circ, router::Aggression::None, true);
+        const Variant mirage = run(circ, router::Aggression::Equal, true);
+        const Variant uncached = run(circ, router::Aggression::Equal, false);
+        const bool same = circuit::Circuit::bitIdentical(
+            mirage.route.routed, uncached.route.routed);
+
+        json::Value row = json::Value::object();
+        row.set("qubits", kSizes[i]);
+        row.set("sabreMs", sabre.ms);
+        row.set("mirageMs", mirage.ms);
+        row.set("uncachedMs", uncached.ms);
+        row.set("blocks", mirage.consolidate.blocksEmitted);
+        row.set("sabreSwaps", sabre.route.swapsAdded);
+        row.set("mirageSwaps", mirage.route.swapsAdded);
+        row.set("uncachedSwaps", uncached.route.swapsAdded);
+        row.set("coordCacheHits", mirage.consolidate.coordCacheHits);
+        row.set("coordCacheMisses", mirage.consolidate.coordCacheMisses);
+        row.set("identical", same);
+        rows.push(std::move(row));
+        qubits.push(kSizes[i]);
+
+        identical = identical && same;
+        sabre_ms += sabre.ms;
+        mirage_ms += mirage.ms;
+        uncached_ms += uncached.ms;
+    }
+
+    json::Value params = json::Value::object();
+    params.set("qubits", std::move(qubits));
+    params.set("topology", grid.name());
+    params.set("layoutSeed", 7);
+    params.set("seed", 42);
+    json::Value summary = json::Value::object();
+    summary.set("cachedEqualsUncached", identical);
+    summary.set("sabreMs", sabre_ms);
+    summary.set("mirageMs", mirage_ms);
+    summary.set("uncachedMs", uncached_ms);
+    return payload(std::move(params),
+                   {column("qubits", "qubits"),
+                    column("sabreMs", "SABRE(ms)", 1),
+                    column("mirageMs", "MIRAGE(ms)", 1),
+                    column("uncachedMs", "uncached(ms)", 1),
+                    column("blocks", "blocks"),
+                    column("sabreSwaps", "SABRE swaps"),
+                    column("mirageSwaps", "MIRAGE swaps"),
+                    column("uncachedSwaps", "uncached swaps"),
+                    column("coordCacheHits", "cache hits"),
+                    column("coordCacheMisses", "cache misses"),
+                    column("identical", "identical")},
+                   std::move(rows), std::move(summary),
+                   "QFT(n) on an 8x8 grid: consolidation plus one routing "
+                   "pass from a fixed random layout, as SABRE, as MIRAGE, "
+                   "and as MIRAGE with the coordinate cache off. Wall "
+                   "times vary by machine and are never gated; blocks, "
+                   "swaps and cache counters are deterministic, and "
+                   "cachedEqualsUncached must be true.");
+}
+
+/**
  * Large-device routing gate (fig12 at Osprey/Condor scale): route a
  * slice of the Table III suite on the 433/1121-qubit heavy-hex and
  * 33x33-grid topologies, which build in sparse mode (CSR + BFS-on-demand
@@ -1511,6 +1622,13 @@ experimentRegistry()
          "many trials (Section VI-C); tracked here as the committed "
          "BENCH_fig13.json trajectory",
          runBenchRouting},
+        {"fig13-scaling", "Figure 13 (scaling)",
+         "Routing runtime vs QFT width: SABRE, MIRAGE, and MIRAGE "
+         "without the coordinate cache",
+         "paper: caching keeps mirror-aware routing about as fast as "
+         "plain SABRE (Section VI-C); the cache must not change the "
+         "routed circuit (cachedEqualsUncached)",
+         runFig13Scaling},
         {"fig12-large", "Figure 12 (large devices)",
          "Table III circuits routed on 433/1121-qubit heavy-hex and a "
          "33x33 grid in sparse topology mode, with a memory audit",

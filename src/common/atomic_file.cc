@@ -1,10 +1,12 @@
 #include "common/atomic_file.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace mirage {
@@ -82,6 +84,28 @@ writeFileAtomic(const std::string &path, const std::string &content,
         ::close(dfd);
     }
     return true;
+}
+
+int
+readAll(int fd, std::string &text)
+{
+    struct stat st;
+    const bool sized = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
+    text.resize(std::min(sized ? size_t(st.st_size) : 4095,
+                         kMaxFileBytes) + 1);
+    size_t used = 0;
+    while (const ssize_t n =
+               ::read(fd, text.data() + used, text.size() - used)) {
+        if (n < 0 && errno != EINTR)
+            return errno;
+        used += size_t(std::max<ssize_t>(n, 0)); // 0 after EINTR: retry
+        if (used == text.size() && used > kMaxFileBytes)
+            return EFBIG;
+        if (used == text.size())
+            text.resize(std::min(2 * used, kMaxFileBytes + 1));
+    }
+    text.resize(used);
+    return 0;
 }
 
 } // namespace mirage

@@ -8,6 +8,8 @@
 #include "common/exec.hh"
 
 #include <atomic>
+#include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 
@@ -23,7 +25,10 @@ defaultThreads()
 int
 resolveThreads(int threads)
 {
-    MIRAGE_ASSERT(threads >= 0, "negative thread count %d", threads);
+    if (threads < 0 || threads > kMaxThreads)
+        throw std::invalid_argument(
+            "thread count " + std::to_string(threads) + " is outside 0.." +
+            std::to_string(kMaxThreads) + " (0 = all cores)");
     return threads == 0 ? defaultThreads() : threads;
 }
 

@@ -30,9 +30,15 @@ namespace mirage::exec {
 /** Hardware concurrency, clamped to at least 1. */
 int defaultThreads();
 
+/** Largest thread count a pool accepts. A larger request is a mistake,
+ * and granting it could exhaust the process's thread limit. */
+inline constexpr int kMaxThreads = 1024;
+
 /**
  * Resolve a user-facing `threads` knob: 0 means defaultThreads(),
- * anything >= 1 is taken literally. Negative values are an error.
+ * 1..kMaxThreads is taken literally. Anything else throws
+ * std::invalid_argument, so a pool never starts an unbounded number of
+ * threads.
  */
 int resolveThreads(int threads);
 
@@ -51,7 +57,9 @@ int resolveThreads(int threads);
 class ThreadPool
 {
   public:
-    /** Spawn `threads` workers (0 = hardware concurrency). */
+    /** Spawn `threads` workers (0 = hardware concurrency); throws
+     * std::invalid_argument, before any spawn, outside resolveThreads'
+     * range. */
     explicit ThreadPool(int threads = 0);
     ~ThreadPool();
 

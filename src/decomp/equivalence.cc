@@ -17,7 +17,6 @@
 #include <vector>
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/atomic_file.hh"
@@ -53,34 +52,6 @@ constexpr int kMaxRetryRounds = 3;
 
 /** Largest credible pulse count in a cache entry (sanity bound). */
 constexpr int kMaxCachedK = 64;
-
-/** No cache file is larger (FIT_CATALOG.bin is 445 KB), so a read of,
- * say, /dev/zero stops here instead of when memory runs out. */
-constexpr size_t kMaxCacheFileBytes = size_t(64) << 20;
-
-/** All of `fd` into `text`, by one read() for a regular file (sized by
- * fstat): 0, the read's errno, or EFBIG past kMaxCacheFileBytes. */
-int
-readAll(int fd, std::string &text)
-{
-    struct stat st;
-    const bool sized = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
-    text.resize(std::min(sized ? size_t(st.st_size) : 4095,
-                         kMaxCacheFileBytes) + 1);
-    size_t used = 0;
-    while (const ssize_t n =
-               ::read(fd, text.data() + used, text.size() - used)) {
-        if (n < 0 && errno != EINTR)
-            return errno;
-        used += size_t(std::max<ssize_t>(n, 0)); // 0 after EINTR: retry
-        if (used == text.size() && used > kMaxCacheFileBytes)
-            return EFBIG;
-        if (used == text.size())
-            text.resize(std::min(2 * used, kMaxCacheFileBytes + 1));
-    }
-    text.resize(used);
-    return 0;
-}
 
 } // namespace
 

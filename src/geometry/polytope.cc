@@ -1,15 +1,14 @@
 /**
  * @file
  * H-representation polytope kernel: membership, intersection, vertex
- * enumeration from facet-plane triples, and facet geometry in exact
- * rational arithmetic.
+ * enumeration from facet-plane triples, and facet geometry, all in
+ * doubles with an explicit tolerance (no exact arithmetic).
  */
 
 #include "geometry/polytope.hh"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 #include "common/logging.hh"
 
@@ -70,12 +69,6 @@ Tetra::volume() const
 {
     Vec3 a = v[1] - v[0], b = v[2] - v[0], c = v[3] - v[0];
     return std::fabs(a.dot(b.cross(c))) / 6.0;
-}
-
-Vec3
-Tetra::centroid() const
-{
-    return (v[0] + v[1] + v[2] + v[3]) * 0.25;
 }
 
 bool
@@ -257,19 +250,6 @@ Polytope::affineImage(const std::array<double, 9> &a, const Vec3 &b) const
         out.push_back(Halfspace{n2, h.d + n2.dot(b)});
     }
     return Polytope(std::move(out));
-}
-
-std::string
-Polytope::toString() const
-{
-    std::string s;
-    char buf[128];
-    for (const auto &h : hs_) {
-        std::snprintf(buf, sizeof(buf), "  %+.4f a %+.4f b %+.4f c <= %.6f\n",
-                      h.n.x, h.n.y, h.n.z, h.d);
-        s += buf;
-    }
-    return s;
 }
 
 Polytope

@@ -14,7 +14,6 @@
 #define MIRAGE_GEOMETRY_POLYTOPE_HH
 
 #include <array>
-#include <string>
 #include <vector>
 
 namespace mirage::geometry {
@@ -50,7 +49,6 @@ struct Tetra
     std::array<Vec3, 4> v;
 
     double volume() const;
-    Vec3 centroid() const;
 };
 
 /** Convex polytope as an intersection of halfspaces. */
@@ -95,8 +93,6 @@ class Polytope
     /** Affine image under x -> A x + b (A must be invertible). */
     Polytope affineImage(const std::array<double, 9> &a,
                          const Vec3 &b) const;
-
-    std::string toString() const;
 
   private:
     std::vector<Halfspace> hs_;

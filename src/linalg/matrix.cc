@@ -20,7 +20,6 @@
 #include "linalg/matrix.hh"
 
 #include <cmath>
-#include <cstdio>
 
 #include "common/logging.hh"
 
@@ -123,16 +122,6 @@ Mat2::dagger() const
         }
     }
     return out;
-}
-
-Mat2
-Mat2::transpose() const
-{
-    Mat2 r;
-    for (int i = 0; i < 2; ++i)
-        for (int j = 0; j < 2; ++j)
-            r(i, j) = (*this)(j, i);
-    return r;
 }
 
 Mat2
@@ -334,24 +323,6 @@ Mat4::isUnitary(double tol) const
 {
     Mat4 p = (*this) * dagger();
     return p.maxAbsDiff(Mat4::identity()) < tol;
-}
-
-std::string
-Mat4::toString(int precision) const
-{
-    char buf[64];
-    std::string out;
-    for (int i = 0; i < 4; ++i) {
-        out += "[";
-        for (int j = 0; j < 4; ++j) {
-            std::snprintf(buf, sizeof(buf), "%+.*f%+.*fi ", precision,
-                          (*this)(i, j).real(), precision,
-                          (*this)(i, j).imag());
-            out += buf;
-        }
-        out += "]\n";
-    }
-    return out;
 }
 
 Mat4

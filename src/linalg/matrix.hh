@@ -13,7 +13,6 @@
 #include <array>
 #include <complex>
 #include <cstdint>
-#include <string>
 
 namespace mirage::linalg {
 
@@ -41,7 +40,6 @@ struct Mat2
     Mat2 operator*(Complex s) const;
 
     Mat2 dagger() const;
-    Mat2 transpose() const;
     Mat2 conj() const;
     Complex trace() const { return a[0] + a[3]; }
     Complex det() const { return a[0] * a[3] - a[1] * a[2]; }
@@ -82,8 +80,6 @@ struct Mat4
 
     /** True when M M^dagger == I within tol. */
     bool isUnitary(double tol = 1e-9) const;
-
-    std::string toString(int precision = 4) const;
 };
 
 /** Kronecker product of two 2x2 matrices: (a tensor b). */

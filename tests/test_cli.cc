@@ -12,8 +12,10 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
@@ -275,6 +277,34 @@ TEST(CliTranspile, MissingFileFailsWithExitOne)
     EXPECT_NE(r.err.find("cannot open"), std::string::npos);
 }
 
+TEST(CliTranspile, UnreadableInputFailsWithExitOne)
+{
+    // Every whole-file input goes through one bounded reader: a
+    // directory is a read error, and /dev/zero stops at the cap instead
+    // of growing until memory runs out.
+    const struct
+    {
+        std::vector<std::string> args;
+        std::string needle;
+    } cases[] = {
+        {{"transpile", testing::TempDir(), "--topology", "line4"},
+         "cannot read"},
+        {{"report", testing::TempDir()}, "cannot read"},
+        {{"transpile", "/dev/zero", "--topology", "line4"},
+         "larger than 64 MiB"},
+        {{"report", "/dev/zero"}, "larger than 64 MiB"},
+    };
+    for (const auto &c : cases) {
+        const auto start = std::chrono::steady_clock::now();
+        auto r = runCli(c.args);
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds(10))
+            << c.args[1];
+        EXPECT_EQ(r.code, cli::kExitFailure) << c.args[1];
+        EXPECT_NE(r.err.find(c.needle), std::string::npos) << r.err;
+    }
+}
+
 TEST(CliTranspile, MalformedQasmReportsFileLineColumn)
 {
     std::string path = tempPath("bad.qasm");
@@ -318,6 +348,9 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         {{"--swap-trials", "0"}, "--swap-trials"},
         {{"--fwd-bwd", "-1"}, "--fwd-bwd"},
         {{"--threads", "-1"}, "--threads"},
+        // Bounded by exec::kMaxThreads, checked before any thread starts.
+        {{"--threads", "1025"}, "--threads"},
+        {{"--threads", "2147483647"}, "--threads"},
         // One decimal grammar for every integer flag: no '+', no blanks.
         {{"--threads", "+2"}, "--threads"},
         {{"--threads", " 2"}, "--threads"},
@@ -459,9 +492,13 @@ TEST(CliServe, TransportAndNumericFlagValidation)
     auto both = runCli({"serve", "--socket", "/tmp/x.sock", "--stdio"});
     EXPECT_EQ(both.code, cli::kExitUsage);
 
-    auto badThreads = runCli({"serve", "--stdio", "--threads", "-2"});
-    EXPECT_EQ(badThreads.code, cli::kExitUsage);
-    EXPECT_NE(badThreads.err.find("--threads"), std::string::npos);
+    for (const char *threads : {"-2", "1025", "2147483647"}) {
+        auto badThreads =
+            runCli({"serve", "--stdio", "--threads", threads});
+        EXPECT_EQ(badThreads.code, cli::kExitUsage) << threads;
+        EXPECT_NE(badThreads.err.find("--threads"), std::string::npos)
+            << badThreads.err;
+    }
 
     auto badEntries = runCli({"serve", "--stdio", "--cache-entries", "0"});
     EXPECT_EQ(badEntries.code, cli::kExitUsage);
@@ -574,6 +611,21 @@ TEST(CliSweep, OverflowingKnobIsUsageError)
                      "4294967297", "--stdout"});
     EXPECT_EQ(r.code, cli::kExitUsage) << r.out;
     EXPECT_NE(r.err.find("--trials"), std::string::npos) << r.err;
+}
+
+TEST(CliSweep, ThreadsAboveTheCapIsUsageErrorOnEveryCommand)
+{
+    // transpile and serve have their rows in the tables above; these
+    // are the other two commands that take --threads.
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"sweep", "--experiment", "fig8",
+                                   "--stdout", "--threads", "1025"},
+          std::vector<std::string>{"catalog", "stats", "--threads",
+                                   "1025"}}) {
+        auto r = runCli(args);
+        EXPECT_EQ(r.code, cli::kExitUsage) << args[0];
+        EXPECT_NE(r.err.find("--threads"), std::string::npos) << r.err;
+    }
 }
 
 TEST(CliSweep, MissingExperimentIsUsageError)
@@ -874,10 +926,11 @@ TEST(ExperimentRegistry, CoversTheReproduciblePaperArtifacts)
     for (const char *name :
          {"fig3-4", "fig5", "fig6", "fig8", "fig9", "fig10", "fig11",
           "fig12", "table1", "table2", "table3", "fig12-large", "bench",
-          "bench-lowering"})
+          "fig13-scaling", "bench-lowering"})
         EXPECT_NE(cli::findExperiment(name), nullptr) << name;
     EXPECT_EQ(cli::findExperiment("fig7"), nullptr);
-    // Fig. 13 is the `bench` and `bench-lowering` trajectories.
+    // Fig. 13 is the `bench`, `fig13-scaling` and `bench-lowering`
+    // sweeps.
     EXPECT_EQ(cli::findExperiment("fig13"), nullptr);
 }
 
@@ -971,6 +1024,30 @@ TEST(ExperimentRegistry, Fig9GreedyMinimaHistogram)
     EXPECT_EQ(a["summary"]["best"].asNumber(), 10.0);
     EXPECT_EQ(a["summary"]["worst"].asNumber(), 21.0);
     EXPECT_EQ(a["summary"]["trials"].asInt(), 64);
+}
+
+TEST(ExperimentRegistry, Fig13ScalingCacheIsOutputNeutral)
+{
+    cli::SweepKnobs knobs;
+    knobs.suiteLimit = 2;
+    const json::Value a = validArtifact("fig13-scaling", knobs);
+    EXPECT_TRUE(a["summary"]["cachedEqualsUncached"].asBool());
+    // The cache is cleared before each variant, so its counters are
+    // deterministic: QFT(16) and QFT(24) with the final swaps.
+    const struct
+    {
+        int qubits, blocks, hits, misses;
+    } expected[] = {{16, 128, 111, 17}, {24, 288, 263, 25}};
+    const json::Value &rows = a["rows"];
+    ASSERT_EQ(rows.size(), std::size(expected));
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const json::Value &row = rows.at(i);
+        EXPECT_EQ(row["qubits"].asInt(), expected[i].qubits);
+        EXPECT_EQ(row["blocks"].asInt(), expected[i].blocks);
+        EXPECT_EQ(row["coordCacheHits"].asInt(), expected[i].hits);
+        EXPECT_EQ(row["coordCacheMisses"].asInt(), expected[i].misses);
+        EXPECT_TRUE(row["identical"].asBool());
+    }
 }
 
 TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)

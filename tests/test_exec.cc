@@ -106,6 +106,11 @@ TEST(Exec, ResolveThreads)
     EXPECT_GE(exec::resolveThreads(0), 1);
     EXPECT_EQ(exec::resolveThreads(1), 1);
     EXPECT_EQ(exec::resolveThreads(7), 7);
+    EXPECT_EQ(exec::resolveThreads(exec::kMaxThreads), exec::kMaxThreads);
+    // Out of range throws before a pool starts any thread.
+    EXPECT_THROW(exec::resolveThreads(-1), std::invalid_argument);
+    EXPECT_THROW(exec::ThreadPool(exec::kMaxThreads + 1),
+                 std::invalid_argument);
 }
 
 TEST(Exec, SubmitRunsTasks)
