@@ -1,6 +1,6 @@
 /**
  * @file
- * Domain example: explore a basis gate's computational power. Builds the
+ * Domain example: explore a basis gate's computational power. Loads the
  * monodromy coverage sets for a chosen iSWAP fraction, prints coverage
  * per depth with and without mirror gates, Haar scores, and the cost of
  * common gates -- the Section III analysis as a command-line tool.
@@ -22,8 +22,9 @@ int
 main(int argc, char **argv)
 {
     int n = argc > 1 ? std::atoi(argv[1]) : 2;
-    if (n < 1 || n > 8) {
-        std::fprintf(stderr, "root degree must be in 1..8\n");
+    if (n < 1 || n > 4) {
+        std::fprintf(stderr, "root degree must be in 1..4 (the roots "
+                             "with committed coverage tables)\n");
         return 1;
     }
 

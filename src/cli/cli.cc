@@ -135,9 +135,13 @@ writeOutput(const std::string &path, const std::string &content,
         return;
     }
     std::ofstream f(path);
+    if (f) {
+        f << content;
+        f.close();
+    }
     if (!f)
-        throw CliError("cannot write '" + path + "'");
-    f << content;
+        throw CliError("cannot write '" + path + "': " +
+                       std::strerror(errno));
 }
 
 // --- transpile --------------------------------------------------------------
@@ -868,9 +872,11 @@ usage()
 
 } // namespace
 
+namespace {
+
 int
-run(const std::vector<std::string> &args, std::ostream &out,
-    std::ostream &err)
+dispatch(const std::vector<std::string> &args, std::ostream &out,
+         std::ostream &err)
 {
     if (args.empty()) {
         err << usage();
@@ -917,6 +923,22 @@ run(const std::vector<std::string> &args, std::ostream &out,
         err << "mirage: " << e.what() << "\n";
         return kExitFailure;
     }
+}
+
+} // namespace
+
+int
+run(const std::vector<std::string> &args, std::ostream &out,
+    std::ostream &err)
+{
+    const int code = dispatch(args, out, err);
+    // A report that never reached its reader is a failure, whatever the
+    // command computed.
+    if (!out.flush()) {
+        err << "mirage: cannot write output\n";
+        return code == kExitSuccess ? kExitFailure : code;
+    }
+    return code;
 }
 
 } // namespace mirage::cli

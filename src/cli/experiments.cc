@@ -1157,13 +1157,6 @@ runFig12Large(const SweepKnobs &userKnobs)
     // for the counters/memory gate, and keeps the 1121-qubit sweep in CI
     // seconds territory.
     const SweepKnobs knobs = resolve(userKnobs, 1, 2, 1, 1);
-    // Pin the per-thread row-cache budget so the memory audit is a
-    // fixed, reproducible bound (128 rows ~= 0.5 MB at n=1121); the
-    // budget found on entry is restored afterwards.
-    constexpr size_t kAuditRowCacheCapacity = 128;
-    const size_t entry_capacity =
-        topology::CouplingMap::rowCacheStats().capacity;
-    topology::CouplingMap::setRowCacheCapacity(kAuditRowCacheCapacity);
     const std::vector<topology::CouplingMap> devices = {
         topology::CouplingMap::heavyHex433(),
         topology::CouplingMap::heavyHex1121(),
@@ -1227,9 +1220,12 @@ runFig12Large(const SweepKnobs &userKnobs)
 
         // Memory audit: everything the sparse device held resident while
         // routing the whole slice, vs the flat tables dense mode would
-        // have materialized.
+        // have materialized. The row cache was cleared before this
+        // device, so every resident row is one of its rows (n ints each;
+        // 128 rows ~= 0.5 MB at n=1121).
         const auto cache = topology::CouplingMap::rowCacheStats();
-        const size_t resident = device.derivedTableBytes() + cache.bytes;
+        const size_t cache_bytes = cache.rows * n * sizeof(int);
+        const size_t resident = device.derivedTableBytes() + cache_bytes;
         const size_t dense_equiv =
             n * n * (sizeof(int) + sizeof(uint8_t));
         const bool sub_quadratic = 2 * resident < dense_equiv;
@@ -1256,7 +1252,7 @@ runFig12Large(const SweepKnobs &userKnobs)
         ts.set("edges", uint64_t(device.edges().size()));
         ts.set("sparse", device.sparse());
         ts.set("derivedTableBytes", uint64_t(device.derivedTableBytes()));
-        ts.set("rowCacheBytes", uint64_t(cache.bytes));
+        ts.set("rowCacheBytes", uint64_t(cache_bytes));
         ts.set("rowCacheRows", uint64_t(cache.rows));
         ts.set("rowCacheHits", cache.hits);
         ts.set("rowCacheMisses", cache.misses);
@@ -1277,13 +1273,13 @@ runFig12Large(const SweepKnobs &userKnobs)
     const bool ratio_shrinks =
         ratio_by_n.size() < 2 ||
         ratio_by_n.back().second < ratio_by_n.front().second;
-    // Restore the entry budget for any later experiment in this process.
+    // Release the rows for any later experiment in this process.
     topology::CouplingMap::clearRowCache();
-    topology::CouplingMap::setRowCacheCapacity(entry_capacity);
 
     json::Value params = parametersJson(knobs);
     params.set("circuits", uint64_t(limit));
-    params.set("rowCacheCapacity", uint64_t(kAuditRowCacheCapacity));
+    params.set("rowCacheCapacity",
+               uint64_t(topology::CouplingMap::kRowCacheRows));
     json::Value summary = json::Value::object();
     summary.set("topologies", std::move(topo_summaries));
     summary.set("memorySubQuadratic", all_sub_quadratic);

@@ -56,20 +56,10 @@ ThreadPool::enqueue(std::function<void()> task)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        MIRAGE_ASSERT(!stopping_, "submit to a stopping pool");
+        MIRAGE_ASSERT(!stopping_, "enqueue on a stopping pool");
         queue_.push_back(std::move(task));
     }
     ready_.notify_one();
-}
-
-std::future<void>
-ThreadPool::submit(std::function<void()> task)
-{
-    auto packaged = std::make_shared<std::packaged_task<void()>>(
-        std::move(task));
-    std::future<void> fut = packaged->get_future();
-    enqueue([packaged] { (*packaged)(); });
-    return fut;
 }
 
 void

@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -45,10 +44,11 @@ int resolveThreads(int threads);
 /**
  * Fixed-size thread pool.
  *
- * Workers drain a shared FIFO queue. Destruction finishes every task
- * already submitted, then joins all workers; it never abandons queued
- * work. The pool is not reentrant: calling parallelFor from inside a
- * pool task deadlocks by design (keep nesting out of the hot path).
+ * Workers drain a shared FIFO queue of parallelFor tasks; destruction
+ * joins them. Each parallelFor blocks until its tasks finish, so the
+ * queue is empty whenever no call is running. The pool is not
+ * reentrant: calling parallelFor from inside a pool task deadlocks by
+ * design (keep nesting out of the hot path).
  * Distinct non-worker threads may call parallelFor on one pool
  * concurrently: each call has its own claim counter and barrier, and
  * the calls' tasks share the workers in FIFO order. The serve engine
@@ -67,9 +67,6 @@ class ThreadPool
     ThreadPool &operator=(const ThreadPool &) = delete;
 
     int numThreads() const { return int(workers_.size()); }
-
-    /** Queue a task; the future reports completion or the exception. */
-    std::future<void> submit(std::function<void()> task);
 
     /**
      * Run body(i) for every i in [0, n), distributed over the workers

@@ -24,15 +24,6 @@ decomposeWithK(const Mat4 &target, const Mat4 &basis, int k, Rng &rng,
 {
     Decomposition d;
     d.k = k;
-    if (k == 0) {
-        // Only local: fidelity of the best L0 fit. Optimize the k=0
-        // ansatz (a single local layer).
-        AnsatzFit fit = fitAnsatz(target, basis, 0, rng, opts);
-        d.fidelity = fit.fidelity;
-        d.params = fit.params;
-        d.evaluations = uint64_t(fit.evaluations);
-        return d;
-    }
     AnsatzFit fit = fitAnsatz(target, basis, k, rng, opts);
     d.fidelity = fit.fidelity;
     d.params = fit.params;

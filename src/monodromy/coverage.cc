@@ -2,8 +2,8 @@
  * @file
  * Monodromy coverage sets: construction of the alcove polytopes
  * reachable by k basis applications and their mirror-extended
- * counterparts (paper Section III), the registry serving them from the
- * committed tables, and the generator that renders those tables.
+ * counterparts (paper Section III), the registry serving the committed
+ * tables, and the generator that renders those tables.
  */
 
 #include "monodromy/coverage.hh"
@@ -11,14 +11,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <map>
-#include <mutex>
 #include <numeric>
-#include <optional>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "common/serial.hh"
 #include "decomp/optimize.hh"
 #include "geometry/quadrature.hh"
 #include "monodromy/haar_density.hh"
@@ -447,8 +446,8 @@ parentRoot(int n)
     return 0;
 }
 
-/** The committed coverage set for `basis`, if it has a table. */
-std::optional<CoverageSet>
+/** The committed coverage set for `basis` (which must have a table). */
+CoverageSet
 tabulatedCoverage(const BasisSpec &basis)
 {
     for (const CoverageTable &table : committedCoverageTables()) {
@@ -459,31 +458,33 @@ tabulatedCoverage(const BasisSpec &basis)
             perK.emplace_back(std::vector<Halfspace>(hs.begin(), hs.end()));
         return CoverageSet(basis, std::move(perK));
     }
-    return std::nullopt;
+    panic("no committed coverage table for %s", basis.name.c_str());
+}
+
+/** The committed coverage set for root N, loaded on first use. */
+template <int N>
+const CoverageSet &
+tabulatedRoot()
+{
+    static const CoverageSet cs = tabulatedCoverage(BasisSpec::rootIswap(N));
+    return cs;
 }
 
 /**
- * Coverage set for root n, memoized in `memo` together with its divisor
- * parents: the committed table when `useTables` and one exists, else a
- * numeric build on the largest proper divisor as exact parent.
+ * Numeric build of root n, memoized in `memo` together with its divisor
+ * parents: each is built on the largest proper divisor as exact parent.
  */
 const CoverageSet &
-rootCoverage(int n, std::map<int, CoverageSet> &memo, bool useTables)
+rootCoverage(int n, std::map<int, CoverageSet> &memo)
 {
     auto it = memo.find(n);
     if (it != memo.end())
         return it->second;
-    const BasisSpec basis = BasisSpec::rootIswap(n);
-    std::optional<CoverageSet> cs;
-    if (useTables)
-        cs = tabulatedCoverage(basis);
-    if (!cs) {
-        const int m = parentRoot(n);
-        cs = CoverageSet::build(
-            basis, m ? &rootCoverage(m, memo, useTables) : nullptr,
-            m ? n / m : 1);
-    }
-    return memo.emplace(n, std::move(*cs)).first->second;
+    const int m = parentRoot(n);
+    CoverageSet cs = CoverageSet::build(BasisSpec::rootIswap(n),
+                                        m ? &rootCoverage(m, memo) : nullptr,
+                                        m ? n / m : 1);
+    return memo.emplace(n, std::move(cs)).first->second;
 }
 
 /** C++ identifier fragment for a basis name ("riswap-2" -> "Riswap2"). */
@@ -498,33 +499,34 @@ tableIdentifier(const std::string &basis)
     return id;
 }
 
-/** Exact, round-trippable C++ literal for a double. */
-std::string
-hexLiteral(double x)
-{
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%a", x);
-    return buf;
-}
-
 } // namespace
 
 const CoverageSet &
 coverageForRootIswap(int n)
 {
-    // The lock guards callers invoking transpile() concurrently from
-    // their own threads; references stay valid because std::map never
-    // relocates nodes.
-    static std::mutex registry_mutex;
-    static std::map<int, CoverageSet> registry;
-    std::lock_guard<std::mutex> lock(registry_mutex);
-    return rootCoverage(n, registry, /*useTables=*/true);
+    // One function-local static per root: thread-safe initialisation
+    // with no lock, and only the roots a process asks for are loaded.
+    static_assert(kTabulatedRoots == 4, "one case per tabulated root");
+    switch (n) {
+    case 1:
+        return tabulatedRoot<1>();
+    case 2:
+        return tabulatedRoot<2>();
+    case 3:
+        return tabulatedRoot<3>();
+    case 4:
+        return tabulatedRoot<4>();
+    }
+    throw std::invalid_argument(
+        "no coverage table for the " + std::to_string(n) +
+        "-th root of iSWAP (tabulated roots: 1.." +
+        std::to_string(kTabulatedRoots) + ")");
 }
 
 const CoverageSet &
 coverageForCnot()
 {
-    static const CoverageSet cs = tabulatedCoverage(BasisSpec::cnot()).value();
+    static const CoverageSet cs = tabulatedCoverage(BasisSpec::cnot());
     return cs;
 }
 
@@ -532,7 +534,7 @@ CoverageSet
 buildRootIswapCoverage(int n)
 {
     std::map<int, CoverageSet> built;
-    return rootCoverage(n, built, /*useTables=*/false);
+    return rootCoverage(n, built);
 }
 
 std::string
@@ -541,7 +543,7 @@ generateCoverageTables()
     std::vector<CoverageSet> sets = {CoverageSet::build(BasisSpec::cnot())};
     std::map<int, CoverageSet> built;
     for (int n = 1; n <= kTabulatedRoots; ++n)
-        sets.push_back(rootCoverage(n, built, /*useTables=*/false));
+        sets.push_back(rootCoverage(n, built));
 
     std::string out =
         "/**\n"
@@ -571,9 +573,10 @@ generateCoverageTables()
             const std::string run = id + "K" + std::to_string(k);
             out += "constexpr Halfspace " + run + "[] = {\n";
             for (const Halfspace &h : cs.polytope(k).halfspaces())
-                out += "    {{" + hexLiteral(h.n.x) + ", " +
-                       hexLiteral(h.n.y) + ", " + hexLiteral(h.n.z) +
-                       "}, " + hexLiteral(h.d) + "},\n";
+                out += "    {{" + serial::encodeDouble(h.n.x) + ", " +
+                       serial::encodeDouble(h.n.y) + ", " +
+                       serial::encodeDouble(h.n.z) + "}, " +
+                       serial::encodeDouble(h.d) + "},\n";
             out += "};\n";
             runs += "    " + run + ",\n";
         }

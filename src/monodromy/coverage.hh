@@ -17,8 +17,8 @@
  * The numeric construction is a generator, not a start-up cost: its
  * output for CNOT and the 1st..4th roots of iSWAP is committed as
  * halfspace tables (coverage_tables.cc, written by `mirage coverage
- * build`), and the process-wide registry reads those. Only roots without
- * a table entry (n >= 5) are built numerically on first use.
+ * build`), and the process-wide registry reads only those: it never
+ * builds a polytope, so no request can start a numeric build.
  */
 
 #ifndef MIRAGE_MONODROMY_COVERAGE_HH
@@ -113,8 +113,9 @@ class CoverageSet
 std::vector<Polytope> mirrorImage(const Polytope &region);
 
 /**
- * Process-wide cached coverage set for the n-th root of iSWAP: the
- * committed table when there is one, else a numeric build.
+ * Process-wide coverage set for the n-th root of iSWAP, n in 1..4 (the
+ * committed table, loaded on first use). Throws std::invalid_argument
+ * for any other n.
  */
 const CoverageSet &coverageForRootIswap(int n);
 /** Process-wide coverage set for CNOT (committed table). */
@@ -135,8 +136,9 @@ inline constexpr const char *kCoverageTablesPath =
     "src/monodromy/coverage_tables.cc";
 
 /**
- * Numeric build of the n-th root of iSWAP with its divisor parents
- * (as the registry would without tables); never reads the tables.
+ * Numeric build of the n-th root of iSWAP (any n >= 1) with its divisor
+ * parents as exact parents; never reads the tables. The reference the
+ * tables are checked against.
  */
 CoverageSet buildRootIswapCoverage(int n);
 

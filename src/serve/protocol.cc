@@ -78,8 +78,9 @@ const RequestOption kRequestOptions[] = {
      double(json::kMaxExactInteger), &TranspileOptions::seed},
     {"aggression", "--aggression", "N", "fixed mirror aggression 0-3 (-1 "
      "= 5/45/45/5 mix)", -1, 3, &TranspileOptions::fixedAggression},
-    {"root", "--root", "N", "basis gate: the N-th root of iSWAP", 2,
-     INT_MAX, &TranspileOptions::rootDegree},
+    // The roots with committed coverage tables (monodromy/coverage.hh).
+    {"root", "--root", "N", "basis gate: the N-th root of iSWAP (2-4)", 2,
+     4, &TranspileOptions::rootDegree},
     {"lower", "--lower", "", "lower the routed circuit to RootISWAP "
      "pulses and measure pulse metrics", 0, 0,
      &TranspileOptions::lowerToBasis},

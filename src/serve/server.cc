@@ -104,18 +104,17 @@ Engine::resolveTopology(const std::string &spec, int min_qubits)
     }
     {
         std::lock_guard<std::mutex> lock(topoMutex_);
-        auto it = topologies_.find(key);
-        if (it != topologies_.end())
-            return it->second;
+        if (auto *cached = topologies_.get(key))
+            return *cached;
     }
     // Build outside the lock (heavyhex1121 construction does real BFS
     // work); a racing duplicate build is harmless -- last writer wins
-    // and both maps are identical.
+    // and both maps are identical. An evicted map lives on in the
+    // requests still holding it.
     auto built = std::make_shared<const topology::CouplingMap>(
         parseTopology(key, min_qubits, name));
     std::lock_guard<std::mutex> lock(topoMutex_);
-    topologies_[key] = built;
-    return built;
+    return topologies_.put(key, std::move(built));
 }
 
 mirage_pass::TranspileResult
@@ -359,6 +358,10 @@ Engine::statsResponse(const json::Value &id) const
             cache.set("entries", uint64_t(cache_.size()));
         }
         cache.set("capacity", uint64_t(opts_.cacheEntries));
+        {
+            std::lock_guard<std::mutex> lock(topoMutex_);
+            cache.set("topologies", uint64_t(topologies_.size()));
+        }
         v.set("cache", std::move(cache));
     }
     {

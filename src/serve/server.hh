@@ -119,6 +119,10 @@ struct EngineCounters
 class Engine
 {
   public:
+    /** Parsed topologies kept (least recently used evicted first); the
+     * largest spec parseSpec admits holds about 1 MB. */
+    static constexpr size_t kTopologyCacheEntries = 64;
+
     explicit Engine(EngineOptions opts = {});
     /**
      * Persists libraries (cacheDir set; a failed save is warned
@@ -215,9 +219,8 @@ class Engine
     decomp::CatalogLoad catalog_; ///< the startup catalog load
 
     mutable std::mutex topoMutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const topology::CouplingMap>>
-        topologies_;
+    LruCache<std::string, std::shared_ptr<const topology::CouplingMap>>
+        topologies_{kTopologyCacheEntries};
 
     mutable std::mutex memoMutex_;
     LruCache<std::string, EntryPtr> cache_;

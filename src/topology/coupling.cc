@@ -11,9 +11,9 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
-#include <list>
 #include <string_view>
-#include <unordered_map>
+
+#include "common/lru_cache.hh"
 
 namespace mirage::topology {
 
@@ -35,8 +35,8 @@ std::atomic<uint64_t> g_nextTopologyId{1};
 // routing trial threads (exec::parallelFor), so a shared mutable cache
 // would need locking on the hottest lookup in the router and evictions
 // could dangle row pointers held by another thread. Per-thread caches
-// are lock-free, TSan-clean, and bounded at capacity * n * 4 bytes per
-// routing thread.
+// are lock-free, TSan-clean, and bounded at kRowCacheRows * n * 4 bytes
+// per routing thread.
 
 struct RowKey
 {
@@ -57,36 +57,11 @@ struct RowKeyHash
     }
 };
 
-struct RowCacheState
-{
-    struct Entry
-    {
-        RowKey key{0, 0};
-        std::vector<int> row;
-    };
-    /** Front = most recently used. */
-    std::list<Entry> lru;
-    std::unordered_map<RowKey, std::list<Entry>::iterator, RowKeyHash> index;
-    size_t capacity = 256;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
+using RowCache = LruCache<RowKey, std::vector<int>, RowKeyHash>;
 
-    void evictDownTo(size_t limit)
-    {
-        while (lru.size() > limit) {
-            index.erase(lru.back().key);
-            lru.pop_back();
-            ++evictions;
-        }
-    }
-};
-
-thread_local RowCacheState t_rowCache;
-
-/** Floor for setRowCacheCapacity: deltaSums in sabre.cc holds two rows
- * at once, so fetching the second must never evict the first. */
-constexpr size_t kMinRowCacheCapacity = 8;
+thread_local RowCache t_rowCache(CouplingMap::kRowCacheRows);
+thread_local uint64_t t_rowHits = 0;
+thread_local uint64_t t_rowMisses = 0;
 
 } // namespace
 
@@ -212,32 +187,15 @@ CouplingMap::bfsFrom(int src, int *dist) const
 const int *
 CouplingMap::sparseRow(int a) const
 {
-    RowCacheState &c = t_rowCache;
     const RowKey key{topologyId_, a};
-    auto it = c.index.find(key);
-    if (it != c.index.end()) {
-        ++c.hits;
-        c.lru.splice(c.lru.begin(), c.lru, it->second);
-        return it->second->row.data();
+    if (const std::vector<int> *row = t_rowCache.get(key)) {
+        ++t_rowHits;
+        return row->data();
     }
-    ++c.misses;
-    // Recycle the LRU entry's row storage instead of reallocating.
-    std::list<RowCacheState::Entry> node;
-    if (c.lru.size() >= c.capacity) {
-        auto last = std::prev(c.lru.end());
-        c.index.erase(last->key);
-        node.splice(node.begin(), c.lru, last);
-        ++c.evictions;
-    } else {
-        node.emplace_back();
-    }
-    RowCacheState::Entry &e = node.front();
-    e.key = key;
-    e.row.assign(size_t(numQubits_), -1);
-    bfsFrom(a, e.row.data());
-    c.lru.splice(c.lru.begin(), node);
-    c.index[key] = c.lru.begin();
-    return c.lru.front().row.data();
+    ++t_rowMisses;
+    std::vector<int> row(size_t(numQubits_), -1);
+    bfsFrom(a, row.data());
+    return t_rowCache.put(key, std::move(row)).data();
 }
 
 int
@@ -307,33 +265,21 @@ CouplingMap::shortestPath(int a, int b) const
 CouplingMap::RowCacheStats
 CouplingMap::rowCacheStats()
 {
-    const RowCacheState &c = t_rowCache;
     RowCacheStats s;
-    s.rows = c.lru.size();
-    s.capacity = c.capacity;
-    for (const auto &e : c.lru)
-        s.bytes += e.row.capacity() * sizeof(int);
-    s.hits = c.hits;
-    s.misses = c.misses;
-    s.evictions = c.evictions;
+    s.rows = t_rowCache.size();
+    s.hits = t_rowHits;
+    s.misses = t_rowMisses;
+    // Each miss inserts one new key, and only an eviction (or
+    // clearRowCache, which also zeroes the counters) removes one.
+    s.evictions = t_rowMisses - s.rows;
     return s;
-}
-
-void
-CouplingMap::setRowCacheCapacity(size_t rows)
-{
-    RowCacheState &c = t_rowCache;
-    c.capacity = std::max(rows, kMinRowCacheCapacity);
-    c.evictDownTo(c.capacity);
 }
 
 void
 CouplingMap::clearRowCache()
 {
-    RowCacheState &c = t_rowCache;
-    c.lru.clear();
-    c.index.clear();
-    c.hits = c.misses = c.evictions = 0;
+    t_rowCache.clear();
+    t_rowHits = t_rowMisses = 0;
 }
 
 CouplingMap

@@ -76,6 +76,11 @@ class CouplingMap
 
     /** Devices up to this many qubits keep the flat O(n^2) tables. */
     static constexpr int kDenseQubitThreshold = 128;
+    /** Distance rows each thread keeps for sparse maps (least recently
+     * used evicted first). The router's deltaSums holds two rows at
+     * once, so fetching the second must never evict the first. */
+    static constexpr size_t kRowCacheRows = 128;
+    static_assert(kRowCacheRows >= 2);
     /** parseSpec() refuses specs above these sizes, so a request
      * cannot ask for a multi-GB device; every shipped device is well
      * under both. */
@@ -127,9 +132,9 @@ class CouplingMap
      * the routing hot path can hoist one pointer per swap candidate.
      * Dense mode: a pointer into the flat table, valid for the map's
      * lifetime. Sparse mode: a pointer into the calling thread's LRU
-     * row cache, valid until that thread faults in `rowCacheCapacity() -
-     * 1` further distinct rows (the capacity is clamped >= 8; the
-     * router holds at most two rows at a time).
+     * row cache, valid until that thread faults in `kRowCacheRows - 1`
+     * further distinct rows (the router holds at most two rows at a
+     * time).
      */
     const int *distanceRow(int a) const
     {
@@ -158,8 +163,8 @@ class CouplingMap
     CouplingMap asSparse() const;
 
     /** Resident bytes of derived tables (CSR, components, dense
-     * adjacency/distance tables). Excludes the
-     * per-thread row cache -- see rowCacheStats().bytes. */
+     * adjacency/distance tables). Excludes the per-thread row cache:
+     * each resident row holds numQubits() ints. */
     size_t derivedTableBytes() const;
 
     /**
@@ -172,18 +177,13 @@ class CouplingMap
     // Sparse row cache (per-thread; shared by all sparse maps) --------
     struct RowCacheStats
     {
-        size_t rows = 0;     ///< rows currently resident
-        size_t capacity = 0; ///< eviction threshold (rows)
-        size_t bytes = 0;    ///< resident row storage, bytes
+        size_t rows = 0; ///< rows currently resident (<= kRowCacheRows)
         uint64_t hits = 0;
         uint64_t misses = 0;   ///< each miss is one O(n + m) BFS
         uint64_t evictions = 0;
     };
     /** Stats for the calling thread's row cache. */
     static RowCacheStats rowCacheStats();
-    /** Set the calling thread's row-cache capacity (clamped to >= 8 so
-     * hot-path callers holding two rows never see an eviction race). */
-    static void setRowCacheCapacity(size_t rows);
     /** Drop all cached rows (and reset stats) on the calling thread. */
     static void clearRowCache();
 

@@ -27,7 +27,6 @@
 #include "cli/experiments.hh"
 #include "common/json.hh"
 #include "serve/protocol.hh"
-#include "topology/coupling.hh"
 
 using namespace mirage;
 
@@ -305,6 +304,35 @@ TEST(CliTranspile, UnreadableInputFailsWithExitOne)
     }
 }
 
+TEST(CliTranspile, OutputToAFullDeviceFailsWithExitOne)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    std::string path = tempPath("bell.qasm");
+    writeFile(path, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+                    "h q[0];\ncx q[0],q[1];\n");
+    // Every write to /dev/full fails with ENOSPC: the report is lost,
+    // so the run must not exit 0.
+    auto r = runCli({"transpile", path, "--topology", "line2", "--output",
+                     "/dev/full"});
+    EXPECT_EQ(r.code, cli::kExitFailure);
+    EXPECT_NE(r.err.find("cannot write '/dev/full'"), std::string::npos)
+        << r.err;
+}
+
+TEST(CliTranspile, UnwritableStdoutFailsWithExitOne)
+{
+    std::string path = tempPath("bell.qasm");
+    writeFile(path, "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\n"
+                    "h q[0];\ncx q[0],q[1];\n");
+    std::ostringstream out, err;
+    out.setstate(std::ios::badbit);
+    EXPECT_EQ(cli::run({"transpile", path, "--topology", "line2"}, out, err),
+              cli::kExitFailure);
+    EXPECT_NE(err.str().find("cannot write output"), std::string::npos)
+        << err.str();
+}
+
 TEST(CliTranspile, MalformedQasmReportsFileLineColumn)
 {
     std::string path = tempPath("bad.qasm");
@@ -356,6 +384,9 @@ TEST(CliTranspile, NumericFlagsOutOfRangeAreUsageErrors)
         {{"--threads", " 2"}, "--threads"},
         {{"--trials", "+2"}, "--trials"},
         {{"--root", "1"}, "--root"},
+        // Only the tabulated roots: a larger one used to start a
+        // seconds-long numeric coverage build.
+        {{"--root", "5"}, "--root"},
         {{"--aggression", "4"}, "--aggression"},
         {{"--aggression", "-2"}, "--aggression"},
         {{"--trials", "4294967297"}, "--trials"},
@@ -1057,15 +1088,8 @@ TEST(ExperimentRegistry, Fig12LargeGatesSparseMemoryAndCounters)
     // must accept it (checkBenchCounters is what CI's bench job runs).
     cli::SweepKnobs knobs;
     knobs.suiteLimit = 1;
-    // The experiment pins its own row-cache budget and must hand back
-    // whatever budget it found, not a hard-coded default.
-    const size_t entry_capacity =
-        topology::CouplingMap::rowCacheStats().capacity;
-    topology::CouplingMap::setRowCacheCapacity(64);
     json::Value artifact =
         cli::runExperiment(*cli::findExperiment("fig12-large"), knobs);
-    EXPECT_EQ(topology::CouplingMap::rowCacheStats().capacity, 64u);
-    topology::CouplingMap::setRowCacheCapacity(entry_capacity);
     std::string schemaError;
     ASSERT_TRUE(cli::validateArtifact(artifact, &schemaError))
         << schemaError;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "linalg/random_unitary.hh"
 #include "monodromy/cost_model.hh"
@@ -234,12 +235,20 @@ INSTANTIATE_TEST_SUITE_P(
                                : "root" + std::to_string(info.param);
     });
 
+TEST(CoverageRegistry, UntabulatedRootIsRejected)
+{
+    // The registry serves only the committed tables; it never starts a
+    // numeric build.
+    EXPECT_THROW(coverageForRootIswap(5), std::invalid_argument);
+    EXPECT_THROW(coverageForRootIswap(0), std::invalid_argument);
+}
+
 TEST(CoverageRegistry, UntabulatedRootBuildsNumerically)
 {
-    // The fifth root has no table entry: the registry builds it (with
-    // the tabulated iSWAP as its exact parent). It must nest between
-    // the coarser roots' structure: deeper than root 4, full coverage.
-    const CoverageSet &cs = coverageForRootIswap(5);
+    // The fifth root has no table entry, but the generator builds it
+    // (with iSWAP as its exact parent). It must nest between the
+    // coarser roots' structure: deeper than root 4, full coverage.
+    const CoverageSet cs = buildRootIswapCoverage(5);
     EXPECT_EQ(cs.basis().name, "riswap-5");
     EXPECT_GT(cs.kMax(), coverageForRootIswap(4).kMax());
     EXPECT_NEAR(cs.haarFractionAt(cs.kMax()), 1.0, 1e-6);

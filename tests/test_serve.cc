@@ -114,6 +114,7 @@ TEST(ServeProtocol, ParseRequestRejectsUnknownFieldsAndBadRanges)
         {"{\"swapTrials\":-1}", "swapTrials"},
         {"{\"aggression\":4}", "aggression"},
         {"{\"root\":1}", "root"},
+        {"{\"root\":5}", "root"},
         {"{\"fwdBwd\":-1}", "fwdBwd"},
         {"{\"nope\":1}", "nope"},
         {"{\"flow\":\"sobre\"}", "flow"},
@@ -518,6 +519,28 @@ TEST(ServeEngine, OversizedTopologySpecsAreRequestErrors)
             << resp.dump(0);
     }
     EXPECT_TRUE(answerWithin(requestLine(2))["ok"].asBool());
+}
+
+TEST(ServeEngine, TopologyCacheHoldsAtMostItsBound)
+{
+    // Every distinct spec once stayed parsed for the engine's lifetime,
+    // so a client cycling through device sizes grew the server without
+    // bound. The stats op reports how many topologies are held.
+    serve::Engine engine;
+    const int specs = int(serve::Engine::kTopologyCacheEntries) + 16;
+    for (int n = 3; n < 3 + specs; ++n) {
+        json::Value resp = handleParsed(
+            engine,
+            requestLine(n, kQasm,
+                        "{\"trials\":1,\"swapTrials\":1,\"topology\":"
+                        "\"line" +
+                            std::to_string(n) + "\"}"));
+        ASSERT_TRUE(resp["ok"].asBool()) << resp.dump(0);
+    }
+    json::Value stats = handleParsed(engine, "{\"op\":\"stats\"}");
+    ASSERT_TRUE(stats["cache"]["topologies"].isNumber()) << stats.dump(0);
+    EXPECT_EQ(stats["cache"]["topologies"].asInt(),
+              int64_t(serve::Engine::kTopologyCacheEntries));
 }
 
 // --- engine: shutdown -------------------------------------------------------
