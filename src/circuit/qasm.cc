@@ -8,11 +8,14 @@
 
 #include "circuit/qasm.hh"
 
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <vector>
@@ -59,23 +62,29 @@ fmt(double x)
     return buf;
 }
 
-void
-emitU3(std::string &out, const Mat2 &m, int q)
+/** The fmt()-ed ZYZ angle list "a,b,c" of a one-qubit unitary. */
+std::string
+u3Params(const Mat2 &m)
 {
     auto ang = weyl::eulerZYZ(m);
-    out += "u3(" + fmt(ang[0]) + "," + fmt(ang[1]) + "," + fmt(ang[2]) +
-           ") q[" + std::to_string(q) + "];\n";
+    return fmt(ang[0]) + "," + fmt(ang[1]) + "," + fmt(ang[2]);
 }
 
 void
-emitRzz(std::string &out, double theta, int a, int b)
+emitU3(std::string &out, const std::string &params, int q)
 {
-    out += "rzz(" + fmt(theta) + ") q[" + std::to_string(a) + "],q[" +
+    out += "u3(" + params + ") q[" + std::to_string(q) + "];\n";
+}
+
+void
+emitRzz(std::string &out, const std::string &theta, int a, int b)
+{
+    out += "rzz(" + theta + ") q[" + std::to_string(a) + "],q[" +
            std::to_string(b) + "];\n";
 }
 
 void
-emitRyyViaRzz(std::string &out, double theta, int a, int b)
+emitRyyViaRzz(std::string &out, const std::string &theta, int a, int b)
 {
     // YY = (RX(pi/2) (x) RX(pi/2)) ZZ (RX(-pi/2) (x) RX(-pi/2)).
     out += "rx(-pi/2) q[" + std::to_string(a) + "];\n";
@@ -85,23 +94,67 @@ emitRyyViaRzz(std::string &out, double theta, int a, int b)
     out += "rx(pi/2) q[" + std::to_string(b) + "];\n";
 }
 
-void
-emitUnitary2(std::string &out, const Gate &g)
+/**
+ * The operand-free text of one Unitary2Q block: the u3 parameter lists
+ * of its four local factors and its fmt()-ed CAN angles (`yy` and `zz`
+ * are empty when that coordinate is zero; fmt never yields "").
+ */
+struct BlockText
+{
+    std::string r1, r2, xx, yy, zz, l1, l2;
+};
+
+BlockText
+blockText(const Mat4 &m)
 {
     // KAK: U = e^{i phase} (l1 x l2) CAN(a,b,c) (r1 x r2) with
     // CAN(a,b,c) = rxx(-2a) ryy(-2b) rzz(-2c).
-    weyl::KakDecomposition kak = weyl::kakDecompose(*g.mat4);
-    int qa = g.qubits[0], qb = g.qubits[1];
-    emitU3(out, kak.r1, qa);
-    emitU3(out, kak.r2, qb);
-    out += "rxx(" + fmt(-2.0 * kak.coords.a) + ") q[" + std::to_string(qa) +
-           "],q[" + std::to_string(qb) + "];\n";
+    weyl::KakDecomposition kak = weyl::kakDecompose(m);
+    BlockText t;
+    t.r1 = u3Params(kak.r1);
+    t.r2 = u3Params(kak.r2);
+    t.xx = fmt(-2.0 * kak.coords.a);
     if (kak.coords.b != 0.0)
-        emitRyyViaRzz(out, -2.0 * kak.coords.b, qa, qb);
+        t.yy = fmt(-2.0 * kak.coords.b);
     if (kak.coords.c != 0.0)
-        emitRzz(out, -2.0 * kak.coords.c, qa, qb);
-    emitU3(out, kak.l1, qa);
-    emitU3(out, kak.l2, qb);
+        t.zz = fmt(-2.0 * kak.coords.c);
+    t.l1 = u3Params(kak.l1);
+    t.l2 = u3Params(kak.l2);
+    return t;
+}
+
+/**
+ * One toQasm call's memo of block texts, keyed by the exact bits of the
+ * block's matrix. A routed circuit repeats a few distinct blocks on many
+ * operand pairs, and blockText is a pure function of those bits, so a
+ * hit emits the same bytes without a second KAK decomposition. A bitwise
+ * key never merges two matrices (it keeps -0.0 apart from +0.0).
+ */
+using MatBits = std::array<std::uint64_t, 2 * 16>;
+using BlockMemo = std::map<MatBits, BlockText>;
+
+void
+emitUnitary2(std::string &out, const Gate &g, BlockMemo &memo)
+{
+    MatBits key;
+    static_assert(sizeof(key) == sizeof(g.mat4->a));
+    std::memcpy(key.data(), g.mat4->a.data(), sizeof(key));
+    auto it = memo.find(key);
+    if (it == memo.end())
+        it = memo.emplace(key, blockText(*g.mat4)).first;
+    const BlockText &t = it->second;
+
+    int qa = g.qubits[0], qb = g.qubits[1];
+    emitU3(out, t.r1, qa);
+    emitU3(out, t.r2, qb);
+    out += "rxx(" + t.xx + ") q[" + std::to_string(qa) + "],q[" +
+           std::to_string(qb) + "];\n";
+    if (!t.yy.empty())
+        emitRyyViaRzz(out, t.yy, qa, qb);
+    if (!t.zz.empty())
+        emitRzz(out, t.zz, qa, qb);
+    emitU3(out, t.l1, qa);
+    emitU3(out, t.l2, qb);
 }
 
 } // namespace
@@ -114,6 +167,7 @@ toQasm(const Circuit &circuit)
     out += "include \"qelib1.inc\";\n";
     out += "qreg q[" + std::to_string(circuit.numQubits()) + "];\n";
 
+    BlockMemo memo;
     for (const auto &g : circuit.gates()) {
         if (g.isBarrier()) {
             out += "barrier q;\n";
@@ -121,18 +175,18 @@ toQasm(const Circuit &circuit)
         }
         switch (g.kind) {
           case GateKind::Unitary1Q:
-            emitU3(out, *g.mat2, g.qubits[0]);
+            emitU3(out, u3Params(*g.mat2), g.qubits[0]);
             break;
           case GateKind::Unitary2Q:
-            emitUnitary2(out, g);
+            emitUnitary2(out, g, memo);
             break;
           case GateKind::RootISWAP: {
             // No qelib1 primitive; emit as the equivalent XX+YY rotation.
             double t = linalg::kPi / (4.0 * g.params.at(0));
-            out += "rxx(" + fmt(-2.0 * t) + ") q[" +
-                   std::to_string(g.qubits[0]) + "],q[" +
-                   std::to_string(g.qubits[1]) + "];\n";
-            emitRyyViaRzz(out, -2.0 * t, g.qubits[0], g.qubits[1]);
+            std::string theta = fmt(-2.0 * t);
+            out += "rxx(" + theta + ") q[" + std::to_string(g.qubits[0]) +
+                   "],q[" + std::to_string(g.qubits[1]) + "];\n";
+            emitRyyViaRzz(out, theta, g.qubits[0], g.qubits[1]);
             break;
           }
           default: {

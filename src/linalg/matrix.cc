@@ -12,9 +12,10 @@
  * reference accumulation order and the naive product formula
  * (ar*br - ai*bi, ar*bi + ai*br), so for finite inputs the results are
  * BIT-IDENTICAL to the scalar implementations kept in
- * linalg/reference.hh -- the contract tests/test_linalg_kernels.cc
- * enforces, and what keeps fitted decompositions, golden snapshots, and
- * the committed FIT_CATALOG.bin stable across the rewrite.
+ * tests/support/linalg_reference.hh -- the contract
+ * tests/test_linalg_kernels.cc enforces, and what keeps fitted
+ * decompositions, golden snapshots, and the committed FIT_CATALOG.bin
+ * stable across the rewrite.
  */
 
 #include "linalg/matrix.hh"

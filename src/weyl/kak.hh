@@ -40,8 +40,16 @@ struct KakDecomposition
 
 /**
  * Decompose a two-qubit unitary. Accuracy is ~1e-9 for generic inputs and
- * degenerate special gates alike (the degenerate-eigenspace case is
- * handled by a two-stage Jacobi diagonalization).
+ * degenerate special gates alike: the local factors come from a two-stage
+ * Jacobi diagonalization, which handles degenerate eigenspaces.
+ *
+ * The branch pick is not robust in the same way. The SU(4)
+ * representative is fixed up to a factor of i, chosen by matching the
+ * Durand-Kerner spectrum of gamma against the CAN target and its
+ * negation. On spectra symmetric under negation (CNOT and iSWAP
+ * classes) the two scores differ only by round-off, so a different
+ * floating-point codegen can pick the other branch and emit different
+ * local factors. Both branches reconstruct the input.
  */
 KakDecomposition kakDecompose(const Mat4 &u);
 

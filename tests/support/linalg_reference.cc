@@ -5,7 +5,7 @@
  * against the optimized production kernels for bit-identity.
  */
 
-#include "linalg/reference.hh"
+#include "support/linalg_reference.hh"
 
 #include <algorithm>
 #include <cmath>

@@ -18,13 +18,13 @@
  *    <= 1e-14 Frobenius tolerance instead; the tests distinguish the
  *    two classes explicitly.
  *
- * Nothing here is used on the production path -- only tests link these
- * symbols -- so the implementations favour obvious correctness over
- * speed.
+ * Nothing here is used on the production path -- the file lives with
+ * the tests and only test_linalg_kernels compiles it -- so the
+ * implementations favour obvious correctness over speed.
  */
 
-#ifndef MIRAGE_LINALG_REFERENCE_HH
-#define MIRAGE_LINALG_REFERENCE_HH
+#ifndef MIRAGE_TESTS_SUPPORT_LINALG_REFERENCE_HH
+#define MIRAGE_TESTS_SUPPORT_LINALG_REFERENCE_HH
 
 #include <array>
 
@@ -79,4 +79,4 @@ Sym4 simultaneousDiagonalize(const Sym4 &a, const Sym4 &b,
 
 } // namespace mirage::linalg::reference
 
-#endif // MIRAGE_LINALG_REFERENCE_HH
+#endif // MIRAGE_TESTS_SUPPORT_LINALG_REFERENCE_HH

@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests: every vectorized linalg kernel vs its scalar
- * reference implementation (linalg/reference.hh).
+ * reference implementation (tests/support/linalg_reference.hh).
  *
  * The optimized kernels preserve the reference accumulation order and
  * the naive complex-product formula, so for finite inputs the contract
@@ -30,7 +30,7 @@
 #include "linalg/expm.hh"
 #include "linalg/matrix.hh"
 #include "linalg/random_unitary.hh"
-#include "linalg/reference.hh"
+#include "support/linalg_reference.hh"
 
 using namespace mirage;
 using namespace mirage::linalg;

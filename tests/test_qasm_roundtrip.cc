@@ -5,18 +5,21 @@
  * circuit (kind, operands, parameters). Standard-gate circuits must
  * survive exactly; the test also covers parser details (comments,
  * whitespace, pi expressions, multiple registers) and rejection of
- * malformed input.
+ * malformed input, and that a Unitary2Q block repeated within one
+ * export emits exactly what it emits alone.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "bench_circuits/generators.hh"
 #include "circuit/qasm.hh"
 #include "circuit/sim.hh"
 #include "common/rng.hh"
 #include "linalg/random_unitary.hh"
+#include "weyl/catalog.hh"
 
 using namespace mirage;
 using circuit::Circuit;
@@ -239,6 +242,62 @@ TEST(QasmParser, ConsolidatedBlocksLowerToParsableText)
     x.applyCircuit(c);
     y.applyCircuit(parsed);
     EXPECT_NEAR(std::abs(x.inner(y)), 1.0, 1e-7);
+}
+
+namespace {
+
+/** toQasm's text for a circuit, minus the header every dump starts with. */
+std::string
+qasmBody(const Circuit &c)
+{
+    const std::string header = circuit::toQasm(Circuit(c.numQubits()));
+    std::string text = circuit::toQasm(c);
+    EXPECT_EQ(text.compare(0, header.size(), header), 0);
+    return text.substr(header.size());
+}
+
+} // namespace
+
+TEST(QasmExport, RepeatedBlocksEmitWhatALoneBlockEmits)
+{
+    // toQasm decomposes each distinct Unitary2Q matrix once per call and
+    // reuses its text for later copies. Every block must still emit
+    // exactly what a one-gate circuit holding it alone emits: one
+    // matrix on three operand pairs (one reversed), its SWAP.U mirror
+    // on the first pair, and a controlled phase next to a copy whose
+    // one phase entry is 1e-6 rad off (both unitary), which must not
+    // share text.
+    Rng rng(2024);
+    const linalg::Mat4 u = linalg::randomSU4(rng);
+    const linalg::Mat4 mirror = weyl::gateSWAP() * u;
+    const linalg::Mat4 cp =
+        linalg::Mat4::diag(1.0, 1.0, 1.0, std::polar(1.0, 0.7));
+    linalg::Mat4 nearCp = cp;
+    nearCp(3, 3) = std::polar(1.0, 0.7 + 1e-6);
+    ASSERT_NEAR(std::abs(nearCp(3, 3) - cp(3, 3)), 1e-6, 1e-12);
+
+    struct Block
+    {
+        int a, b;
+        linalg::Mat4 m;
+    };
+    const std::vector<Block> blocks = {
+        {0, 1, u},  {2, 3, u},      {0, 1, mirror}, {3, 0, u},
+        {0, 2, cp}, {0, 2, nearCp}, {1, 3, cp},
+    };
+    Circuit all(4, "repeated");
+    std::string expected;
+    std::vector<std::string> alone;
+    for (const Block &b : blocks) {
+        all.unitary(b.a, b.b, b.m);
+        Circuit one(4);
+        one.unitary(b.a, b.b, b.m);
+        alone.push_back(qasmBody(one));
+        expected += alone.back();
+    }
+    EXPECT_EQ(qasmBody(all), expected);
+    EXPECT_NE(alone[4], alone[5]) << "near-equal matrices share text";
+    EXPECT_NE(alone[0], alone[2]) << "a mirror shares its original's text";
 }
 
 namespace {
