@@ -1,8 +1,7 @@
 /**
  * @file
- * Small-matrix eigenvalue solvers: Faddeev-LeVerrier characteristic
- * polynomial with Durand-Kerner roots for complex 4x4 matrices, and a
- * Jacobi solver for real symmetric ones.
+ * Small-matrix eigensolvers: cyclic Jacobi for real symmetric 4x4
+ * matrices and simultaneous diagonalization of a commuting pair.
  */
 
 #include "linalg/eigen.hh"
@@ -14,90 +13,6 @@
 #include "common/logging.hh"
 
 namespace mirage::linalg {
-
-std::array<Complex, 4>
-characteristicPolynomial(const Mat4 &m)
-{
-    // Faddeev-LeVerrier: M_1 = M, c_{n-k} built from traces of the
-    // auxiliary sequence M_{k+1} = M (M_k + c_k I).
-    Mat4 mk = m;
-    Complex c3 = -mk.trace();
-    Mat4 aux = mk + Mat4::identity() * c3;
-    mk = m * aux;
-    Complex c2 = mk.trace() * Complex(-0.5);
-    aux = mk + Mat4::identity() * c2;
-    mk = m * aux;
-    Complex c1 = mk.trace() * Complex(-1.0 / 3.0);
-    aux = mk + Mat4::identity() * c1;
-    mk = m * aux;
-    Complex c0 = mk.trace() * Complex(-0.25);
-    return {c0, c1, c2, c3};
-}
-
-namespace {
-
-Complex
-evalPoly(const std::array<Complex, 4> &c, Complex x)
-{
-    // x^4 + c3 x^3 + c2 x^2 + c1 x + c0, Horner form.
-    Complex v = x + c[3];
-    v = v * x + c[2];
-    v = v * x + c[1];
-    v = v * x + c[0];
-    return v;
-}
-
-} // namespace
-
-std::array<Complex, 4>
-eigenvalues4(const Mat4 &m)
-{
-    auto c = characteristicPolynomial(m);
-
-    // Durand-Kerner with the standard non-real, non-root-of-unity seed.
-    std::array<Complex, 4> r;
-    Complex seed(0.4, 0.9);
-    r[0] = Complex(1);
-    for (int i = 1; i < 4; ++i)
-        r[i] = r[i - 1] * seed;
-
-    for (int iter = 0; iter < 200; ++iter) {
-        double delta = 0;
-        for (int i = 0; i < 4; ++i) {
-            Complex denom(1);
-            for (int j = 0; j < 4; ++j) {
-                if (j != i)
-                    denom *= (r[i] - r[j]);
-            }
-            if (std::abs(denom) < 1e-300)
-                denom = Complex(1e-300);
-            Complex step = evalPoly(c, r[i]) / denom;
-            r[i] -= step;
-            delta = std::max(delta, std::abs(step));
-        }
-        if (delta < 1e-14)
-            break;
-    }
-
-    // One Newton polish per root (quadratic cleanup; harmless on clusters
-    // because we cap the step size).
-    for (int i = 0; i < 4; ++i) {
-        for (int k = 0; k < 3; ++k) {
-            Complex x = r[i];
-            Complex f = evalPoly(c, x);
-            // f' = 4x^3 + 3 c3 x^2 + 2 c2 x + c1
-            Complex fp = Complex(4) * x * x * x + Complex(3) * c[3] * x * x +
-                         Complex(2) * c[2] * x + c[1];
-            if (std::abs(fp) < 1e-10)
-                break;
-            Complex step = f / fp;
-            if (std::abs(step) > 0.1)
-                break;
-            r[i] = x - step;
-        }
-    }
-    return r;
-}
 
 Sym4
 congruence(const Sym4 &v, const Sym4 &m)

@@ -1,15 +1,10 @@
 /**
  * @file
- * Eigenvalue solvers for the small matrices the Weyl machinery needs.
- *
- * Two solvers are provided:
- *  - complex eigenvalues of an arbitrary 4x4 complex matrix via the
- *    Faddeev-LeVerrier characteristic polynomial and Durand-Kerner root
- *    iteration (used on the unitary "gamma" matrix whose spectrum encodes
- *    Weyl coordinates), and
- *  - a cyclic Jacobi eigensolver for real symmetric 4x4 matrices, with a
- *    two-stage variant that simultaneously diagonalizes a commuting pair
- *    (used by the KAK decomposition where Re(gamma) and Im(gamma) commute).
+ * Eigensolvers for the small real symmetric matrices the Weyl machinery
+ * needs: a cyclic Jacobi eigensolver for 4x4 matrices, with a two-stage
+ * variant that simultaneously diagonalizes a commuting pair (Re(gamma)
+ * and Im(gamma) of the magic-basis gamma matrix, whose spectrum gives
+ * both the Weyl coordinates and the KAK decomposition).
  */
 
 #ifndef MIRAGE_LINALG_EIGEN_HH
@@ -20,19 +15,6 @@
 #include "linalg/matrix.hh"
 
 namespace mirage::linalg {
-
-/**
- * Coefficients of det(xI - M) = x^4 + c3 x^3 + c2 x^2 + c1 x + c0
- * via Faddeev-LeVerrier.
- */
-std::array<Complex, 4> characteristicPolynomial(const Mat4 &m);
-
-/**
- * All four eigenvalues of a 4x4 complex matrix (with multiplicity) via
- * Durand-Kerner iteration on the characteristic polynomial. Accurate to
- * ~1e-12 for well-scaled inputs such as unitaries.
- */
-std::array<Complex, 4> eigenvalues4(const Mat4 &m);
 
 /** Real symmetric 4x4 matrix stored densely. */
 struct Sym4

@@ -95,13 +95,13 @@ canonicalize(double a, double b, double c)
     return Coord{v[0], v[1], v[2]};
 }
 
-Coord
-weylCoordinates(const Mat4 &u)
+GammaSpectrum
+gammaSpectrum(const Mat4 &u)
 {
     // Normalize to det 1.
     Complex det = u.det();
     MIRAGE_ASSERT(std::abs(std::abs(det) - 1.0) < 1e-6,
-                  "weylCoordinates needs a unitary input");
+                  "gammaSpectrum needs a unitary input");
     Mat4 un = u * std::polar(1.0, -std::arg(det) / 4.0);
 
     // gamma = V V^T in the magic basis has spectrum {e^{2 i d_j}} where the
@@ -110,8 +110,9 @@ weylCoordinates(const Mat4 &u)
     // Jacobi simultaneous diagonalization recovers the eigenphases at
     // machine precision even for the (very common) degenerate spectra,
     // where generic polynomial root finders lose half their digits.
-    Mat4 v = toMagic(un);
-    Mat4 gamma = v * v.transpose();
+    GammaSpectrum s;
+    s.v = toMagic(un);
+    Mat4 gamma = s.v * s.v.transpose();
 
     linalg::Sym4 re{}, im{};
     for (int i = 0; i < 4; ++i) {
@@ -120,19 +121,30 @@ weylCoordinates(const Mat4 &u)
             im(i, j) = gamma(i, j).imag();
         }
     }
-    linalg::Sym4 o = linalg::simultaneousDiagonalize(re, im, 1e-6);
-    std::array<Complex, 4> eigs;
+    s.o = linalg::simultaneousDiagonalize(re, im, 1e-6);
     for (int j = 0; j < 4; ++j) {
-        Complex s(0);
+        Complex e(0);
         for (int r = 0; r < 4; ++r)
             for (int c2 = 0; c2 < 4; ++c2)
-                s += o(r, j) * gamma(r, c2) * o(c2, j);
-        eigs[size_t(j)] = s;
+                e += s.o(r, j) * gamma(r, c2) * s.o(c2, j);
+        s.diag[size_t(j)] = e;
     }
+    return s;
+}
 
+Coord
+weylCoordinates(const Mat4 &u)
+{
+    return weylCoordinates(gammaSpectrum(u));
+}
+
+Coord
+weylCoordinates(const GammaSpectrum &spectrum)
+{
+    // Eigenphases halved, each in (-pi/2, pi/2].
     std::array<double, 4> f;
     for (int i = 0; i < 4; ++i)
-        f[size_t(i)] = std::arg(eigs[size_t(i)]) / 2.0; // in (-pi/2, pi/2]
+        f[size_t(i)] = std::arg(spectrum.diag[size_t(i)]) / 2.0;
 
     // The d_j are the f_j plus integer multiples of pi with sum(d) == 0
     // (mod 2pi). The running sum is a multiple of pi; push it to ~0 by

@@ -19,6 +19,7 @@
 #include <array>
 #include <string>
 
+#include "linalg/eigen.hh"
 #include "linalg/matrix.hh"
 
 namespace mirage::weyl {
@@ -43,8 +44,28 @@ struct Coord
  */
 Coord canonicalize(double a, double b, double c);
 
+/**
+ * The spectrum of gamma = V V^T, where V = B^dagger U B is U, normalized
+ * to det 1, in the magic basis. gamma is a symmetric unitary, so one real
+ * orthogonal O diagonalizes Re(gamma) and Im(gamma) at once (a single
+ * Jacobi pass); diag[j] = (O^T gamma O)(j, j). Weyl coordinates read the
+ * eigenphases, and the KAK decomposition also reuses V and O.
+ */
+struct GammaSpectrum
+{
+    Mat4 v;                               ///< det-normalized U, magic basis
+    linalg::Sym4 o;                       ///< eigenbasis of gamma (columns)
+    std::array<linalg::Complex, 4> diag;  ///< gamma's eigenvalues, O's order
+};
+
+/** Spectrum of gamma for a two-qubit unitary. */
+GammaSpectrum gammaSpectrum(const Mat4 &u);
+
 /** Weyl coordinates of a two-qubit unitary, canonicalized into the alcove. */
 Coord weylCoordinates(const Mat4 &u);
+
+/** Weyl coordinates read off an already computed gamma spectrum. */
+Coord weylCoordinates(const GammaSpectrum &spectrum);
 
 /**
  * Mirror transform (paper Eq. 1): coordinates of U * SWAP given the

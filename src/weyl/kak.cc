@@ -1,7 +1,7 @@
 /**
  * @file
- * KAK decomposition: magic-basis diagonalization of gamma = V V^T,
- * local factor extraction, and phase bookkeeping.
+ * KAK decomposition: branch pick on the shared gamma spectrum, local
+ * factor extraction, and phase bookkeeping.
  */
 
 #include "weyl/kak.hh"
@@ -22,50 +22,36 @@ using linalg::Sym4;
 
 namespace {
 
-/** Total greedy matching distance between two eigenvalue multisets. */
-double
-matchScore(const std::array<Complex, 4> &got,
-           const std::array<Complex, 4> &want)
+/**
+ * The branch pick flips to -lambda only when that match beats +lambda by
+ * more than this. On spectra symmetric under negation (CNOT and iSWAP
+ * classes) both matches score ~1e-15, so a tie keeps the + branch whatever
+ * the round-off.
+ */
+constexpr double kBranchTieMargin = 1e-12;
+
+/** A column permutation and its total matching distance. */
+struct Match
 {
-    std::array<bool, 4> used{};
-    double total = 0;
-    for (int i = 0; i < 4; ++i) {
-        double best = 1e18;
-        int bj = -1;
-        for (int j = 0; j < 4; ++j) {
-            if (used[size_t(j)])
-                continue;
-            double d = std::abs(got[size_t(j)] - want[size_t(i)]);
-            if (d < best) {
-                best = d;
-                bj = j;
-            }
-        }
-        used[size_t(bj)] = true;
-        total += best;
-    }
-    return total;
-}
+    std::array<int, 4> perm;
+    double score;
+};
 
 /** Best column permutation aligning diag values to the wanted spectrum. */
-std::array<int, 4>
+Match
 bestPermutation(const std::array<Complex, 4> &got,
                 const std::array<Complex, 4> &want)
 {
     std::array<int, 4> perm = {0, 1, 2, 3};
-    std::array<int, 4> best_perm = perm;
-    double best = 1e18;
-    std::sort(perm.begin(), perm.end());
+    Match best{perm, 1e18};
     do {
         double s = 0;
         for (int i = 0; i < 4; ++i)
             s += std::abs(got[size_t(perm[size_t(i)])] - want[size_t(i)]);
-        if (s < best) {
-            best = s;
-            best_perm = perm;
-        }
+        if (s < best.score)
+            best = Match{perm, s};
     } while (std::next_permutation(perm.begin(), perm.end()));
-    return best_perm;
+    return best;
 }
 
 } // namespace
@@ -89,60 +75,35 @@ kakDecompose(const Mat4 &u)
 {
     MIRAGE_ASSERT(u.isUnitary(1e-8), "kakDecompose needs a unitary input");
 
-    // Det-normalize into SU(4).
-    Complex det = u.det();
-    Mat4 un = u * std::polar(1.0, -std::arg(det) / 4.0);
-
-    // Canonical coordinates and the target CAN spectrum.
+    // One Jacobi spectrum of gamma gives the coordinates and the branch.
+    GammaSpectrum spec = gammaSpectrum(u);
     KakDecomposition out;
-    out.coords = weylCoordinates(u);
+    out.coords = weylCoordinates(spec);
     auto d = canMagicAngles(out.coords.a, out.coords.b, out.coords.c);
-    std::array<Complex, 4> lambda;
-    for (int i = 0; i < 4; ++i)
+    std::array<Complex, 4> lambda, neg_lambda;
+    for (int i = 0; i < 4; ++i) {
         lambda[size_t(i)] = std::polar(1.0, 2.0 * d[size_t(i)]);
-
-    Mat4 v = toMagic(un);
-    Mat4 gamma = v * v.transpose();
+        neg_lambda[size_t(i)] = -lambda[size_t(i)];
+    }
 
     // The SU(4) representative is only defined up to a 4th root of unity;
     // that scales gamma by +-1. Pick the branch whose spectrum matches the
-    // CAN target.
-    auto got = linalg::eigenvalues4(gamma);
-    std::array<Complex, 4> neg_lambda;
-    for (int i = 0; i < 4; ++i)
-        neg_lambda[size_t(i)] = -lambda[size_t(i)];
-    if (matchScore(got, neg_lambda) < matchScore(got, lambda)) {
-        un = un * Complex(0, 1);
-        v = toMagic(un);
-        gamma = v * v.transpose();
+    // CAN target. Flipping multiplies V by i, so gamma becomes -gamma: O
+    // still diagonalizes it, and matching the negated diagonal against
+    // lambda is matching the diagonal against -lambda.
+    Match pos = bestPermutation(spec.diag, lambda);
+    Match neg = bestPermutation(spec.diag, neg_lambda);
+    std::array<int, 4> perm = pos.perm;
+    if (neg.score < pos.score - kBranchTieMargin) {
+        perm = neg.perm;
+        spec.v = spec.v * Complex(0, 1);
     }
 
-    // Simultaneously diagonalize Re(gamma), Im(gamma) (they commute for a
-    // symmetric unitary) with a real orthogonal O.
-    Sym4 re{}, im{};
-    for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 4; ++j) {
-            re(i, j) = gamma(i, j).real();
-            im(i, j) = gamma(i, j).imag();
-        }
-    }
-    Sym4 o = linalg::simultaneousDiagonalize(re, im, 1e-6);
-
-    // Diagonal of O^T gamma O, then reorder columns to match the target
-    // spectrum slot by slot.
-    std::array<Complex, 4> diag;
-    for (int j = 0; j < 4; ++j) {
-        Complex s(0);
-        for (int r = 0; r < 4; ++r)
-            for (int c = 0; c < 4; ++c)
-                s += o(r, j) * gamma(r, c) * o(c, j);
-        diag[size_t(j)] = s;
-    }
-    auto perm = bestPermutation(diag, lambda);
+    // Reorder O's columns to match the target spectrum slot by slot.
     Sym4 op{};
     for (int j = 0; j < 4; ++j)
         for (int i = 0; i < 4; ++i)
-            op(i, j) = o(i, perm[size_t(j)]);
+            op(i, j) = spec.o(i, perm[size_t(j)]);
 
     // Land in SO(4); negating one column leaves the diagonalization alone.
     if (linalg::det4(op) < 0) {
@@ -159,7 +120,7 @@ kakDecompose(const Mat4 &u)
     // real orthogonal when everything above is consistent.
     Mat4 dinv = Mat4::diag(std::polar(1.0, -d[0]), std::polar(1.0, -d[1]),
                            std::polar(1.0, -d[2]), std::polar(1.0, -d[3]));
-    Mat4 k2 = dinv * omat.transpose() * v;
+    Mat4 k2 = dinv * omat.transpose() * spec.v;
 
     double imag_resid = 0;
     for (int i = 0; i < 4; ++i)

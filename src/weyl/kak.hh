@@ -43,13 +43,14 @@ struct KakDecomposition
  * degenerate special gates alike: the local factors come from a two-stage
  * Jacobi diagonalization, which handles degenerate eigenspaces.
  *
- * The branch pick is not robust in the same way. The SU(4)
- * representative is fixed up to a factor of i, chosen by matching the
- * Durand-Kerner spectrum of gamma against the CAN target and its
- * negation. On spectra symmetric under negation (CNOT and iSWAP
- * classes) the two scores differ only by round-off, so a different
- * floating-point codegen can pick the other branch and emit different
- * local factors. Both branches reconstruct the input.
+ * The SU(4) representative is fixed up to a factor of i, which flips
+ * the sign of gamma. The branch is picked on the same Jacobi spectrum of
+ * gamma that gives the Weyl coordinates (gammaSpectrum), by matching its
+ * diagonal against the CAN target and its negation. On spectra symmetric
+ * under negation (CNOT and iSWAP classes) the two matches tie; a fixed
+ * rule keeps the + branch unless the - match wins by more than 1e-12, so
+ * round-off does not pick the local factors. Both branches reconstruct
+ * the input.
  */
 KakDecomposition kakDecompose(const Mat4 &u);
 

@@ -137,84 +137,6 @@ expm(const Mat4 &m)
     return sum;
 }
 
-std::array<Complex, 4>
-characteristicPolynomial(const Mat4 &m)
-{
-    Mat4 mk = m;
-    Complex c3 = -mk.trace();
-    Mat4 aux = mk + scale4(Mat4::identity(), c3);
-    mk = matmul4(m, aux);
-    Complex c2 = mk.trace() * Complex(-0.5);
-    aux = mk + scale4(Mat4::identity(), c2);
-    mk = matmul4(m, aux);
-    Complex c1 = mk.trace() * Complex(-1.0 / 3.0);
-    aux = mk + scale4(Mat4::identity(), c1);
-    mk = matmul4(m, aux);
-    Complex c0 = mk.trace() * Complex(-0.25);
-    return {c0, c1, c2, c3};
-}
-
-namespace {
-
-Complex
-evalPoly(const std::array<Complex, 4> &c, Complex x)
-{
-    Complex v = x + c[3];
-    v = v * x + c[2];
-    v = v * x + c[1];
-    v = v * x + c[0];
-    return v;
-}
-
-} // namespace
-
-std::array<Complex, 4>
-eigenvalues4(const Mat4 &m)
-{
-    // Qualified: ADL on Mat4 would also find linalg::characteristicPolynomial.
-    auto c = reference::characteristicPolynomial(m);
-
-    std::array<Complex, 4> r;
-    Complex seed(0.4, 0.9);
-    r[0] = Complex(1);
-    for (int i = 1; i < 4; ++i)
-        r[i] = r[i - 1] * seed;
-
-    for (int iter = 0; iter < 200; ++iter) {
-        double delta = 0;
-        for (int i = 0; i < 4; ++i) {
-            Complex denom(1);
-            for (int j = 0; j < 4; ++j) {
-                if (j != i)
-                    denom *= (r[i] - r[j]);
-            }
-            if (std::abs(denom) < 1e-300)
-                denom = Complex(1e-300);
-            Complex step = evalPoly(c, r[i]) / denom;
-            r[i] -= step;
-            delta = std::max(delta, std::abs(step));
-        }
-        if (delta < 1e-14)
-            break;
-    }
-
-    for (int i = 0; i < 4; ++i) {
-        for (int k = 0; k < 3; ++k) {
-            Complex x = r[i];
-            Complex f = evalPoly(c, x);
-            Complex fp = Complex(4) * x * x * x + Complex(3) * c[3] * x * x +
-                         Complex(2) * c[2] * x + c[1];
-            if (std::abs(fp) < 1e-10)
-                break;
-            Complex step = f / fp;
-            if (std::abs(step) > 0.1)
-                break;
-            r[i] = x - step;
-        }
-    }
-    return r;
-}
-
 SymEig4
 jacobiEigen4(const Sym4 &m)
 {

@@ -64,12 +64,6 @@ double processFidelity(const Mat4 &a, const Mat4 &b);
 /** Scaling-and-squaring Taylor expm built on the scalar product. */
 Mat4 expm(const Mat4 &m);
 
-/** Faddeev-LeVerrier characteristic polynomial (scalar products). */
-std::array<Complex, 4> characteristicPolynomial(const Mat4 &m);
-
-/** Durand-Kerner eigenvalues on the scalar characteristic polynomial. */
-std::array<Complex, 4> eigenvalues4(const Mat4 &m);
-
 /** Cyclic Jacobi eigensolver for real symmetric 4x4 matrices. */
 SymEig4 jacobiEigen4(const Sym4 &m);
 

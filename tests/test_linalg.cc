@@ -92,78 +92,6 @@ TEST(RandomUnitary, HaarTraceStatistics)
     EXPECT_LT(mean, 1.6);
 }
 
-TEST(Eigen, CharacteristicPolynomialDiagonal)
-{
-    Mat4 d = Mat4::diag(1, 2, 3, 4);
-    auto c = characteristicPolynomial(d);
-    // (x-1)(x-2)(x-3)(x-4) = x^4 -10x^3 +35x^2 -50x +24
-    EXPECT_NEAR(c[3].real(), -10.0, 1e-10);
-    EXPECT_NEAR(c[2].real(), 35.0, 1e-10);
-    EXPECT_NEAR(c[1].real(), -50.0, 1e-10);
-    EXPECT_NEAR(c[0].real(), 24.0, 1e-10);
-}
-
-namespace {
-
-double
-spectrumDistance(std::array<Complex, 4> got, std::array<Complex, 4> want)
-{
-    double total = 0;
-    std::array<bool, 4> used{};
-    for (int i = 0; i < 4; ++i) {
-        double best = 1e18;
-        int bj = -1;
-        for (int j = 0; j < 4; ++j) {
-            if (used[size_t(j)])
-                continue;
-            double dd = std::abs(got[size_t(j)] - want[size_t(i)]);
-            if (dd < best) {
-                best = dd;
-                bj = j;
-            }
-        }
-        used[size_t(bj)] = true;
-        total += best;
-    }
-    return total;
-}
-
-} // namespace
-
-TEST(Eigen, EigenvaluesOfDiagonal)
-{
-    Mat4 d = Mat4::diag(Complex(0, 1), Complex(0, -1), 1, -1);
-    auto eigs = eigenvalues4(d);
-    std::array<Complex, 4> want = {Complex(0, 1), Complex(0, -1),
-                                   Complex(1, 0), Complex(-1, 0)};
-    EXPECT_LT(spectrumDistance(eigs, want), 1e-9);
-}
-
-TEST(Eigen, EigenvaluesDegenerate)
-{
-    Mat4 d = Mat4::diag(Complex(0, 1), Complex(0, 1), Complex(0, -1),
-                        Complex(0, -1));
-    auto eigs = eigenvalues4(d);
-    std::array<Complex, 4> want = {Complex(0, 1), Complex(0, 1),
-                                   Complex(0, -1), Complex(0, -1)};
-    EXPECT_LT(spectrumDistance(eigs, want), 1e-6);
-}
-
-TEST(Eigen, EigenvaluesUnitaryConjugated)
-{
-    Rng rng(99);
-    for (int trial = 0; trial < 25; ++trial) {
-        Mat4 u = randomSU4(rng);
-        std::array<Complex, 4> want = {
-            std::polar(1.0, 0.3), std::polar(1.0, -1.1),
-            std::polar(1.0, 2.0), std::polar(1.0, -1.2)};
-        Mat4 d = Mat4::diag(want[0], want[1], want[2], want[3]);
-        Mat4 m = u * d * u.dagger();
-        auto eigs = eigenvalues4(m);
-        EXPECT_LT(spectrumDistance(eigs, want), 1e-8);
-    }
-}
-
 TEST(Eigen, JacobiRealSymmetric)
 {
     Rng rng(5);

@@ -266,30 +266,6 @@ TEST(KernelDiff, ExpmBitIdentical)
     }
 }
 
-TEST(KernelDiff, CharacteristicPolynomialBitIdentical)
-{
-    auto c = corpus4();
-    for (size_t i = 0; i < c.size(); ++i) {
-        auto got = characteristicPolynomial(c[i]);
-        auto want = ref::characteristicPolynomial(c[i]);
-        for (int k = 0; k < 4; ++k)
-            expectBitEqual(got[size_t(k)], want[size_t(k)], "charpoly",
-                           int(i));
-    }
-}
-
-TEST(KernelDiff, Eigenvalues4BitIdentical)
-{
-    auto c = corpus4();
-    for (size_t i = 0; i < c.size(); ++i) {
-        auto got = eigenvalues4(c[i]);
-        auto want = ref::eigenvalues4(c[i]);
-        for (int k = 0; k < 4; ++k)
-            expectBitEqual(got[size_t(k)], want[size_t(k)], "eigenvalues4",
-                           int(i));
-    }
-}
-
 TEST(KernelDiff, JacobiEigen4BitIdentical)
 {
     Rng rng(0x2545F491);

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/rng.hh"
 #include "linalg/random_unitary.hh"
@@ -25,6 +27,15 @@ namespace {
 
 constexpr double kPi4 = kPi / 4.0;
 constexpr double kPi8 = kPi / 8.0;
+
+/** The KAK coordinates are weylCoordinates' own, bit for bit. */
+void
+expectCoordsBitEqual(const Coord &got, const Coord &want)
+{
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.a), std::bit_cast<uint64_t>(want.a));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.b), std::bit_cast<uint64_t>(want.b));
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.c), std::bit_cast<uint64_t>(want.c));
+}
 
 } // namespace
 
@@ -225,20 +236,28 @@ TEST(Kak, ReconstructsRandomUnitaries)
         KakDecomposition kak = kakDecompose(u);
         EXPECT_LT(kak.error(u), 1e-7) << "trial " << trial;
         EXPECT_TRUE(inAlcove(kak.coords));
+        expectCoordsBitEqual(kak.coords, weylCoordinates(u));
     }
 }
 
 TEST(Kak, ReconstructsDressedCanGates)
 {
     // Locally dressed CAN gates with degenerate spectra are the stress
-    // case for the simultaneous diagonalization.
+    // case for the simultaneous diagonalization. The CNOT and iSWAP
+    // classes have gamma spectra symmetric under negation, so both are
+    // decided by the branch-pick tie rule.
     Rng rng(808);
-    for (int trial = 0; trial < 100; ++trial) {
-        Mat4 u = linalg::randomLocal4(rng) *
-                 canonicalGate(kPi4, 0, 0) * linalg::randomLocal4(rng);
-        KakDecomposition kak = kakDecompose(u);
-        EXPECT_LT(kak.error(u), 1e-7);
-        EXPECT_TRUE(kak.coords.closeTo(coordCNOT(), 1e-7));
+    for (const Coord &target : {coordCNOT(), coordISWAP()}) {
+        for (int trial = 0; trial < 100; ++trial) {
+            Mat4 u = linalg::randomLocal4(rng) *
+                     canonicalGate(target.a, target.b, target.c) *
+                     linalg::randomLocal4(rng);
+            KakDecomposition kak = kakDecompose(u);
+            EXPECT_LT(kak.error(u), 1e-7)
+                << target.toString() << " trial " << trial;
+            EXPECT_TRUE(kak.coords.closeTo(target, 1e-7));
+            expectCoordsBitEqual(kak.coords, weylCoordinates(u));
+        }
     }
 }
 
