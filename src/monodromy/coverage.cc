@@ -9,6 +9,7 @@
 #include "monodromy/coverage.hh"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cmath>
 #include <map>
@@ -385,13 +386,14 @@ CoverageSet::minK(const Coord &c) const
     if (c.a < 1e-9 && c.b < 1e-9 && c.c < 1e-9)
         return 0;
     auto s = weyl::signedRep(c);
-    std::vector<Vec3> reps = {Vec3{s[0], s[1], s[2]}};
+    std::array<Vec3, 2> reps = {Vec3{s[0], s[1], s[2]}};
+    size_t num_reps = 1;
     // On the x == pi/4 face the class has both z-sign representatives.
     if (std::fabs(s[0] - kPi / 4.0) < 1e-9 && std::fabs(s[2]) > 1e-12)
-        reps.push_back(Vec3{s[0], s[1], -s[2]});
+        reps[num_reps++] = Vec3{s[0], s[1], -s[2]};
     for (int k = 1; k <= kMax(); ++k) {
-        for (const auto &rep : reps) {
-            if (perK_[size_t(k - 1)].contains(rep, 1e-6))
+        for (size_t r = 0; r < num_reps; ++r) {
+            if (perK_[size_t(k - 1)].contains(reps[r], 1e-6))
                 return k;
         }
     }

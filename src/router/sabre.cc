@@ -7,10 +7,14 @@
  * Hot-path design (the routing phase dominates transpile time, paper
  * Fig. 13): every scoring quantity is an exact integer distance sum,
  * combined into the floating-point heuristic by ONE shared expression
- * (combineHeuristic / combineOutlook). A per-pass scratch arena
- * (epoch-stamped `seen`, reusable front/extended/candidate buffers,
- * per-wire touch lists) makes the steady state allocation-free, and
- * swap candidates are scored incrementally: the base sums are built
+ * (combineHeuristic / combineOutlook). A pass records compact decisions
+ * (Step: a DAG node on physical wires, plain or mirrored, or a SWAP)
+ * rather than Gates, and accumulates its estimated depth/cost as it
+ * emits; only the post-selected winner is materialized into a Circuit.
+ * A per-pass scratch arena (epoch-stamped `seen`, reusable
+ * front/extended/candidate buffers, per-wire touch lists) means the
+ * steady state allocates only when the step list grows, and swap
+ * candidates are scored incrementally: the base sums are built
  * once per stall step, and a candidate SWAP (pa, pb) only adjusts the
  * contributions of nodes touching pa or pb (ScoreMode::Delta). The
  * allocation-heavy full-rescan scorer survives as ScoreMode::Naive -- a
@@ -35,7 +39,6 @@
 
 #include "circuit/dag.hh"
 #include "common/logging.hh"
-#include "mirage/depth_metric.hh"
 #include "weyl/catalog.hh"
 #include "weyl/coordinates.hh"
 
@@ -165,17 +168,31 @@ struct PassScratch
 struct NodeMirror
 {
     weyl::Coord mirrorCoord;      ///< mirrorCoord(gate coords)
-    double gateCost = 0;          ///< costModel->costOf(coords)
     double mirrorCost = 0;        ///< costModel->costOf(mirror coords)
     linalg::Mat4 mirroredMatrix;  ///< SWAP * U (the emitted unitary)
 };
 
 /**
+ * One routing decision, on physical wires: a DAG node emitted plain or
+ * as its mirror, or an inserted SWAP. A pass records these instead of
+ * Gates; materialize() turns the winner's list into the routed Circuit.
+ */
+struct Step
+{
+    enum class Kind : uint8_t { Node, Mirror, Swap };
+    int node; ///< DAG node id (-1 for a SWAP)
+    int pa;   ///< first physical wire
+    int pb;   ///< second physical wire (-1 for a 1Q node)
+    Kind kind;
+};
+
+/**
  * Immutable routing plan for one DAG direction: compact per-node
  * arrays (the hot loops touch these instead of chasing Gate objects
- * through DagNode), plus the mirror table when the pass may mirror.
- * Built once per routeWithTrials direction and shared read-only across
- * the whole trial grid; routePass builds a private one.
+ * through DagNode), the per-node pulse costs when a cost model is set,
+ * plus the mirror table when the pass may mirror. Built once per
+ * routeWithTrials direction and shared read-only across the whole trial
+ * grid; routePass builds a private one.
  */
 struct RoutePlan
 {
@@ -183,6 +200,9 @@ struct RoutePlan
     std::vector<uint8_t> oneQ;                ///< per node: 1Q gate
     std::vector<uint8_t> twoQ;                ///< per node: 2Q gate
     std::vector<std::array<int, 2>> wires;    ///< logical operands
+    /** Per 2Q node: costOf(annotated coords); empty without a model. */
+    std::vector<double> cost;
+    double swapCost = 0;                      ///< costOf(coordSWAP())
     std::vector<NodeMirror> mirror;           ///< empty unless mirroring
 };
 
@@ -196,6 +216,10 @@ makePlan(const DagCircuit &dag, const monodromy::CostModel *cost_model,
     plan.oneQ.resize(n);
     plan.twoQ.resize(n);
     plan.wires.assign(n, {0, 0});
+    if (cost_model) {
+        plan.cost.assign(n, 0.0);
+        plan.swapCost = cost_model->costOf(weyl::coordSWAP());
+    }
     if (with_mirrors) {
         MIRAGE_ASSERT(cost_model, "mirror decisions need a cost model");
         plan.mirror.resize(n);
@@ -208,24 +232,71 @@ makePlan(const DagCircuit &dag, const monodromy::CostModel *cost_model,
         plan.oneQ[id] = g.isOneQubit();
         plan.twoQ[id] = g.isTwoQubit();
         plan.wires[id][0] = g.qubits[0];
-        if (g.isTwoQubit())
-            plan.wires[id][1] = g.qubits[1];
-        if (with_mirrors && g.isTwoQubit()) {
-            // Same values considerMirror/execute historically computed
-            // per consideration, hoisted to once per node: the Weyl
-            // coordinates, both decomposition costs, and the mirrored
-            // unitary SWAP * U (paper Eq. 1 -- no eigensolver call).
-            weyl::Coord c = g.coords.has_value()
-                                ? *g.coords
-                                : weyl::weylCoordinates(g.matrix4());
+        if (!g.isTwoQubit())
+            continue;
+        plan.wires[id][1] = g.qubits[1];
+        if (!cost_model)
+            continue;
+        // With a cost model liftToDag annotated the coordinates, so this
+        // is exactly the cost computeMetrics charges the emitted gate.
+        const weyl::Coord c = g.weylCoords();
+        plan.cost[id] = cost_model->costOf(c);
+        if (with_mirrors) {
+            // Hoisted to once per node: the mirror coordinates, their
+            // cost, and the mirrored unitary SWAP * U (paper Eq. 1 -- no
+            // eigensolver call).
             NodeMirror &m = plan.mirror[id];
             m.mirrorCoord = weyl::mirrorCoord(c);
-            m.gateCost = cost_model->costOf(c);
             m.mirrorCost = cost_model->costOf(m.mirrorCoord);
             m.mirroredMatrix = weyl::gateSWAP() * g.matrix4();
         }
     }
     return plan;
+}
+
+/**
+ * The routed Circuit a step list stands for: exactly the gates a pass
+ * would have appended as it went -- the node's gate moved onto its
+ * physical wires, the premultiplied mirror with its Eq. 1 coordinates,
+ * or a SWAP annotated with the SWAP class.
+ */
+Circuit
+materialize(const RoutePlan &plan, int num_phys,
+            const std::vector<Step> &steps)
+{
+    Circuit out(num_phys, "routed");
+    out.gates().reserve(steps.size());
+    for (const Step &s : steps) {
+        switch (s.kind) {
+          case Step::Kind::Node: {
+            Gate phys = plan.dag->node(s.node).gate;
+            if (plan.oneQ[size_t(s.node)])
+                phys.qubits = {s.pa};
+            else
+                phys.qubits = {s.pa, s.pb};
+            out.append(std::move(phys));
+            break;
+          }
+          case Step::Kind::Mirror: {
+            // U' = SWAP * U with the mirror coordinate annotated via
+            // Eq. 1 -- no eigensolver call (paper Section VI-C); both
+            // were precomputed into the plan's mirror table.
+            const NodeMirror &mi = plan.mirror[size_t(s.node)];
+            Gate phys = circuit::makeUnitary2(s.pa, s.pb, mi.mirroredMatrix);
+            phys.mirrored = true;
+            phys.coords = mi.mirrorCoord;
+            out.append(std::move(phys));
+            break;
+          }
+          case Step::Kind::Swap: {
+            Gate sw = circuit::makeGate2(GateKind::SWAP, s.pa, s.pb);
+            sw.coords = weyl::coordSWAP();
+            out.append(std::move(sw));
+            break;
+          }
+        }
+    }
+    return out;
 }
 
 /** Mutable routing state for one pass. */
@@ -252,25 +323,56 @@ struct PassState
     uint64_t front_version = 1;
     uint64_t ext_version = 0;
 
-    Circuit out;
+    std::vector<Step> &out;
     int swaps_added = 0;
     int mirrors_accepted = 0;
     int mirror_candidates = 0;
     RoutingCounters counters;
 
+    // Running estimate of the routed circuit's pulse depth/total cost,
+    // charged one emitted 2Q gate at a time (only with a cost model).
+    std::vector<double> wire_depth; // per physical qubit
+    double est_depth = 0;
+    double est_total_cost = 0;
+
     explicit PassState(const RoutePlan &p, const CouplingMap &c,
                        const Layout &init, const PassOptions &o,
-                       PassScratch &s)
+                       PassScratch &s, std::vector<Step> &steps)
         : dag(p.dag), plan(&p), coupling(&c), opts(&o), scratch(&s),
           rng(o.seed), layout(init), indegree(p.dag->size(), 0),
-          decay(size_t(c.numQubits()), 1.0),
-          out(c.numQubits(), "routed")
+          decay(size_t(c.numQubits()), 1.0), out(steps)
     {
         scratch->prepare(dag->size(), size_t(c.numQubits()));
         for (const auto &node : dag->nodes())
             indegree[size_t(node.id)] = int(node.preds.size());
         for (int id : dag->roots())
             front.push_back(id);
+        // Every node is emitted once; only SWAPs grow the list past this.
+        out.clear();
+        out.reserve(dag->size());
+        if (estimating())
+            wire_depth.assign(size_t(c.numQubits()), 0.0);
+    }
+
+    /** The estimate runs whenever the plan carries a cost model. */
+    bool estimating() const { return !plan->cost.empty(); }
+
+    /**
+     * Charge one emitted 2Q gate to the running estimate with exactly
+     * computeMetrics' arithmetic, in emission order, so estDepth and
+     * estTotalCost equal computeMetrics on the materialized circuit bit
+     * for bit.
+     */
+    void
+    charge(double cost, int pa, int pb)
+    {
+        est_total_cost += cost;
+        double start = 0;
+        start = std::max(start, wire_depth[size_t(pa)]);
+        start = std::max(start, wire_depth[size_t(pb)]);
+        wire_depth[size_t(pa)] = start + cost;
+        wire_depth[size_t(pb)] = start + cost;
+        est_depth = std::max(est_depth, start + cost);
     }
 
     void
@@ -527,8 +629,8 @@ struct PassState
         double h_now = combineOutlook(now_sums, ne);
         double h_mirror = combineOutlook(mirror_sums, ne);
 
-        double swap_cost = opts->costModel->swapCost();
-        double cost_current = mi.gateCost + swap_cost * h_now;
+        double swap_cost = plan->swapCost;
+        double cost_current = plan->cost[size_t(id)] + swap_cost * h_now;
         double cost_trial = mi.mirrorCost + swap_cost * h_mirror;
 
         bool accept = false;
@@ -559,34 +661,26 @@ struct PassState
     bool
     execute(int id)
     {
-        const Gate &g = dag->node(id).gate;
+        const auto &w = plan->wires[size_t(id)];
         if (plan->oneQ[size_t(id)]) {
-            Gate phys = g;
-            phys.qubits = {layout.toPhysical(g.qubits[0])};
-            out.append(std::move(phys));
+            out.push_back({id, layout.toPhysical(w[0]), -1,
+                           Step::Kind::Node});
             advance(id);
             return false;
         }
 
-        int pa = layout.toPhysical(g.qubits[0]);
-        int pb = layout.toPhysical(g.qubits[1]);
+        int pa = layout.toPhysical(w[0]);
+        int pb = layout.toPhysical(w[1]);
         bool mirrored = considerMirror(id);
 
-        Gate phys;
-        if (mirrored) {
-            // U' = SWAP * U with the mirror coordinate annotated via
-            // Eq. 1 -- no eigensolver call (paper Section VI-C); both
-            // were precomputed into the plan's mirror table.
-            const NodeMirror &mi = plan->mirror[size_t(id)];
-            phys = circuit::makeUnitary2(pa, pb, mi.mirroredMatrix);
-            phys.mirrored = true;
-            phys.coords = mi.mirrorCoord;
+        if (estimating())
+            charge(mirrored ? plan->mirror[size_t(id)].mirrorCost
+                            : plan->cost[size_t(id)],
+                   pa, pb);
+        out.push_back(
+            {id, pa, pb, mirrored ? Step::Kind::Mirror : Step::Kind::Node});
+        if (mirrored)
             ++mirrors_accepted;
-        } else {
-            phys = g;
-            phys.qubits = {pa, pb};
-        }
-        out.append(std::move(phys));
         resetDecay();
         advance(id);
         return mirrored;
@@ -649,9 +743,9 @@ struct PassState
         }
         auto [pa, pb] = best_swaps[rng.index(best_swaps.size())];
 
-        Gate sw = circuit::makeGate2(GateKind::SWAP, pa, pb);
-        sw.coords = weyl::coordSWAP();
-        out.append(std::move(sw));
+        if (estimating())
+            charge(plan->swapCost, pa, pb);
+        out.push_back({-1, pa, pb, Step::Kind::Swap});
         layout.swapPhysical(pa, pb);
         ++swaps_added;
         decay[size_t(pa)] += kDecayIncrement;
@@ -731,8 +825,8 @@ requireRoutableTopology(const CouplingMap &coupling)
  *
  * With annotate_coords set, 2Q gates missing Weyl coordinates get them
  * stamped here (the same deterministic weylCoordinates value every
- * later consumer would compute), so the routed output carries coords
- * and per-pass metric computation never re-runs the eigensolver.
+ * later consumer would compute), so the plan costs each node once and
+ * the routed output carries coords into the pipeline's metrics.
  */
 DagCircuit
 liftToDag(const Circuit &circuit, const CouplingMap &coupling,
@@ -753,31 +847,31 @@ liftToDag(const Circuit &circuit, const CouplingMap &coupling,
     return DagCircuit(lifted);
 }
 
+/**
+ * One pass from `initial`. Its decisions replace the contents of
+ * `steps`; the result's `routed` stays empty until the caller
+ * materializes the steps it keeps.
+ */
 RouteResult
 routePassOnPlan(const RoutePlan &plan, const CouplingMap &coupling,
                 const Layout &initial, const PassOptions &opts,
-                PassScratch &scratch)
+                PassScratch &scratch, std::vector<Step> &steps)
 {
     MIRAGE_ASSERT(initial.size() == coupling.numQubits(),
                   "layout size mismatch");
 
-    PassState state(plan, coupling, initial, opts, scratch);
+    PassState state(plan, coupling, initial, opts, scratch, steps);
     state.run();
 
     RouteResult res;
-    res.routed = std::move(state.out);
     res.initial = initial;
-    res.final = state.layout;
+    res.final = std::move(state.layout);
     res.swapsAdded = state.swaps_added;
     res.mirrorsAccepted = state.mirrors_accepted;
     res.mirrorCandidates = state.mirror_candidates;
+    res.estDepth = state.est_depth;
+    res.estTotalCost = state.est_total_cost;
     res.counters = state.counters;
-    if (opts.costModel && opts.estimateMetrics) {
-        auto metrics =
-            mirage_pass::computeMetrics(res.routed, *opts.costModel);
-        res.estDepth = metrics.depth;
-        res.estTotalCost = metrics.totalCost;
-    }
     return res;
 }
 
@@ -793,7 +887,11 @@ routePass(const Circuit &circuit, const CouplingMap &coupling,
         liftToDag(circuit, coupling, opts.costModel != nullptr);
     RoutePlan plan = makePlan(dag, opts.costModel,
                               opts.aggression != Aggression::None);
-    return routePassOnPlan(plan, coupling, initial, opts, scratch);
+    std::vector<Step> steps;
+    RouteResult res =
+        routePassOnPlan(plan, coupling, initial, opts, scratch, steps);
+    res.routed = materialize(plan, coupling.numQubits(), steps);
+    return res;
 }
 
 std::vector<Aggression>
@@ -903,25 +1001,25 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
     exec::parallelFor(pool, trials, [&](int64_t t) {
         StreamRng stream(opts.seed, uint64_t(t));
         PassOptions pass = passForTrial(opts, int(t));
-        // Refinement passes only feed their final layout forward; skip
-        // the estimate walk nobody reads.
-        pass.estimateMetrics = false;
         Rng layout_rng(stream.at(kLayoutCounter));
         Layout layout = Layout::random(coupling.numQubits(), layout_rng);
         PassScratch scratch;
+        // Refinement passes only feed their final layout forward; their
+        // decisions share one buffer and are never materialized.
+        std::vector<Step> steps;
         RoutingCounters &counters = refine_counters[size_t(t)];
         for (int iter = 0; iter < opts.forwardBackwardPasses; ++iter) {
             pass.seed = stream.at(kRefineBase + 2 * uint64_t(iter));
             RouteResult fwd = routePassOnPlan(fwd_plan, coupling, layout,
-                                              pass, scratch);
+                                              pass, scratch, steps);
             pass.seed = stream.at(kRefineBase + 2 * uint64_t(iter) + 1);
-            RouteResult bwd = routePassOnPlan(bwd_plan, coupling,
-                                              fwd.final, pass, scratch);
-            layout = bwd.final;
+            RouteResult bwd = routePassOnPlan(bwd_plan, coupling, fwd.final,
+                                              pass, scratch, steps);
+            layout = std::move(bwd.final);
             counters.add(fwd.counters);
             counters.add(bwd.counters);
         }
-        refined[size_t(t)] = layout;
+        refined[size_t(t)] = std::move(layout);
     });
 
     // Stage 2: the flattened layoutTrials x swapTrials grid of final
@@ -929,10 +1027,11 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
     // (metric, grid-index) minimum. Taking the lowest index among equal
     // metrics reproduces the serial strictly-lower-wins loop exactly,
     // independent of completion order, while keeping only the running
-    // best result live instead of the whole grid.
+    // best step list live instead of the whole grid.
     const int64_t grid = int64_t(trials) * int64_t(swap_trials);
     std::vector<RoutingCounters> grid_counters(static_cast<size_t>(grid));
     std::optional<RouteResult> best;
+    std::vector<Step> best_steps;
     double best_metric = std::numeric_limits<double>::infinity();
     int64_t best_idx = grid;
     std::mutex best_mutex;
@@ -943,8 +1042,9 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
         pass.seed = StreamRng(opts.seed, uint64_t(t))
                         .at(swap_base + uint64_t(st));
         PassScratch scratch;
+        std::vector<Step> steps;
         RouteResult res = routePassOnPlan(
-            fwd_plan, coupling, refined[size_t(t)], pass, scratch);
+            fwd_plan, coupling, refined[size_t(t)], pass, scratch, steps);
         grid_counters[size_t(i)] = res.counters;
         double metric = opts.postSelect == PostSelect::Swaps
                             ? double(res.swapsAdded)
@@ -955,10 +1055,13 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
             best_metric = metric;
             best_idx = i;
             best = std::move(res);
+            best_steps = std::move(steps);
         }
     });
     MIRAGE_ASSERT(best.has_value(), "no routing trial succeeded");
 
+    // Only the post-selected winner becomes a Circuit.
+    best->routed = materialize(fwd_plan, coupling.numQubits(), best_steps);
     // Report the routing-phase work of the WHOLE grid (refinement +
     // swap trials), summed in index order so the total is identical
     // for every thread count.

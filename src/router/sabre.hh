@@ -80,13 +80,6 @@ struct PassOptions
      * default -- the check is a pointer test.
      */
     Deadline deadline;
-    /**
-     * Fill RouteResult::estDepth/estTotalCost when a cost model is set.
-     * routeWithTrials turns this off for the layout-refinement passes,
-     * whose estimates nobody reads -- an O(routed gates) metric walk
-     * per pass for nothing.
-     */
-    bool estimateMetrics = true;
 };
 
 /**
@@ -139,13 +132,22 @@ struct RoutingCounters
 /** Result of routing a circuit onto a coupling map. */
 struct RouteResult
 {
-    circuit::Circuit routed; ///< physical circuit (SWAPs materialized)
+    /**
+     * Physical circuit (SWAPs materialized). Passes record compact
+     * decisions; this is built once per call, from the post-selected
+     * winner's decisions for routeWithTrials.
+     */
+    circuit::Circuit routed;
     layout::Layout initial;  ///< logical -> physical before the circuit
     layout::Layout final;    ///< logical -> physical after the circuit
     int swapsAdded = 0;
     int mirrorsAccepted = 0;
     int mirrorCandidates = 0;
-    /** Estimated pulse depth/cost when a cost model was supplied. */
+    /**
+     * Estimated pulse depth/cost when a cost model was supplied:
+     * accumulated as the pass emits, bit-identical to
+     * mirage_pass::computeMetrics(routed, cost model).
+     */
     double estDepth = 0;
     double estTotalCost = 0;
     /**

@@ -10,7 +10,9 @@
  * shared combiner, so equality is exact, not approximate; these tests
  * enforce it over the whole Table III suite, every aggression level,
  * and two production topologies, plus the multi-trial flow across
- * thread counts.
+ * thread counts. A pass accumulates its depth/cost estimate as it
+ * emits, and that estimate must equal computeMetrics on the
+ * materialized circuit exactly.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "bench_circuits/generators.hh"
 #include "circuit/consolidate.hh"
 #include "layout/layout.hh"
+#include "mirage/depth_metric.hh"
 #include "mirage/pipeline.hh"
 #include "monodromy/cost_model.hh"
 #include "router/sabre.hh"
@@ -58,6 +61,17 @@ expectSameRoute(const RouteResult &a, const RouteResult &b,
     EXPECT_EQ(a.estDepth, b.estDepth) << what;
     EXPECT_EQ(a.estTotalCost, b.estTotalCost) << what;
     EXPECT_TRUE(a.counters == b.counters) << what;
+}
+
+/** The pass's running estimate against a full metric walk. */
+void
+expectEstimateMatchesMetrics(const RouteResult &res,
+                             const monodromy::CostModel &cost,
+                             const std::string &what)
+{
+    auto metrics = mirage_pass::computeMetrics(res.routed, cost);
+    EXPECT_EQ(res.estDepth, metrics.depth) << what;
+    EXPECT_EQ(res.estTotalCost, metrics.totalCost) << what;
 }
 
 } // namespace
@@ -126,6 +140,59 @@ TEST(ScoringEquivalence, TrialFlowMatchesAcrossModesAndThreads)
     for (size_t i = 1; i < results.size(); ++i)
         expectSameRoute(results[0], results[i],
                         "mode/thread combination " + std::to_string(i));
+}
+
+TEST(ScoringEquivalence, EstimateMatchesComputeMetrics)
+{
+    auto cost = monodromy::makeRootIswapCostModel(2);
+    const auto &suite = bench::paperBenchmarks();
+    const size_t limit = std::min(kSuiteLimit, suite.size());
+    std::vector<CouplingMap> topologies = {CouplingMap::grid(8, 8),
+                                           CouplingMap::heavyHex57()};
+
+    for (size_t i = 0; i < limit; ++i) {
+        Circuit consolidated = circuit::consolidateBlocks(
+            mirage_pass::unrollThreeQubit(suite[i].make()));
+        for (const auto &topo : topologies) {
+            const std::string where = suite[i].name + " on " + topo.name();
+            Rng lay_rng(2000 + uint64_t(i));
+            auto init =
+                layout::Layout::random(topo.numQubits(), lay_rng);
+            for (Aggression a :
+                 {Aggression::None, Aggression::Lower, Aggression::Equal,
+                  Aggression::Always}) {
+                PassOptions opts;
+                opts.aggression = a;
+                opts.costModel = &cost;
+                opts.seed = 7 + uint64_t(i);
+                RouteResult res = routePass(consolidated, topo, init, opts);
+                EXPECT_GT(res.estDepth, 0) << where;
+                expectEstimateMatchesMetrics(
+                    res, cost,
+                    where + " aggression " + std::to_string(int(a)));
+            }
+
+            TrialOptions trials;
+            trials.layoutTrials = 4;
+            trials.forwardBackwardPasses = 1;
+            trials.swapTrials = 2;
+            trials.trialAggression =
+                mirageAggressionMix(trials.layoutTrials);
+            trials.pass.costModel = &cost;
+            trials.seed = 31 + uint64_t(i);
+            for (PostSelect post : {PostSelect::Swaps, PostSelect::Depth}) {
+                for (int threads : {1, 4}) {
+                    trials.postSelect = post;
+                    trials.threads = threads;
+                    expectEstimateMatchesMetrics(
+                        routeWithTrials(consolidated, topo, trials), cost,
+                        where + " post-select " +
+                            std::to_string(int(post)) + " threads " +
+                            std::to_string(threads));
+                }
+            }
+        }
+    }
 }
 
 TEST(ScoringEquivalence, CountersTrackRealWork)
