@@ -11,12 +11,17 @@
  * (Step: a DAG node on physical wires, plain or mirrored, or a SWAP)
  * rather than Gates, and accumulates its estimated depth/cost as it
  * emits; only the post-selected winner is materialized into a Circuit.
- * A per-pass scratch arena (epoch-stamped `seen`, reusable
- * front/extended/candidate buffers, per-wire touch lists) means the
- * steady state allocates only when the step list grows, and swap
- * candidates are scored incrementally: the base sums are built
- * once per stall step, and a candidate SWAP (pa, pb) only adjusts the
- * contributions of nodes touching pa or pb (ScoreMode::Delta). The
+ * The DAG walk reads CSR successor lists and initial in-degrees from
+ * the immutable RoutePlan, never the Gate-carrying DagNodes. One task
+ * per layout trial refines its layout and then runs its swap trials,
+ * all on one scratch arena (epoch-stamped `seen` and active-wire marks,
+ * reusable front/extended/candidate buffers, per-wire touch lists) and
+ * one step buffer, so the steady state allocates only when a step list
+ * grows. Swap candidates are enumerated once each, with no sort, and
+ * scored incrementally: the base sums are built once per stall step,
+ * and a candidate SWAP (pa, pb) only adjusts the contributions of nodes
+ * touching pa or pb (ScoreMode::Delta); a mirror outlook needs a single
+ * hypothetical swap, so it fuses both sums into one scan. The
  * allocation-heavy full-rescan scorer survives as ScoreMode::Naive -- a
  * runtime test hook, not an #ifdef -- and produces bit-identical
  * results because both modes feed the same integer sums through the
@@ -35,6 +40,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "circuit/dag.hh"
@@ -132,16 +138,19 @@ combineOutlook(const ScoreSums &s, size_t ne)
 }
 
 /**
- * Reusable buffers for one routing pass (the per-trial scratch arena).
- * Everything here reaches a steady-state capacity after the first few
- * steps, after which extendedSet/blockedFront/candidate enumeration
- * and scoring allocate nothing. The `seen` array is epoch-stamped
- * instead of cleared: bumping `epoch` invalidates every mark in O(1).
+ * Reusable buffers for the passes of one layout trial (the per-trial
+ * scratch arena). Everything here reaches a steady-state capacity after
+ * the first few steps, after which extendedSet/blockedFront/candidate
+ * enumeration and scoring allocate nothing. The `seen` and `wireMark`
+ * arrays are epoch-stamped instead of cleared: bumping the epoch
+ * invalidates every mark in O(1).
  */
 struct PassScratch
 {
     std::vector<uint64_t> seen; ///< per-DAG-node visit epoch
     uint64_t epoch = 0;
+    std::vector<uint64_t> wireMark; ///< per physical wire: active epoch
+    uint64_t wireEpoch = 0;
 
     std::vector<int> ext;      ///< extended (lookahead) set
     std::vector<int> front2q;  ///< blocked front-layer 2Q nodes
@@ -157,6 +166,8 @@ struct PassScratch
     {
         if (seen.size() < dag_size)
             seen.resize(dag_size, 0);
+        if (wireMark.size() < num_phys)
+            wireMark.resize(num_phys, 0);
         if (touch.size() < num_phys)
             touch.resize(num_phys);
     }
@@ -200,10 +211,22 @@ struct RoutePlan
     std::vector<uint8_t> oneQ;                ///< per node: 1Q gate
     std::vector<uint8_t> twoQ;                ///< per node: 2Q gate
     std::vector<std::array<int, 2>> wires;    ///< logical operands
+    /** CSR successor lists (see successors()). */
+    std::vector<int> succStart;
+    std::vector<int> succs;
+    std::vector<int> indegree;                ///< per node: predecessors
     /** Per 2Q node: costOf(annotated coords); empty without a model. */
     std::vector<double> cost;
     double swapCost = 0;                      ///< costOf(coordSWAP())
     std::vector<NodeMirror> mirror;           ///< empty unless mirroring
+
+    /** Successors of node `id`, in DagNode::succs order. */
+    std::span<const int>
+    successors(int id) const
+    {
+        return {succs.data() + succStart[size_t(id)],
+                succs.data() + succStart[size_t(id) + 1]};
+    }
 };
 
 RoutePlan
@@ -216,6 +239,15 @@ makePlan(const DagCircuit &dag, const monodromy::CostModel *cost_model,
     plan.oneQ.resize(n);
     plan.twoQ.resize(n);
     plan.wires.assign(n, {0, 0});
+    plan.succStart.reserve(n + 1);
+    plan.indegree.reserve(n);
+    for (const auto &node : dag.nodes()) {
+        plan.succStart.push_back(int(plan.succs.size()));
+        plan.succs.insert(plan.succs.end(), node.succs.begin(),
+                          node.succs.end());
+        plan.indegree.push_back(int(node.preds.size()));
+    }
+    plan.succStart.push_back(int(plan.succs.size()));
     if (cost_model) {
         plan.cost.assign(n, 0.0);
         plan.swapCost = cost_model->costOf(weyl::coordSWAP());
@@ -339,12 +371,10 @@ struct PassState
                        const Layout &init, const PassOptions &o,
                        PassScratch &s, std::vector<Step> &steps)
         : dag(p.dag), plan(&p), coupling(&c), opts(&o), scratch(&s),
-          rng(o.seed), layout(init), indegree(p.dag->size(), 0),
+          rng(o.seed), layout(init), indegree(p.indegree),
           decay(size_t(c.numQubits()), 1.0), out(steps)
     {
         scratch->prepare(dag->size(), size_t(c.numQubits()));
-        for (const auto &node : dag->nodes())
-            indegree[size_t(node.id)] = int(node.preds.size());
         for (int id : dag->roots())
             front.push_back(id);
         // Every node is emitted once; only SWAPs grow the list past this.
@@ -386,7 +416,7 @@ struct PassState
     void
     advance(int id)
     {
-        for (int s : dag->node(id).succs) {
+        for (int s : plan->successors(id)) {
             if (--indegree[size_t(s)] == 0)
                 front.push_back(s);
         }
@@ -424,7 +454,7 @@ struct PassState
         while (head < walk.size() &&
                int(ext.size()) < kExtendedSetSize) {
             int id = walk[head++];
-            for (int s : dag->node(id).succs) {
+            for (int s : plan->successors(id)) {
                 if (seen[size_t(s)] == epoch)
                     continue;
                 seen[size_t(s)] = epoch;
@@ -595,6 +625,41 @@ struct PassState
     }
 
     /**
+     * The mirror outlook's two sums in one scan (ScoreMode::Delta): each
+     * blocked-front and extended-set node is measured under the live
+     * layout into `now`, and under the layout with pa/pb swapped into
+     * `mirrored`; only nodes with an endpoint on pa or pb need a second
+     * distance. A mirror decision weighs a single hypothetical swap, so
+     * it builds no touch lists.
+     */
+    void
+    mirrorScanSums(int pa, int pb, ScoreSums &now,
+                   ScoreSums &mirrored) const
+    {
+        auto swapped = [pa, pb](int q) {
+            return q == pa ? pb : q == pb ? pa : q;
+        };
+        for (int pass = 0; pass < 2; ++pass) {
+            const bool in_front = pass == 0;
+            const auto &nodes =
+                in_front ? scratch->front2q : scratch->ext;
+            for (int id : nodes) {
+                const auto &w = plan->wires[size_t(id)];
+                const int qa = layout.toPhysical(w[0]);
+                const int qb = layout.toPhysical(w[1]);
+                const int d = coupling->distance(qa, qb);
+                accumulate(now, d, in_front);
+                const int sa = swapped(qa);
+                const int sb = swapped(qb);
+                accumulate(mirrored,
+                           sa == qa && sb == qb ? d
+                                                : coupling->distance(sa, sb),
+                           in_front);
+            }
+        }
+    }
+
+    /**
      * MIRAGE intermediate layer: decide whether to replace an executable
      * gate by its mirror (paper Algorithm 2). Returns true when the
      * mirror was accepted (the layout permutation is applied here).
@@ -619,8 +684,7 @@ struct PassState
 
         ScoreSums now_sums, mirror_sums;
         if (opts->scoreMode == ScoreMode::Delta) {
-            now_sums = buildBaseSums();
-            mirror_sums = deltaSums(now_sums, pa, pb);
+            mirrorScanSums(pa, pb, now_sums, mirror_sums);
         } else {
             now_sums = rescanSums();
             mirror_sums = rescanSums(pa, pb);
@@ -700,21 +764,30 @@ struct PassState
         ensureExtendedSet();
         ++counters.stallSteps;
 
+        // Candidates: every coupling edge with an endpoint on an active
+        // wire (a physical wire of a blocked front node), each once.
+        // Front nodes share no logical wire -- two gates on one wire are
+        // ordered by the DAG -- so each active wire is visited once, and
+        // an edge between two active wires is emitted from its lower end.
         auto &candidates = scratch->candidates;
         candidates.clear();
+        auto &active = scratch->wireMark;
+        const uint64_t mark = ++scratch->wireEpoch;
+        for (int id : scratch->front2q) {
+            for (int lq : plan->wires[size_t(id)])
+                active[size_t(layout.toPhysical(lq))] = mark;
+        }
         for (int id : scratch->front2q) {
             for (int lq : plan->wires[size_t(id)]) {
-                int p = layout.toPhysical(lq);
+                const int p = layout.toPhysical(lq);
                 for (int nb : coupling->neighbors(p)) {
-                    int a = std::min(p, nb), b = std::max(p, nb);
-                    candidates.emplace_back(a, b);
+                    if (nb < p && active[size_t(nb)] == mark)
+                        continue;
+                    candidates.emplace_back(std::min(p, nb),
+                                            std::max(p, nb));
                 }
             }
         }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(
-            std::unique(candidates.begin(), candidates.end()),
-            candidates.end());
         counters.swapCandidates += candidates.size();
 
         const bool use_delta = opts->scoreMode == ScoreMode::Delta;
@@ -741,6 +814,25 @@ struct PassState
                 best_swaps.emplace_back(pa, pb);
             }
         }
+        // Candidates are scored in enumeration order, not sorted, and the
+        // pick is the same as over a sorted list. With integer sums A, B
+        // and k decay bumps since the last reset, the exact score is
+        //   (A/|F| + B/(2|E|)) * (1 + k/1000)
+        // (|E| read as 1 when the extended set is empty), an integer
+        // multiple of 1/(2000 |F| |E|). Two different exact scores are
+        // therefore at least that far apart: >= 4e-8 at |F| = 560 (half
+        // of the largest shipped device, 1121 qubits) and |E| = 20, and
+        // >= 1.2e-8 at |F| = 2048 (a 4096-qubit spec, the cap). A
+        // computed score is within a few ulps of its exact value, so two
+        // scores with equal exact values land less than 1e-12 apart
+        // while scores stay below 2048. A score is at most about 1.5x
+        // the device diameter, so that holds on every device whose
+        // diameter is under 1360 hops (all shipped devices are under
+        // 100). There the 1e-12 band above groups exactly the
+        // candidates whose exact score is minimal, whatever the
+        // evaluation order, and sorting that tied set restores the
+        // order rng.index has always drawn from.
+        std::sort(best_swaps.begin(), best_swaps.end());
         auto [pa, pb] = best_swaps[rng.index(best_swaps.size())];
 
         if (estimating())
@@ -993,21 +1085,31 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
     const uint64_t swap_base =
         kRefineBase + 2 * uint64_t(opts.forwardBackwardPasses);
 
-    // Stage 1: independent layout trials with fwd/bwd refinement. Each
-    // trial owns one scratch arena shared by all of its passes.
-    std::vector<Layout> refined(static_cast<size_t>(trials));
-    std::vector<RoutingCounters> refine_counters(
-        static_cast<size_t>(trials));
+    // One task per layout trial: it refines its random layout with
+    // fwd/bwd passes, then runs its swap trials (final forward routes
+    // from the refined layout), every pass on one scratch arena and one
+    // step buffer. The flattened layoutTrials x swapTrials grid is
+    // reduced streamingly to the lexicographic (metric, grid-index)
+    // minimum. Taking the lowest index among equal metrics reproduces
+    // the serial strictly-lower-wins loop exactly, independent of
+    // completion order, while keeping only the running best step list
+    // live instead of the whole grid.
+    std::vector<RoutingCounters> trial_counters(static_cast<size_t>(trials));
+    std::optional<RouteResult> best;
+    std::vector<Step> best_steps;
+    double best_metric = std::numeric_limits<double>::infinity();
+    int64_t best_idx = int64_t(trials) * int64_t(swap_trials);
+    std::mutex best_mutex;
     exec::parallelFor(pool, trials, [&](int64_t t) {
         StreamRng stream(opts.seed, uint64_t(t));
         PassOptions pass = passForTrial(opts, int(t));
         Rng layout_rng(stream.at(kLayoutCounter));
         Layout layout = Layout::random(coupling.numQubits(), layout_rng);
         PassScratch scratch;
-        // Refinement passes only feed their final layout forward; their
-        // decisions share one buffer and are never materialized.
         std::vector<Step> steps;
-        RoutingCounters &counters = refine_counters[size_t(t)];
+        RoutingCounters &counters = trial_counters[size_t(t)];
+        // Refinement passes only feed their final layout forward; their
+        // decisions are never materialized.
         for (int iter = 0; iter < opts.forwardBackwardPasses; ++iter) {
             pass.seed = stream.at(kRefineBase + 2 * uint64_t(iter));
             RouteResult fwd = routePassOnPlan(fwd_plan, coupling, layout,
@@ -1019,43 +1121,25 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
             counters.add(fwd.counters);
             counters.add(bwd.counters);
         }
-        refined[size_t(t)] = std::move(layout);
-    });
-
-    // Stage 2: the flattened layoutTrials x swapTrials grid of final
-    // forward routes, reduced streamingly to the lexicographic
-    // (metric, grid-index) minimum. Taking the lowest index among equal
-    // metrics reproduces the serial strictly-lower-wins loop exactly,
-    // independent of completion order, while keeping only the running
-    // best step list live instead of the whole grid.
-    const int64_t grid = int64_t(trials) * int64_t(swap_trials);
-    std::vector<RoutingCounters> grid_counters(static_cast<size_t>(grid));
-    std::optional<RouteResult> best;
-    std::vector<Step> best_steps;
-    double best_metric = std::numeric_limits<double>::infinity();
-    int64_t best_idx = grid;
-    std::mutex best_mutex;
-    exec::parallelFor(pool, grid, [&](int64_t i) {
-        int t = int(i / swap_trials);
-        int st = int(i % swap_trials);
-        PassOptions pass = passForTrial(opts, t);
-        pass.seed = StreamRng(opts.seed, uint64_t(t))
-                        .at(swap_base + uint64_t(st));
-        PassScratch scratch;
-        std::vector<Step> steps;
-        RouteResult res = routePassOnPlan(
-            fwd_plan, coupling, refined[size_t(t)], pass, scratch, steps);
-        grid_counters[size_t(i)] = res.counters;
-        double metric = opts.postSelect == PostSelect::Swaps
-                            ? double(res.swapsAdded)
-                            : res.estDepth;
-        std::lock_guard<std::mutex> lock(best_mutex);
-        if (metric < best_metric ||
-            (metric == best_metric && i < best_idx)) {
-            best_metric = metric;
-            best_idx = i;
-            best = std::move(res);
-            best_steps = std::move(steps);
+        for (int st = 0; st < swap_trials; ++st) {
+            pass.seed = stream.at(swap_base + uint64_t(st));
+            RouteResult res = routePassOnPlan(fwd_plan, coupling, layout,
+                                              pass, scratch, steps);
+            counters.add(res.counters);
+            const int64_t i = t * swap_trials + st;
+            const double metric = opts.postSelect == PostSelect::Swaps
+                                      ? double(res.swapsAdded)
+                                      : res.estDepth;
+            std::lock_guard<std::mutex> lock(best_mutex);
+            if (metric < best_metric ||
+                (metric == best_metric && i < best_idx)) {
+                best_metric = metric;
+                best_idx = i;
+                best = std::move(res);
+                // Trade buffers: the winner's steps stay live, and this
+                // trial goes on with the displaced buffer's capacity.
+                std::swap(best_steps, steps);
+            }
         }
     });
     MIRAGE_ASSERT(best.has_value(), "no routing trial succeeded");
@@ -1066,9 +1150,7 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
     // swap trials), summed in index order so the total is identical
     // for every thread count.
     RoutingCounters total;
-    for (const auto &c : refine_counters)
-        total.add(c);
-    for (const auto &c : grid_counters)
+    for (const auto &c : trial_counters)
         total.add(c);
     best->counters = total;
     return std::move(*best);

@@ -5,10 +5,13 @@
  * A routing pass records compact decisions, and only the post-selected
  * winner becomes a Circuit, so the allocations an extra layout trial
  * costs must not grow with the circuit: doubling the circuit may add
- * only the step list's extra growth, not one Gate per routed gate.
+ * only the step list's extra growth, not one Gate per routed gate. A
+ * layout trial runs its swap trials on the scratch arena and step
+ * buffer its refinement passes used, so an extra swap trial costs about
+ * as few allocations as a refinement pass.
  *
  * This binary replaces the global operator new to count allocations, so
- * it holds nothing but this test.
+ * it holds nothing but these tests.
  */
 
 #include <gtest/gtest.h>
@@ -97,12 +100,13 @@ constexpr int kPassesPerTrial = 2 * kFwdBwd + kSwapTrials;
  */
 int64_t
 allocationsToRoute(const Circuit &circ, const CouplingMap &topo,
-                   const monodromy::CostModel &cost, int layout_trials)
+                   const monodromy::CostModel &cost, int layout_trials,
+                   int swap_trials = kSwapTrials)
 {
     TrialOptions opts;
     opts.layoutTrials = layout_trials;
     opts.forwardBackwardPasses = kFwdBwd;
-    opts.swapTrials = kSwapTrials;
+    opts.swapTrials = swap_trials;
     opts.postSelect = PostSelect::Swaps;
     opts.trialAggression = {Aggression::Equal};
     opts.pass.costModel = &cost;
@@ -126,14 +130,40 @@ allocationsPerTrial(const Circuit &circ, const CouplingMap &topo,
            allocationsToRoute(circ, topo, cost, 2);
 }
 
+Circuit
+qftN18()
+{
+    return circuit::consolidateBlocks(mirage_pass::unrollThreeQubit(
+        bench::benchmarkByName("qft_n18").make()));
+}
+
 } // namespace
+
+TEST(RouterAllocations, ExtraSwapTrialReusesTheTrialArena)
+{
+    auto cost = monodromy::makeRootIswapCostModel(2);
+    auto grid = CouplingMap::grid(8, 8);
+    const Circuit circ = qftN18();
+    constexpr int kLayoutTrials = 2;
+
+    // One more swap trial adds one pass per layout trial. A pass that
+    // regrew its own scratch arena and step list would cost over a
+    // hundred allocations here; on its trial's arena it pays only for
+    // its per-pass state (layouts, in-degrees, decay, front).
+    const int64_t added =
+        allocationsToRoute(circ, grid, cost, kLayoutTrials, 3) -
+        allocationsToRoute(circ, grid, cost, kLayoutTrials, 2);
+    std::cout << "allocations per added swap-trial pass: "
+              << added / kLayoutTrials << "\n";
+    EXPECT_GT(added, 0);
+    EXPECT_LE(added, 16 * kLayoutTrials);
+}
 
 TEST(RouterAllocations, ExtraTrialCostDoesNotGrowWithTheCircuit)
 {
     auto cost = monodromy::makeRootIswapCostModel(2);
     auto grid = CouplingMap::grid(8, 8);
-    Circuit single = circuit::consolidateBlocks(mirage_pass::unrollThreeQubit(
-        bench::benchmarkByName("qft_n18").make()));
+    Circuit single = qftN18();
     Circuit doubled = single;
     for (const auto &g : single.gates())
         doubled.append(g);

@@ -142,6 +142,64 @@ TEST(ScoringEquivalence, TrialFlowMatchesAcrossModesAndThreads)
                         "mode/thread combination " + std::to_string(i));
 }
 
+TEST(ScoringEquivalence, TrialGridShapesMatchAcrossThreadsAndPools)
+{
+    // One task per layout trial runs that trial's swap trials, so the
+    // shapes where layoutTrials is below the thread count (idle workers)
+    // or not a multiple of it (uneven tasks) must still reduce to the
+    // serial result. Plain SABRE on a small line device makes equal
+    // metrics across trials common, so the grid-index tie rule is
+    // exercised too.
+    auto cost = monodromy::makeRootIswapCostModel(2);
+    struct Case
+    {
+        Circuit circ;
+        CouplingMap topo;
+        bool mirrors;
+    };
+    const std::vector<Case> cases = {
+        {circuit::consolidateBlocks(bench::qft(10, true)),
+         CouplingMap::grid(4, 4), true},
+        {circuit::consolidateBlocks(bench::qft(5, true)),
+         CouplingMap::line(5), false}};
+    exec::ThreadPool pool(3);
+
+    for (const auto &[circ, topo, mirrors] : cases) {
+        for (auto [layout_trials, swap_trials] :
+             {std::pair{1, 4}, std::pair{3, 5}, std::pair{8, 2}}) {
+            TrialOptions opts;
+            opts.layoutTrials = layout_trials;
+            opts.swapTrials = swap_trials;
+            opts.forwardBackwardPasses = 1;
+            if (mirrors)
+                opts.trialAggression = mirageAggressionMix(layout_trials);
+            opts.pass.costModel = &cost;
+            opts.seed = 606 + uint64_t(layout_trials);
+            for (PostSelect post : {PostSelect::Swaps, PostSelect::Depth}) {
+                opts.postSelect = post;
+                opts.threads = 1;
+                opts.pool = nullptr;
+                const RouteResult serial = routeWithTrials(circ, topo, opts);
+                const std::string shape =
+                    topo.name() + " " + std::to_string(layout_trials) +
+                    "x" + std::to_string(swap_trials) + " post-select " +
+                    std::to_string(int(post));
+                for (int threads : {2, 3, 4}) {
+                    opts.threads = threads;
+                    expectSameRoute(serial,
+                                    routeWithTrials(circ, topo, opts),
+                                    shape + " threads " +
+                                        std::to_string(threads));
+                }
+                opts.threads = 1;
+                opts.pool = &pool;
+                expectSameRoute(serial, routeWithTrials(circ, topo, opts),
+                                shape + " caller pool");
+            }
+        }
+    }
+}
+
 TEST(ScoringEquivalence, EstimateMatchesComputeMetrics)
 {
     auto cost = monodromy::makeRootIswapCostModel(2);
