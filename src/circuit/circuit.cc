@@ -97,15 +97,6 @@ Circuit::countKind(GateKind kind) const
     return n;
 }
 
-Circuit
-Circuit::reversed() const
-{
-    Circuit r(numQubits_, name_ + "_rev");
-    for (auto it = gates_.rbegin(); it != gates_.rend(); ++it)
-        r.append(*it);
-    return r;
-}
-
 bool
 Circuit::bitIdentical(const Circuit &a, const Circuit &b)
 {

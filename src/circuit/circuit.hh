@@ -129,14 +129,6 @@ class Circuit
     int countKind(GateKind kind) const;
 
     /**
-     * Circuit with all gates reversed and each replaced by its inverse is
-     * not needed; routing's backward pass only needs the mirror-image gate
-     * ORDER (SABRE routes the reversed DAG). This returns the gate list in
-     * reverse order.
-     */
-    Circuit reversed() const;
-
-    /**
      * Bit-exact structural equality: same wire count and gate list,
      * with every numeric field (params, matrices, coords) compared
      * with == rather than a tolerance. This is the comparison behind

@@ -567,8 +567,9 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out,
  * Runs the fixed two-phase synthetic workload (see serve/traffic.hh;
  * no option changes it, so every run is comparable with the baseline)
  * against an in-process engine (default) or a live server (--socket),
- * writes the BENCH_serve.json artifact, and with --check gates CI on
- * the deterministic parameters/counters exactly (timings stay
+ * writes the artifact to --out (stdout by default; the committed
+ * baseline is BENCH_serve.json), and with --check gates CI on the
+ * deterministic parameters/counters exactly (timings stay
  * informational).
  */
 int
@@ -579,9 +580,7 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
     parser.addOption("--socket", "PATH", "",
                      "drive a live `mirage serve` at this socket "
                      "instead of an in-process engine");
-    parser.addOption("--out", "FILE", "BENCH_serve.json",
-                     "artifact path ('-' for stdout; --chaos defaults "
-                     "to stdout instead)");
+    parser.addOption("--out", "FILE", "-", "artifact path ('-' for stdout)");
     parser.addOption("--check", "FILE", "",
                      "baseline artifact; exit 1 if the deterministic "
                      "parameters or counters drifted");
@@ -616,11 +615,7 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
         std::signal(SIGPIPE, SIG_IGN);
 
         const json::Value artifact = serve::runChaos(copts, err);
-        // Never clobber the committed throughput baseline with a
-        // chaos artifact by default.
-        std::string path = parser.option("--out");
-        if (path == "BENCH_serve.json")
-            path = "-";
+        const std::string path = parser.option("--out");
         writeOutput(path, artifact.dump(2), out);
         if (path != "-" && !path.empty())
             out << "wrote " << path << "\n";
@@ -633,10 +628,9 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
         return kExitSuccess;
     }
 
-    // Read the baseline BEFORE writing the fresh artifact: with the
-    // default --out the two paths coincide (the committed repo-root
-    // BENCH_serve.json), and writing first would gate the new artifact
-    // against itself -- always passing.
+    // Read the baseline BEFORE writing the fresh artifact: `--out F
+    // --check F` names one file, and writing first would gate the new
+    // artifact against itself -- always passing.
     const std::string baselinePath = parser.option("--check");
     const json::Value baseline =
         baselinePath.empty() ? json::Value() : readJson(baselinePath);
@@ -649,18 +643,18 @@ cmdServeBench(const std::vector<std::string> &args, std::ostream &out,
     if (path != "-" && !path.empty())
         out << "wrote " << path << "\n";
 
+    // The check report goes to stderr, so stdout stays one artifact.
     if (!baselinePath.empty()) {
         std::string report;
         const bool ok =
             serve::checkServeArtifact(artifact, baseline, &report);
-        if (!report.empty())
-            out << report;
+        err << report;
         if (!ok) {
             err << "mirage: serve-bench counters drifted versus '"
                 << baselinePath << "'\n";
             return kExitFailure;
         }
-        out << "serve-bench check OK: deterministic counters match "
+        err << "serve-bench check OK: deterministic counters match "
             << baselinePath << "\n";
     }
     return kExitSuccess;

@@ -1254,9 +1254,6 @@ runFig12Large(const SweepKnobs &userKnobs)
         ts.set("derivedTableBytes", uint64_t(device.derivedTableBytes()));
         ts.set("rowCacheBytes", uint64_t(cache_bytes));
         ts.set("rowCacheRows", uint64_t(cache.rows));
-        ts.set("rowCacheHits", cache.hits);
-        ts.set("rowCacheMisses", cache.misses);
-        ts.set("rowCacheEvictions", cache.evictions);
         ts.set("denseEquivalentBytes", uint64_t(dense_equiv));
         ts.set("memoryRatio",
                dense_equiv ? double(resident) / double(dense_equiv) : 0.0);

@@ -8,11 +8,13 @@
  * Fig. 13): every scoring quantity is an exact integer distance sum,
  * combined into the floating-point heuristic by ONE shared expression
  * (combineHeuristic / combineOutlook). A pass records compact decisions
- * (Step: a DAG node on physical wires, plain or mirrored, or a SWAP)
+ * (Step: a plan node on physical wires, plain or mirrored, or a SWAP)
  * rather than Gates, and accumulates its estimated depth/cost as it
  * emits; only the post-selected winner is materialized into a Circuit.
- * The DAG walk reads CSR successor lists and initial in-degrees from
- * the immutable RoutePlan, never the Gate-carrying DagNodes. One task
+ * The plan is one wire-order scan of the circuit: per node its gate,
+ * operands, in-degree and the next node on each wire. The front-layer
+ * walk reads only those arrays, and a Gate is touched again only when
+ * the winner is materialized. One task
  * per layout trial refines its layout and then runs its swap trials,
  * all on one scratch arena (epoch-stamped `seen` and active-wire marks,
  * reusable front/extended/candidate buffers, per-wire touch lists) and
@@ -40,10 +42,8 @@
 #include <limits>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <utility>
 
-#include "circuit/dag.hh"
 #include "common/logging.hh"
 #include "weyl/catalog.hh"
 #include "weyl/coordinates.hh"
@@ -51,7 +51,6 @@
 namespace mirage::router {
 
 using circuit::Circuit;
-using circuit::DagCircuit;
 using circuit::Gate;
 using circuit::GateKind;
 using layout::Layout;
@@ -147,7 +146,7 @@ combineOutlook(const ScoreSums &s, size_t ne)
  */
 struct PassScratch
 {
-    std::vector<uint64_t> seen; ///< per-DAG-node visit epoch
+    std::vector<uint64_t> seen; ///< per-node visit epoch
     uint64_t epoch = 0;
     std::vector<uint64_t> wireMark; ///< per physical wire: active epoch
     uint64_t wireEpoch = 0;
@@ -162,10 +161,10 @@ struct PassScratch
     std::vector<int> touched; ///< wires with non-empty touch lists
 
     void
-    prepare(size_t dag_size, size_t num_phys)
+    prepare(size_t num_nodes, size_t num_phys)
     {
-        if (seen.size() < dag_size)
-            seen.resize(dag_size, 0);
+        if (seen.size() < num_nodes)
+            seen.resize(num_nodes, 0);
         if (wireMark.size() < num_phys)
             wireMark.resize(num_phys, 0);
         if (touch.size() < num_phys)
@@ -174,7 +173,7 @@ struct PassScratch
 };
 
 /** Per-node mirror data: everything about a mirror decision that does
- * not depend on the layout, precomputed once per DAG and reused by
+ * not depend on the layout, precomputed once per plan and reused by
  * every pass of the trial grid. */
 struct NodeMirror
 {
@@ -184,100 +183,116 @@ struct NodeMirror
 };
 
 /**
- * One routing decision, on physical wires: a DAG node emitted plain or
+ * One routing decision, on physical wires: a plan node emitted plain or
  * as its mirror, or an inserted SWAP. A pass records these instead of
  * Gates; materialize() turns the winner's list into the routed Circuit.
  */
 struct Step
 {
     enum class Kind : uint8_t { Node, Mirror, Swap };
-    int node; ///< DAG node id (-1 for a SWAP)
+    int node; ///< plan node id (-1 for a SWAP)
     int pa;   ///< first physical wire
     int pb;   ///< second physical wire (-1 for a 1Q node)
     Kind kind;
 };
 
 /**
- * Immutable routing plan for one DAG direction: compact per-node
- * arrays (the hot loops touch these instead of chasing Gate objects
- * through DagNode), the per-node pulse costs when a cost model is set,
- * plus the mirror table when the pass may mirror. Built once per
- * routeWithTrials direction and shared read-only across the whole trial
- * grid; routePass builds a private one.
+ * Immutable routing plan for one walk direction: compact per-node
+ * arrays the hot loops read instead of Gate objects, the per-node pulse
+ * costs when a cost model is set, plus the mirror table when the pass
+ * may mirror. A node is a non-barrier gate of the circuit, numbered in
+ * walk order; the plan points into the circuit, which must outlive it.
+ * Built once per routeWithTrials direction and shared read-only across
+ * the whole trial grid; routePass builds a private one.
  */
 struct RoutePlan
 {
-    const DagCircuit *dag = nullptr;
+    std::vector<const Gate *> gate;           ///< per node: its gate
     std::vector<uint8_t> oneQ;                ///< per node: 1Q gate
     std::vector<uint8_t> twoQ;                ///< per node: 2Q gate
     std::vector<std::array<int, 2>> wires;    ///< logical operands
-    /** CSR successor lists (see successors()). */
-    std::vector<int> succStart;
-    std::vector<int> succs;
+    /** Per node: the next node on each of its wires, deduplicated,
+     * ascending and -1-padded. */
+    std::vector<std::array<int, 2>> succ;
     std::vector<int> indegree;                ///< per node: predecessors
-    /** Per 2Q node: costOf(annotated coords); empty without a model. */
+    std::vector<int> roots;                   ///< nodes with none
+    /** Per 2Q node: costOf(its coords); empty without a model. The cost
+     * and mirror tables are sized to the whole gate list, barriers
+     * included, and indexed by node. */
     std::vector<double> cost;
     double swapCost = 0;                      ///< costOf(coordSWAP())
     std::vector<NodeMirror> mirror;           ///< empty unless mirroring
-
-    /** Successors of node `id`, in DagNode::succs order. */
-    std::span<const int>
-    successors(int id) const
-    {
-        return {succs.data() + succStart[size_t(id)],
-                succs.data() + succStart[size_t(id) + 1]};
-    }
 };
 
+/**
+ * The plan of one wire-order scan of `circuit` (from the back when
+ * `backward`, which is SABRE's reversed walk). A node depends on the
+ * last node on each of its wires; a 2Q gate whose wires share that
+ * node depends on it once. Node ids ascend in scan order, so each
+ * successor pair comes out ascending.
+ */
 RoutePlan
-makePlan(const DagCircuit &dag, const monodromy::CostModel *cost_model,
-         bool with_mirrors)
+makePlan(const Circuit &circuit, int num_phys, bool backward,
+         const monodromy::CostModel *cost_model, bool with_mirrors)
 {
+    MIRAGE_ASSERT(circuit.numQubits() <= num_phys,
+                  "circuit does not fit the device (%d > %d)",
+                  circuit.numQubits(), num_phys);
+    MIRAGE_ASSERT(!with_mirrors || cost_model,
+                  "mirror decisions need a cost model");
     RoutePlan plan;
-    plan.dag = &dag;
-    const size_t n = dag.size();
-    plan.oneQ.resize(n);
-    plan.twoQ.resize(n);
-    plan.wires.assign(n, {0, 0});
-    plan.succStart.reserve(n + 1);
-    plan.indegree.reserve(n);
-    for (const auto &node : dag.nodes()) {
-        plan.succStart.push_back(int(plan.succs.size()));
-        plan.succs.insert(plan.succs.end(), node.succs.begin(),
-                          node.succs.end());
-        plan.indegree.push_back(int(node.preds.size()));
-    }
-    plan.succStart.push_back(int(plan.succs.size()));
+    const size_t cap = circuit.size();
+    plan.gate.reserve(cap);
+    plan.oneQ.reserve(cap);
+    plan.twoQ.reserve(cap);
+    plan.wires.reserve(cap);
+    plan.succ.reserve(cap);
+    plan.indegree.reserve(cap);
     if (cost_model) {
-        plan.cost.assign(n, 0.0);
+        plan.cost.assign(cap, 0.0);
         plan.swapCost = cost_model->costOf(weyl::coordSWAP());
     }
-    if (with_mirrors) {
-        MIRAGE_ASSERT(cost_model, "mirror decisions need a cost model");
-        plan.mirror.resize(n);
-    }
-    for (const auto &node : dag.nodes()) {
-        const Gate &g = node.gate;
-        const size_t id = size_t(node.id);
+    if (with_mirrors)
+        plan.mirror.resize(cap);
+    std::vector<int> last_on_wire(size_t(circuit.numQubits()), -1);
+    const auto &gates = circuit.gates();
+    for (size_t i = 0; i < gates.size(); ++i) {
+        const Gate &g = gates[backward ? gates.size() - 1 - i : i];
+        if (g.isBarrier())
+            continue;
         MIRAGE_ASSERT(g.isOneQubit() || g.isTwoQubit(),
                       "router requires 1Q/2Q gates (unroll 3Q first)");
-        plan.oneQ[id] = g.isOneQubit();
-        plan.twoQ[id] = g.isTwoQubit();
-        plan.wires[id][0] = g.qubits[0];
-        if (!g.isTwoQubit())
+        const int id = int(plan.gate.size());
+        plan.gate.push_back(&g);
+        plan.oneQ.push_back(g.isOneQubit());
+        plan.twoQ.push_back(g.isTwoQubit());
+        plan.wires.push_back({g.qubits[0], g.isTwoQubit() ? g.qubits[1] : 0});
+        plan.succ.push_back({-1, -1});
+        int preds = 0;
+        for (int q : g.qubits) {
+            const int prev = std::exchange(last_on_wire[size_t(q)], id);
+            if (prev < 0)
+                continue;
+            auto &next = plan.succ[size_t(prev)];
+            if (next[0] == id || next[1] == id)
+                continue;
+            next[next[0] < 0 ? 0 : 1] = id;
+            ++preds;
+        }
+        plan.indegree.push_back(preds);
+        if (preds == 0)
+            plan.roots.push_back(id);
+        if (!cost_model || !g.isTwoQubit())
             continue;
-        plan.wires[id][1] = g.qubits[1];
-        if (!cost_model)
-            continue;
-        // With a cost model liftToDag annotated the coordinates, so this
-        // is exactly the cost computeMetrics charges the emitted gate.
+        // The same coordinates materialize() annotates on the emitted
+        // gate, so this is exactly the cost computeMetrics charges it.
         const weyl::Coord c = g.weylCoords();
-        plan.cost[id] = cost_model->costOf(c);
+        plan.cost[size_t(id)] = cost_model->costOf(c);
         if (with_mirrors) {
             // Hoisted to once per node: the mirror coordinates, their
             // cost, and the mirrored unitary SWAP * U (paper Eq. 1 -- no
             // eigensolver call).
-            NodeMirror &m = plan.mirror[id];
+            NodeMirror &m = plan.mirror[size_t(id)];
             m.mirrorCoord = weyl::mirrorCoord(c);
             m.mirrorCost = cost_model->costOf(m.mirrorCoord);
             m.mirroredMatrix = weyl::gateSWAP() * g.matrix4();
@@ -289,8 +304,9 @@ makePlan(const DagCircuit &dag, const monodromy::CostModel *cost_model,
 /**
  * The routed Circuit a step list stands for: exactly the gates a pass
  * would have appended as it went -- the node's gate moved onto its
- * physical wires, the premultiplied mirror with its Eq. 1 coordinates,
- * or a SWAP annotated with the SWAP class.
+ * physical wires (a 2Q gate annotated with its Weyl coordinates when
+ * the plan has a cost model), the premultiplied mirror with its Eq. 1
+ * coordinates, or a SWAP annotated with the SWAP class.
  */
 Circuit
 materialize(const RoutePlan &plan, int num_phys,
@@ -301,11 +317,16 @@ materialize(const RoutePlan &plan, int num_phys,
     for (const Step &s : steps) {
         switch (s.kind) {
           case Step::Kind::Node: {
-            Gate phys = plan.dag->node(s.node).gate;
-            if (plan.oneQ[size_t(s.node)])
+            Gate phys = *plan.gate[size_t(s.node)];
+            if (plan.oneQ[size_t(s.node)]) {
                 phys.qubits = {s.pa};
-            else
+            } else {
                 phys.qubits = {s.pa, s.pb};
+                // The coords the plan costed, carried into the
+                // pipeline's metrics.
+                if (!plan.cost.empty())
+                    phys.annotateCoords();
+            }
             out.append(std::move(phys));
             break;
           }
@@ -334,7 +355,6 @@ materialize(const RoutePlan &plan, int num_phys,
 /** Mutable routing state for one pass. */
 struct PassState
 {
-    const DagCircuit *dag;
     const RoutePlan *plan;
     const CouplingMap *coupling;
     const PassOptions *opts;
@@ -347,7 +367,7 @@ struct PassState
     std::vector<double> decay;   // per physical qubit
     int swaps_since_reset = 0;
 
-    // The extended set depends only on the front layer and the DAG --
+    // The extended set depends only on the front layer and the plan --
     // never on the layout -- so consecutive stall steps (which only
     // swap wires) reuse the cached set. Any front mutation bumps
     // front_version; ext_version records which front the cached set
@@ -370,16 +390,15 @@ struct PassState
     explicit PassState(const RoutePlan &p, const CouplingMap &c,
                        const Layout &init, const PassOptions &o,
                        PassScratch &s, std::vector<Step> &steps)
-        : dag(p.dag), plan(&p), coupling(&c), opts(&o), scratch(&s),
+        : plan(&p), coupling(&c), opts(&o), scratch(&s),
           rng(o.seed), layout(init), indegree(p.indegree),
           decay(size_t(c.numQubits()), 1.0), out(steps)
     {
-        scratch->prepare(dag->size(), size_t(c.numQubits()));
-        for (int id : dag->roots())
-            front.push_back(id);
+        scratch->prepare(p.gate.size(), size_t(c.numQubits()));
+        front = p.roots;
         // Every node is emitted once; only SWAPs grow the list past this.
         out.clear();
-        out.reserve(dag->size());
+        out.reserve(p.gate.size());
         if (estimating())
             wire_depth.assign(size_t(c.numQubits()), 0.0);
     }
@@ -416,8 +435,8 @@ struct PassState
     void
     advance(int id)
     {
-        for (int s : plan->successors(id)) {
-            if (--indegree[size_t(s)] == 0)
+        for (int s : plan->succ[size_t(id)]) {
+            if (s >= 0 && --indegree[size_t(s)] == 0)
                 front.push_back(s);
         }
         ++front_version;
@@ -454,8 +473,8 @@ struct PassState
         while (head < walk.size() &&
                int(ext.size()) < kExtendedSetSize) {
             int id = walk[head++];
-            for (int s : plan->successors(id)) {
-                if (seen[size_t(s)] == epoch)
+            for (int s : plan->succ[size_t(id)]) {
+                if (s < 0 || seen[size_t(s)] == epoch)
                     continue;
                 seen[size_t(s)] = epoch;
                 if (plan->twoQ[size_t(s)]) {
@@ -767,7 +786,7 @@ struct PassState
         // Candidates: every coupling edge with an endpoint on an active
         // wire (a physical wire of a blocked front node), each once.
         // Front nodes share no logical wire -- two gates on one wire are
-        // ordered by the DAG -- so each active wire is visited once, and
+        // ordered by the plan -- so each active wire is visited once, and
         // an edge between two active wires is emitted from its lower end.
         auto &candidates = scratch->candidates;
         candidates.clear();
@@ -909,37 +928,6 @@ requireRoutableTopology(const CouplingMap &coupling)
 }
 
 /**
- * Lift the logical circuit onto the padded wire count so the DAG and
- * the layout agree. One DAG serves every pass over the same circuit:
- * routeWithTrials builds the forward/backward DAGs once and shares them
- * read-only across the whole trial grid instead of re-copying every
- * gate (4x4 matrices included) per pass.
- *
- * With annotate_coords set, 2Q gates missing Weyl coordinates get them
- * stamped here (the same deterministic weylCoordinates value every
- * later consumer would compute), so the plan costs each node once and
- * the routed output carries coords into the pipeline's metrics.
- */
-DagCircuit
-liftToDag(const Circuit &circuit, const CouplingMap &coupling,
-          bool annotate_coords)
-{
-    MIRAGE_ASSERT(circuit.numQubits() <= coupling.numQubits(),
-                  "circuit does not fit the device (%d > %d)",
-                  circuit.numQubits(), coupling.numQubits());
-    Circuit lifted(coupling.numQubits(), circuit.name());
-    for (const auto &g : circuit.gates())
-        lifted.append(g);
-    if (annotate_coords) {
-        for (auto &g : lifted.gates()) {
-            if (g.isTwoQubit())
-                g.annotateCoords();
-        }
-    }
-    return DagCircuit(lifted);
-}
-
-/**
  * One pass from `initial`. Its decisions replace the contents of
  * `steps`; the result's `routed` stays empty until the caller
  * materializes the steps it keeps.
@@ -975,10 +963,9 @@ routePass(const Circuit &circuit, const CouplingMap &coupling,
 {
     requireRoutableTopology(coupling);
     PassScratch scratch;
-    DagCircuit dag =
-        liftToDag(circuit, coupling, opts.costModel != nullptr);
-    RoutePlan plan = makePlan(dag, opts.costModel,
-                              opts.aggression != Aggression::None);
+    const RoutePlan plan =
+        makePlan(circuit, coupling.numQubits(), false, opts.costModel,
+                 opts.aggression != Aggression::None);
     std::vector<Step> steps;
     RouteResult res =
         routePassOnPlan(plan, coupling, initial, opts, scratch, steps);
@@ -1051,9 +1038,9 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
         MIRAGE_ASSERT(opts.pass.costModel,
                       "depth post-selection needs a cost model");
     }
-    // Both walk directions are lifted, DAG-ified, and planned exactly
-    // once (compact node arrays + per-node mirror costs/matrices);
-    // every pass of every trial reads the same immutable plans.
+    // Both walk directions are planned exactly once (compact node
+    // arrays + per-node mirror costs/matrices); every pass of every
+    // trial reads the same immutable plans.
     bool with_mirrors =
         opts.trialAggression.empty()
             ? opts.pass.aggression != Aggression::None
@@ -1062,14 +1049,10 @@ routeWithTrials(const Circuit &circuit, const CouplingMap &coupling,
                           [](Aggression a) {
                               return a != Aggression::None;
                           });
-    const bool annotate = opts.pass.costModel != nullptr;
-    const DagCircuit fwd_dag = liftToDag(circuit, coupling, annotate);
-    const DagCircuit bwd_dag =
-        liftToDag(circuit.reversed(), coupling, annotate);
-    const RoutePlan fwd_plan =
-        makePlan(fwd_dag, opts.pass.costModel, with_mirrors);
-    const RoutePlan bwd_plan =
-        makePlan(bwd_dag, opts.pass.costModel, with_mirrors);
+    const RoutePlan fwd_plan = makePlan(circuit, coupling.numQubits(), false,
+                                        opts.pass.costModel, with_mirrors);
+    const RoutePlan bwd_plan = makePlan(circuit, coupling.numQubits(), true,
+                                        opts.pass.costModel, with_mirrors);
 
     // Null pool = pure serial fast path; otherwise use the caller's
     // pool or spin up a local one.

@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "circuit/consolidate.hh"
-#include "circuit/dag.hh"
 #include "circuit/qasm.hh"
 #include "circuit/sim.hh"
 #include "common/rng.hh"
@@ -69,21 +68,6 @@ TEST(Circuit, RejectsBadOperands)
     EXPECT_EQ(message([&] { c.append(makeGate2(GateKind::CX, 1, 1)); }),
               "repeated operand 1 in cx");
     EXPECT_TRUE(c.empty()); // a rejected gate is not appended
-}
-
-TEST(Dag, DependencyStructure)
-{
-    Circuit c(3);
-    c.cx(0, 1); // A
-    c.cx(1, 2); // B depends on A
-    c.h(0);     // C depends on A
-    c.cx(0, 2); // D depends on B and C
-    DagCircuit dag(c);
-    ASSERT_EQ(dag.size(), 4u);
-    EXPECT_EQ(dag.roots().size(), 1u);
-    EXPECT_EQ(dag.node(0).succs.size(), 2u);
-    EXPECT_EQ(dag.node(3).preds.size(), 2u);
-    EXPECT_EQ(dag.twoQubitDepth(), 3);
 }
 
 TEST(Sim, BellState)

@@ -560,6 +560,32 @@ TEST(CliServeBench, NumericFlagValidation)
     }
 }
 
+TEST(CliServeBench, CheckWithoutOutLeavesTheBaselineAlone)
+{
+    // The documented local gate `serve-bench --check BENCH_serve.json`
+    // must not rewrite the baseline it reads: the artifact goes to
+    // stdout, the report to stderr, and nothing lands in the working
+    // directory.
+    const std::string baseline = tempPath("serve_baseline.json");
+    const std::string committed =
+        readFile(MIRAGE_TEST_DATA_DIR "/../BENCH_serve.json");
+    writeFile(baseline, committed);
+    const std::filesystem::path work = tempPath("serve_bench_cwd");
+    std::filesystem::create_directories(work);
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(work);
+    auto r = runCli({"serve-bench", "--check", baseline});
+    std::filesystem::current_path(cwd);
+
+    ASSERT_EQ(r.code, cli::kExitSuccess) << r.err;
+    EXPECT_EQ(json::parse(r.out)["kind"].asString(),
+              json::parse(committed)["kind"].asString());
+    EXPECT_NE(r.err.find("check OK"), std::string::npos) << r.err;
+    EXPECT_EQ(readFile(baseline), committed);
+    EXPECT_FALSE(std::filesystem::exists(work / "BENCH_serve.json"));
+    EXPECT_TRUE(std::filesystem::is_empty(work));
+}
+
 TEST(CliTranspile, JsonReportSchemaAndDeterminism)
 {
     std::vector<std::string> args = {"transpile", qft4Path(),

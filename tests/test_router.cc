@@ -57,6 +57,34 @@ randomCircuit(int n, int gates, uint64_t seed)
     return c;
 }
 
+/**
+ * A circuit the pipeline never sends the router: barriers (full and
+ * partial) and unconsolidated back-to-back CX pairs on one wire pair,
+ * whose second gate depends on the first through both wires.
+ */
+Circuit
+barrierAndCxRunCircuit()
+{
+    Circuit c(5, "barriers_cx_runs");
+    c.h(0);
+    c.cx(0, 1);
+    c.cx(1, 0);
+    c.append(circuit::makeBarrier({0, 1, 2, 3, 4}));
+    c.cx(0, 4);
+    c.rz(0.4, 2);
+    c.append(circuit::makeBarrier({1, 3}));
+    c.cx(3, 1);
+    c.cx(1, 3);
+    c.cp(0.7, 2, 4);
+    c.cx(4, 2);
+    c.append(circuit::makeBarrier({0}));
+    c.cx(0, 3);
+    c.h(3);
+    c.cx(2, 0);
+    c.cx(0, 2);
+    return c;
+}
+
 } // namespace
 
 TEST(Sabre, RoutesLegallyOnLine)
@@ -187,7 +215,9 @@ TEST(Trials, RoutedCircuitsAreUnitarilyEquivalent)
 {
     // Full-operator equivalence (up to layout permutations and one
     // global phase) for the multi-trial flow with the paper's mirror
-    // mix, on every <= 6-qubit device family we route in the suite.
+    // mix, on every <= 6-qubit device family we route in the suite. The
+    // refinement passes walk the backward plan, so the barrier/CX-run
+    // case checks that plan on inputs the pipeline never sends.
     auto cost = monodromy::makeRootIswapCostModel(2);
     struct Case { Circuit circ; CouplingMap coupling; };
     std::vector<Case> cases;
@@ -197,6 +227,7 @@ TEST(Trials, RoutedCircuitsAreUnitarilyEquivalent)
         {circuit::consolidateBlocks(bench::twoLocalFull(4, 1, 3)),
          CouplingMap::line(4)});
     cases.push_back({bench::wstate(6), CouplingMap::ring(6)});
+    cases.push_back({barrierAndCxRunCircuit(), CouplingMap::line(5)});
 
     for (size_t i = 0; i < cases.size(); ++i) {
         TrialOptions opts;
@@ -209,8 +240,32 @@ TEST(Trials, RoutedCircuitsAreUnitarilyEquivalent)
         RouteResult res =
             routeWithTrials(cases[i].circ, cases[i].coupling, opts);
         expectLegal(res.routed, cases[i].coupling);
+        EXPECT_EQ(res.routed.size(),
+                  size_t(cases[i].circ.gateCount() + res.swapsAdded));
         expectRoutedEquivalent(cases[i].circ, res.routed, res.initial,
                                res.final, cases[i].coupling.numQubits());
+    }
+}
+
+TEST(Mirage, BarriersAndCxRunsStayCorrectAtEveryAggression)
+{
+    auto cost = monodromy::makeRootIswapCostModel(2);
+    auto line = CouplingMap::line(5);
+    const Circuit circ = barrierAndCxRunCircuit();
+    Rng lay_rng(41);
+    const auto init = layout::Layout::random(5, lay_rng);
+    for (Aggression a : {Aggression::None, Aggression::Lower,
+                         Aggression::Equal, Aggression::Always}) {
+        SCOPED_TRACE(int(a));
+        PassOptions opts;
+        opts.aggression = a;
+        opts.costModel = &cost;
+        opts.seed = 5;
+        RouteResult res = routePass(circ, line, init, opts);
+        expectLegal(res.routed, line);
+        EXPECT_EQ(res.routed.size(),
+                  size_t(circ.gateCount() + res.swapsAdded));
+        expectRoutedEquivalent(circ, res.routed, res.initial, res.final, 5);
     }
 }
 

@@ -8,7 +8,10 @@
  * only the step list's extra growth, not one Gate per routed gate. A
  * layout trial runs its swap trials on the scratch arena and step
  * buffer its refinement passes used, so an extra swap trial costs about
- * as few allocations as a refinement pass.
+ * as few allocations as a refinement pass. The routing plans are built
+ * by one scan of the circuit, so one whole call costs about one
+ * allocation per routed gate (the winner's own), not a copy of the
+ * circuit per walk direction.
  *
  * This binary replaces the global operator new to count allocations, so
  * it holds nothing but these tests.
@@ -121,6 +124,31 @@ allocationsToRoute(const Circuit &circ, const CouplingMap &topo,
     return int64_t(routed - before) - int64_t(copied - routed);
 }
 
+/**
+ * Allocations of one serial one-trial routeWithTrials call, the routed
+ * Circuit it returns included; `routed_gates` receives that Circuit's
+ * size.
+ */
+int64_t
+allocationsOfOneCall(const Circuit &circ, const CouplingMap &topo,
+                     const monodromy::CostModel &cost, size_t &routed_gates)
+{
+    TrialOptions opts;
+    opts.layoutTrials = 1;
+    opts.forwardBackwardPasses = 1;
+    opts.swapTrials = 1;
+    opts.postSelect = PostSelect::Depth;
+    opts.trialAggression = {Aggression::Equal};
+    opts.pass.costModel = &cost;
+    opts.seed = 77;
+    opts.threads = 1;
+    const uint64_t before = g_allocations.load();
+    RouteResult res = routeWithTrials(circ, topo, opts);
+    const uint64_t after = g_allocations.load();
+    routed_gates = res.routed.size();
+    return int64_t(after - before);
+}
+
 /** Allocations one added layout trial costs. */
 int64_t
 allocationsPerTrial(const Circuit &circ, const CouplingMap &topo,
@@ -180,4 +208,30 @@ TEST(RouterAllocations, ExtraTrialCostDoesNotGrowWithTheCircuit)
               << " gates in the single circuit)\n";
     EXPECT_GT(per_trial_single, 0);
     EXPECT_LE(per_trial_doubled - per_trial_single, 8 * kPassesPerTrial);
+}
+
+TEST(RouterAllocations, OneCallCostsAboutOneAllocationPerRoutedGate)
+{
+    auto cost = monodromy::makeRootIswapCostModel(2);
+    auto grid = CouplingMap::grid(8, 8);
+    Circuit single = qftN18();
+    Circuit doubled = single;
+    for (const auto &g : single.gates())
+        doubled.append(g);
+
+    size_t single_gates = 0;
+    size_t doubled_gates = 0;
+    const int64_t single_allocs =
+        allocationsOfOneCall(single, grid, cost, single_gates);
+    const int64_t doubled_allocs =
+        allocationsOfOneCall(doubled, grid, cost, doubled_gates);
+    ASSERT_GT(doubled_gates, single_gates);
+    const int64_t added_gates = int64_t(doubled_gates - single_gates);
+    const int64_t added_allocs = doubled_allocs - single_allocs;
+    std::cout << "allocations per call: " << single_allocs << " ("
+              << single_gates << " routed gates), " << doubled_allocs
+              << " (" << doubled_gates << " routed gates, doubled)\n";
+    // Copying the circuit (a Gate and its operand vector per gate) for
+    // each walk direction would cost several allocations per gate.
+    EXPECT_LE(added_allocs, 2 * added_gates);
 }
